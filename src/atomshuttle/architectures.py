@@ -8,11 +8,12 @@ The nearest-neighbor SWAP-chain baseline is also provided for contrast.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .ir import GateKind, GateStep, QubitRef
+from .ir import GateKind, GateStep, QubitRef, in_lattice
 
 
 class Variant(Enum):
@@ -48,19 +49,17 @@ class ArchitectureSpec:
         if self.L < 2:
             raise ValueError("lattice size must be at least 2")
         for name in ("a", "R", "v", "t2", "t1", "tr", "t_route", "t_turnaround"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}={value} must be finite and strictly positive")
         if self.R > self.a * (1 + 1e-12):
             raise ValueError(f"blockade radius R={self.R} exceeds lattice spacing a={self.a}")
         if self.v > self.a / self.t2 * (1 + 1e-12):
             raise ValueError(f"speed v={self.v} exceeds a/t2={self.a / self.t2}")
 
-    def in_range(self, c: tuple[int, int]) -> bool:
-        return 0 <= c[0] < self.L and 0 <= c[1] < self.L
-
 
 _CONFIG_KEYS = {
-    "variant": ("variant", lambda s: Variant(s)),
+    "variant": ("variant", Variant),
     "L": ("L", int),
     "a_m": ("a", float),
     "R_m": ("R", float),
@@ -73,8 +72,12 @@ _CONFIG_KEYS = {
 }
 
 
-def load_arch_config(path: str | Path) -> ArchitectureSpec:
-    """Read a key=value architecture config file."""
+def read_key_values(path: str | Path, keys: dict) -> dict:
+    """Read a key=value config file into {field name: converted value}.
+
+    `keys` maps each accepted key to (field name, converter).  `#` starts
+    a comment.  Every error names `path:line`.
+    """
     kwargs = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,10 +86,19 @@ def load_arch_config(path: str | Path) -> ArchitectureSpec:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        name, conv = _CONFIG_KEYS[key]
-        kwargs[name] = conv(value)
+        name, conv = keys[key]
+        try:
+            kwargs[name] = conv(value)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {key}: {e}") from e
+    return kwargs
+
+
+def load_arch_config(path: str | Path) -> ArchitectureSpec:
+    """Read a key=value architecture config file."""
+    kwargs = read_key_values(path, _CONFIG_KEYS)
     if "variant" not in kwargs or "L" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'variant' and 'L'")
     return ArchitectureSpec(**kwargs)
@@ -140,13 +152,6 @@ def one_way_case(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 @dataclass(frozen=True)
-class TransportLeg:
-    messenger: int
-    kind: str  # "belt" | "flight" | "routing" | "turnaround"
-    belt: int | None = None
-
-
-@dataclass(frozen=True)
 class Decomposition:
     variant: Variant | None  # None for the neighbor-chain baseline
     case: int | None
@@ -155,7 +160,6 @@ class Decomposition:
     gates: tuple[GateStep, ...]
     counts: GateCounts
     messengers: tuple[int, ...]
-    transport_plan: tuple[TransportLeg, ...] = ()
 
 
 def _counts_from_gates(gates) -> GateCounts:
@@ -172,6 +176,14 @@ def _counts_from_gates(gates) -> GateCounts:
     return GateCounts(n1, n2_cz, n2_swap, nr)
 
 
+def _check_targets(L: int, a: tuple[int, int], b: tuple[int, int]) -> None:
+    if a == b:
+        raise ValueError("target qubits must be distinct")
+    for c in (a, b):
+        if not in_lattice(c, L):
+            raise ValueError(f"coordinate {c} out of range for L={L}")
+
+
 def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
                  serial_start: int = 0, bit_start: int = 0) -> Decomposition:
     """Physical protocol realizing a logical CZ between `a` and `b`.
@@ -180,11 +192,7 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
     bits from `bit_start` so that compiling several logical gates never
     shares a messenger or a bit.
     """
-    if a == b:
-        raise ValueError("target qubits must be distinct")
-    for c in (a, b):
-        if not arch.in_range(c):
-            raise ValueError(f"coordinate {c} out of range for L={arch.L}")
+    _check_targets(arch.L, a, b)
 
     A, B = QubitRef.comp(*a), QubitRef.comp(*b)
     v = arch.variant
@@ -203,7 +211,6 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
             GateStep(h, (m4,)),
             GateStep(cz, (A, m4)),
         )
-        plan = tuple(TransportLeg(serial_start + i, "belt", belt=i) for i in range(4))
         messengers = tuple(serial_start + i for i in range(4))
 
     elif v is Variant.ONE_WAY_BELT:
@@ -241,8 +248,6 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
                 GateStep(GateKind.COND_Z, (P,), bit=s1),
                 GateStep(GateKind.COND_Z, (Q,), bit=s2),
             )
-        plan = (TransportLeg(serial_start, "belt", belt=0),
-                TransportLeg(serial_start + 1, "belt", belt=1))
         messengers = (serial_start, serial_start + 1)
 
     elif v in (Variant.THROW_CATCH_THROW, Variant.SHUTTLE_AND_ROUTE):
@@ -254,16 +259,6 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
             GateStep(h, (m,)),
             GateStep(cz, (A, m)),
         )
-        if v is Variant.THROW_CATCH_THROW:
-            plan = (TransportLeg(serial_start, "flight"),
-                    TransportLeg(serial_start, "turnaround"),
-                    TransportLeg(serial_start, "flight"))
-        else:
-            legs = [TransportLeg(serial_start, "belt", belt=0)]
-            for i in range(5):
-                legs.append(TransportLeg(serial_start, "routing", belt=i + 1))
-                legs.append(TransportLeg(serial_start, "belt", belt=i + 1))
-            plan = tuple(legs)
         messengers = (serial_start,)
 
     elif v is Variant.THROW_AND_MEASURE:
@@ -276,7 +271,6 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
             GateStep(GateKind.MEASURE_X, (m,), bit=s),
             GateStep(GateKind.COND_Z, (A,), bit=s),
         )
-        plan = (TransportLeg(serial_start, "flight"),)
         messengers = (serial_start,)
 
     else:  # pragma: no cover
@@ -285,7 +279,7 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
     counts = _counts_from_gates(gates)
     expected = gate_counts(v, case)
     assert counts == expected, f"decomposition counts {counts} != table {expected}"
-    return Decomposition(v, case, a, b, gates, counts, messengers, plan)
+    return Decomposition(v, case, a, b, gates, counts, messengers)
 
 
 def manhattan_path(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:
@@ -309,11 +303,7 @@ def neighbor_chain_decompose(L: int, a: tuple[int, int], b: tuple[int, int]) -> 
     For Manhattan distance d this costs n2 = 2(d-1)+1 two-qubit gates,
     growing with separation (unlike every messenger variant).
     """
-    if a == b:
-        raise ValueError("target qubits must be distinct")
-    for c in (a, b):
-        if not (0 <= c[0] < L and 0 <= c[1] < L):
-            raise ValueError(f"coordinate {c} out of range for L={L}")
+    _check_targets(L, a, b)
     path = manhattan_path(a, b)
     refs = [QubitRef.comp(*c) for c in path]
     gates = []

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .architectures import (ArchitectureSpec, GateCounts, Variant, gate_counts,
-                            neighbor_chain_decompose)
+                            neighbor_chain_decompose, read_key_values)
 from .scheduler import makespan_estimate
 
 CONTOUR_LEVEL = 1e-2
@@ -48,8 +48,8 @@ class CostParams:
                 raise ValueError(f"{name}={v} outside (0, 1]")
         if not 0.0 <= self.p2_baseline < 1.0:
             raise ValueError(f"p2_baseline={self.p2_baseline} outside [0, 1)")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValueError(f"kappa={self.kappa} must be finite and nonnegative")
 
     @classmethod
     def from_errors(cls, p1=0.0, p2=0.0, pr=0.0, p_shuttle=0.0, **kw) -> "CostParams":
@@ -57,23 +57,13 @@ class CostParams:
                    fr=1.0 - pr, f_shuttle=1.0 - p_shuttle, **kw)
 
 
-_COST_KEYS = {"f1", "f2_cz", "f2_swap", "fr", "f_shuttle", "p2_baseline", "kappa"}
+_COST_KEYS = {key: (key, float) for key in
+              ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle", "p2_baseline", "kappa")}
 
 
 def load_cost_config(path: str | Path) -> CostParams:
     """Read a key=value cost config file."""
-    kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _COST_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        kwargs[key] = float(value)
-    return CostParams(**kwargs)
+    return CostParams(**read_key_values(path, _COST_KEYS))
 
 
 @dataclass(frozen=True)

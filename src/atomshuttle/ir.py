@@ -141,6 +141,11 @@ class ValidationIssue:
     message: str
 
 
+def in_lattice(c: tuple[int, int], L: int) -> bool:
+    """True when the (row, col) coordinate `c` lies on the L x L lattice."""
+    return 0 <= c[0] < L and 0 <= c[1] < L
+
+
 def validate(circuit: LogicalCircuit) -> list[ValidationIssue]:
     """Check LogicalCircuit invariants; empty list means well formed."""
     issues = []
@@ -148,20 +153,17 @@ def validate(circuit: LogicalCircuit) -> list[ValidationIssue]:
     if L < 1:
         issues.append(ValidationIssue(None, f"lattice size {L} must be >= 1"))
 
-    def in_range(c):
-        return 0 <= c[0] < L and 0 <= c[1] < L
-
     for i, op in enumerate(circuit.ops):
         if isinstance(op, LogicalCZ):
             for c in (op.a, op.b):
-                if not in_range(c):
+                if not in_lattice(c, L):
                     issues.append(ValidationIssue(i, f"coordinate {c} out of range for L={L}"))
             if op.a == op.b:
                 issues.append(ValidationIssue(i, f"cz operands identical: {op.a}"))
         elif isinstance(op, Logical1Q):
             if op.gate not in (GateKind.H, GateKind.Z, GateKind.X):
                 issues.append(ValidationIssue(i, f"unsupported single-qubit gate {op.gate}"))
-            if not in_range(op.q):
+            if not in_lattice(op.q, L):
                 issues.append(ValidationIssue(i, f"coordinate {op.q} out of range for L={L}"))
         else:
             issues.append(ValidationIssue(i, f"unknown op {op!r}"))
@@ -199,7 +201,7 @@ def parse_program(text: str) -> LogicalCircuit:
             a = (int(m.group(1)), int(m.group(2)))
             b = (int(m.group(3)), int(m.group(4)))
             for c in (a, b):
-                if not (0 <= c[0] < L and 0 <= c[1] < L):
+                if not in_lattice(c, L):
                     raise ParseError(lineno, f"coordinate {c} out of range for L={L}")
             if a == b:
                 raise ParseError(lineno, f"cz operands identical: {a}")
@@ -209,7 +211,7 @@ def parse_program(text: str) -> LogicalCircuit:
         if m:
             gate = GateKind(m.group(1))
             q = (int(m.group(2)), int(m.group(3)))
-            if not (0 <= q[0] < L and 0 <= q[1] < L):
+            if not in_lattice(q, L):
                 raise ParseError(lineno, f"coordinate {q} out of range for L={L}")
             ops.append(Logical1Q(gate, q))
             continue

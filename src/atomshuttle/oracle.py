@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .architectures import decompose_cz
 from .ir import GateKind, GateStep, QubitRef
 
 MAX_QUBITS = 8
@@ -291,8 +292,6 @@ def verify_logical_cz(arch, a: tuple[int, int], b: tuple[int, int],
     conditional gate; used to confirm the oracle actually catches broken
     protocols.
     """
-    from .architectures import decompose_cz  # local import to avoid a cycle
-
     d = decompose_cz(arch, a, b)
     steps = list(d.gates)
     if drop_final_correction:

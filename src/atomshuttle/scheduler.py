@@ -44,15 +44,6 @@ class SegmentKind(Enum):
 
 
 @dataclass(frozen=True)
-class BeltModel:
-    direction: tuple[float, float]   # unit vector, +-x or +-y
-    speed: float                     # m/s, equals arch.v
-    site_pitch: float                # meters, equals arch.a
-    phase_offset: float = 0.0
-    lane_offset: float = 0.5         # perpendicular displacement, cells
-
-
-@dataclass(frozen=True)
 class TrajectorySegment:
     messenger: int
     kind: SegmentKind
@@ -75,17 +66,21 @@ class ScheduledProgram:
     events: list[PhysicalEvent]
     trajectories: dict[int, list[TrajectorySegment]]
     makespan: float
-    belts: dict[int, BeltModel] = field(default_factory=dict)
 
 
 # --- atom motion lookup -----------------------------------------------------
 
 class _Track:
-    """Piecewise-linear position of one atom (static or from segments)."""
+    """Piecewise-linear position of one atom (static or from segments).
 
-    def __init__(self, static_pos=None, segments=None):
+    `offset` delays the whole motion: the track is at time t where its
+    segments place the atom at t - offset.
+    """
+
+    def __init__(self, static_pos=None, segments=None, offset=0.0):
         self.static = static_pos
         self.segments = segments or []
+        self.offset = offset
 
     @classmethod
     def for_qubit(cls, q: QubitRef, trajectories) -> "_Track":
@@ -94,15 +89,21 @@ class _Track:
         r, c = q.coord
         return cls(static_pos=(float(c), float(r)))
 
+    def shifted(self, delta: float) -> "_Track":
+        return _Track(self.static, self.segments, self.offset + delta)
+
     def breakpoints(self, t0, t1):
         if self.static is not None:
             return []
-        return [s.t_start for s in self.segments if t0 < s.t_start < t1] + \
-               [s.t_end for s in self.segments if t0 < s.t_end < t1]
+        d = self.offset
+        t0, t1 = t0 - d, t1 - d
+        return [s.t_start + d for s in self.segments if t0 < s.t_start < t1] + \
+               [s.t_end + d for s in self.segments if t0 < s.t_end < t1]
 
     def position(self, t: float) -> tuple[float, float]:
         if self.static is not None:
             return self.static
+        t -= self.offset
         segs = self.segments
         if t <= segs[0].t_start:
             return segs[0].start_pos
@@ -144,6 +145,11 @@ def min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     return best
 
 
+def gate_distance(tracks_a, tracks_b, t0: float, t1: float) -> float:
+    """Closest approach between any atom of one gate and any of another over [t0, t1]."""
+    return min(min_distance(ta, tb, t0, t1) for ta in tracks_a for tb in tracks_b)
+
+
 def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     """Maximum separation over [t0, t1] (convex per piece, so at breakpoints)."""
     times = sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
@@ -169,7 +175,6 @@ class _Draft:
     anchors: list = field(default_factory=list)
     aux_events: list = field(default_factory=list)   # PhysicalEvent (loads etc.)
     hold: dict = field(default_factory=dict)         # serial -> (arrival t, pos)
-    belts: dict = field(default_factory=dict)
 
 
 class _Itinerary:
@@ -250,7 +255,6 @@ def _plan_two_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     dv = 1.0 if rb >= ra else -1.0
     ct = arch.a / arch.v
     vc = 1.0 / ct
-    dc, dr = abs(cb - ca), abs(rb - ra)
 
     y1 = ra - 0.5 * dv            # lane of m1, flows +dh
     x2 = cb + 0.5 * dh            # lane of m2, flows +dv
@@ -259,14 +263,6 @@ def _plan_two_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     s1, s2, s3, s4 = d.messengers
 
     draft = _Draft()
-    vdir = arch.v
-    draft.belts = {
-        0: BeltModel((dh, 0.0), vdir, arch.a),
-        1: BeltModel((0.0, dv), vdir, arch.a),
-        2: BeltModel((-dh, 0.0), vdir, arch.a),
-        3: BeltModel((0.0, -dv), vdir, arch.a),
-    }
-
     m1 = _Itinerary(s1, 0.0, (ca - ENTRY_MARGIN * dh, y1))
     t_cz1 = m1.time_passing((ca, y1), vc)
     t_x1 = m1.time_passing((x2, y1), vc)
@@ -311,8 +307,6 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     t2, t1 = arch.t2, arch.t1
     g = d.gates
     draft = _Draft()
-    draft.belts = {0: BeltModel((1.0, 0.0), arch.v, arch.a),
-                   1: BeltModel((0.0, 1.0), arch.v, arch.a)}
     s1, s2 = d.messengers
 
     if d.case == 1:
@@ -382,14 +376,14 @@ def _flight_line(d: Decomposition):
     off = (0.5 * n[0], 0.5 * n[1])
     a_off = (pa[0] + off[0], pa[1] + off[1])
     b_off = (pb[0] + off[0], pb[1] + off[1])
-    return pa, pb, u, a_off, b_off, D
+    return u, a_off, b_off
 
 
 def _plan_throw_catch_throw(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     ct = arch.a / arch.v
     vc = 1.0 / ct
     t2, t1 = arch.t2, arch.t1
-    pa, pb, u, a_off, b_off, D = _flight_line(d)
+    u, a_off, b_off = _flight_line(d)
     s = d.messengers[0]
 
     start = (a_off[0] - ENTRY_MARGIN * u[0], a_off[1] - ENTRY_MARGIN * u[1])
@@ -427,7 +421,7 @@ def _plan_throw_and_measure(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     ct = arch.a / arch.v
     vc = 1.0 / ct
     t2, t1 = arch.t2, arch.t1
-    pa, pb, u, a_off, b_off, D = _flight_line(d)
+    u, a_off, b_off = _flight_line(d)
     s = d.messengers[0]
 
     start = (a_off[0] - ENTRY_MARGIN * u[0], a_off[1] - ENTRY_MARGIN * u[1])
@@ -525,7 +519,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
     eps = 1e-6 * arch.t2
     last_end: dict = {}    # QubitRef -> end time of its last gate
     bit_end: dict = {}
-    placed_2q: list[_Anchor] = []
+    placed_2q: list[tuple[_Anchor, list[_Track]]] = []
     tracks: dict = {}
 
     def track(q):
@@ -542,17 +536,16 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
         if step.gate.reads_bit and step.bit in bit_end:
             center = max(center, bit_end[step.bit] + an.duration / 2 + eps)
         if step.gate.is_two_qubit:
+            an_tracks = [track(q) for q in step.operands]
             moved = True
             while moved:
                 moved = False
-                for other in placed_2q:
+                for other, other_tracks in placed_2q:
                     o0, o1 = other.center - other.duration / 2, other.center + other.duration / 2
                     c0, c1 = center - an.duration / 2, center + an.duration / 2
                     if c0 < o1 and o0 < c1:
                         lo, hi = max(c0, o0), min(c1, o1)
-                        dmin = min(
-                            min_distance(track(qa), track(qb), lo, hi)
-                            for qa in step.operands for qb in other.step.operands)
+                        dmin = gate_distance(an_tracks, other_tracks, lo, hi)
                         if dmin < EXCLUSION_CELLS - DIST_TOL:
                             center = o1 + an.duration / 2 + eps
                             moved = True
@@ -566,7 +559,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
         if step.gate.writes_bit:
             bit_end[step.bit] = center + an.duration / 2
         if step.gate.is_two_qubit:
-            placed_2q.append(an)
+            placed_2q.append((an, an_tracks))
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
@@ -589,9 +582,7 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
         elif an.pos_kind == "partner":
             comp = next(q for q in step.operands if not q.is_messenger)
             pos = _xy(comp.coord)
-        elif an.pos_kind == "cross":
-            pos = tracks[step.operands[0].serial].position(an.center)
-        else:  # messenger
+        else:  # "cross" | "messenger": where the first messenger is
             pos = tracks[step.operands[0].serial].position(an.center)
         events.append(PhysicalEvent(t0, pos, ActionKind.GATE, step.operands,
                                     gate=step.gate, bit=step.bit,
@@ -624,7 +615,7 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
                 for seg in segs]
             for s, segs in trajectories.items()}
     makespan = max(e.t_end for e in events)
-    return ScheduledProgram(sort_events(events), trajectories, makespan, draft.belts)
+    return ScheduledProgram(sort_events(events), trajectories, makespan)
 
 
 def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
@@ -635,7 +626,7 @@ def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
         s: [replace(seg, t_start=seg.t_start + delta, t_end=seg.t_end + delta)
             for seg in segs]
         for s, segs in prog.trajectories.items()}
-    return ScheduledProgram(events, trajectories, prog.makespan + delta, prog.belts)
+    return ScheduledProgram(events, trajectories, prog.makespan + delta)
 
 
 # --- multi-gate scheduling --------------------------------------------------
@@ -714,8 +705,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                     lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
                     if lo >= hi:
                         continue
-                    dmin = min(min_distance(ta, _TrackShift(tb, delta), o0, o1)
-                               for ta in otracks for tb in ctracks)
+                    dmin = gate_distance(otracks, [tb.shifted(delta) for tb in ctracks],
+                                         o0, o1)
                     if dmin < EXCLUSION_CELLS - DIST_TOL:
                         delta = o1 - c0 + eps
                         bumped = True
@@ -738,22 +729,6 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
 
     makespan = max((e.t_end for e in events), default=0.0)
     return ScheduledProgram(sort_events(events), trajectories, makespan)
-
-
-class _TrackShift(_Track):
-    """View of a track with all times offset by a constant."""
-
-    def __init__(self, base: _Track, delta: float):
-        self.base = base
-        self.delta = delta
-        self.static = base.static
-        self.segments = base.segments
-
-    def breakpoints(self, t0, t1):
-        return [t + self.delta for t in self.base.breakpoints(t0 - self.delta, t1 - self.delta)]
-
-    def position(self, t):
-        return self.base.position(t - self.delta)
 
 
 # --- conflict checking ------------------------------------------------------
@@ -799,8 +774,8 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
             lo, hi = max(e.t, o.t), min(e.t_end, o.t_end)
             if lo >= hi - 1e-18:
                 continue
-            dmin = min(min_distance(track(qa), track(qb), lo, hi)
-                       for qa in e.operands for qb in o.operands)
+            dmin = gate_distance([track(q) for q in e.operands],
+                                 [track(q) for q in o.operands], lo, hi)
             if dmin < EXCLUSION_CELLS - DIST_TOL:
                 violations.append(Violation(
                     "exclusion", (j, i), dmin, (lo, hi),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,8 @@ from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
                                        gate_counts, load_arch_config,
                                        manhattan_path,
                                        neighbor_chain_decompose, one_way_case)
-from atomshuttle.ir import GateKind
+from atomshuttle.ir import ActionKind, GateKind, in_lattice
+from atomshuttle.scheduler import plan_trajectories
 
 EXPECTED_COUNTS = {
     (Variant.TWO_WAY_BELT, None): (2, 6, 0),
@@ -73,17 +75,12 @@ def test_serial_and_bit_allocation_is_disjoint():
     assert bits1.isdisjoint(bits2)
 
 
-def test_shuttle_and_route_has_five_routing_legs():
-    arch = ArchitectureSpec(Variant.SHUTTLE_AND_ROUTE, 8)
-    d = decompose_cz(arch, (1, 1), (6, 5))
-    assert sum(1 for leg in d.transport_plan if leg.kind == "routing") == 5
-
-
 def test_two_way_uses_four_messengers_on_four_belts():
     arch = ArchitectureSpec(Variant.TWO_WAY_BELT, 8)
     d = decompose_cz(arch, (0, 0), (7, 7))
     assert len(d.messengers) == 4
-    assert sorted(leg.belt for leg in d.transport_plan) == [0, 1, 2, 3]
+    loads = [e for e in plan_trajectories(arch, d).events if e.action is ActionKind.LOAD]
+    assert sorted(e.belt for e in loads) == [0, 1, 2, 3]
 
 
 @given(coords, coords)
@@ -121,8 +118,12 @@ def test_spec_validation():
         ArchitectureSpec(Variant.TWO_WAY_BELT, 4, R=4e-6)       # R > a
     with pytest.raises(ValueError):
         ArchitectureSpec(Variant.TWO_WAY_BELT, 4, v=4.0)        # v > a/t2
-    arch = ArchitectureSpec(Variant.TWO_WAY_BELT, 4)
-    assert arch.in_range((3, 3)) and not arch.in_range((4, 0))
+    for field in ("a", "R", "v", "t2", "t1", "tr", "t_route", "t_turnaround"):
+        for bad in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match=f"^{field}="):
+                ArchitectureSpec(Variant.THROW_AND_MEASURE, 4, **{field: bad})
+    assert in_lattice((3, 3), 4) and not in_lattice((4, 0), 4)
+    assert not in_lattice((0, -1), 4)
 
 
 def test_load_arch_config(tmp_path):

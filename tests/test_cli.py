@@ -109,11 +109,33 @@ def test_parse_error_exits_2(workdir):
     assert code == 2
 
 
-def test_bad_config_exits_2(workdir):
+def test_bad_config_exits_2(workdir, capsys):
     (workdir / "bad.arch").write_text("variant = warp-drive\nL = 8\n")
     code = run("verify", "--arch", str(workdir / "bad.arch"),
                "--pair", "0,0,1,1", "--out", str(workdir / "out"))
     assert code == 2
+    assert "bad.arch:1: variant:" in capsys.readouterr().err
+    cases = [
+        ("two-way-belt", "L = 8", "L = abc", "bad.arch:2: L:"),
+        ("throw-and-measure", "v_mps = 1.5", "v_mps = nan", "v=nan"),
+        ("throw-and-measure", "tr_s = 1e-5", "tr_s = inf", "tr=inf"),
+        ("throw-and-measure", "t1_s = 1e-7", "t1_s = nan", "t1=nan"),
+        ("two-way-belt", "v_mps = 1.5", "v_mps = nan", "v=nan"),
+        ("one-way-belt", "v_mps = 1.5", "v_mps = nan", "v=nan"),
+    ]
+    for variant, good, bad, message in cases:
+        text = ARCH_TEMPLATE.format(variant=variant)
+        assert good in text
+        (workdir / "bad.arch").write_text(text.replace(good, bad))
+        code = run("compile", "--arch", str(workdir / "bad.arch"),
+                   "--program", str(workdir / "p.program"), "--out", str(workdir / "out"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+    for bad in ("kappa = nan", "kappa = inf"):
+        (workdir / "bad.cost").write_text(COST_TEXT + bad + "\n")
+        code = run("cost", "--cost", str(workdir / "bad.cost"), "--out", str(workdir / "out"))
+        assert code == 2
+        assert "kappa=" in capsys.readouterr().err
 
 
 def test_infeasible_exits_3(workdir):

@@ -179,8 +179,9 @@ def test_params_validation_and_config(tmp_path):
         CostParams(f1=0.0)
     with pytest.raises(ValueError):
         CostParams(p2_baseline=1.0)
-    with pytest.raises(ValueError):
-        CostParams(kappa=-1.0)
+    for kappa in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa"):
+            CostParams(kappa=kappa)
     p = tmp_path / "c.cost"
     p.write_text("f1 = 0.9995\nf2_cz = 0.999\nf2_swap = 0.999\nfr = 0.997\n")
     params = load_cost_config(p)

@@ -1,0 +1,124 @@
+"""Pinned sha256 digests of the `compile` and `schedule` artifact bodies.
+
+A changed digest means the compiler's output changed.  Update one only
+for an intended output change, and record it in CHANGES.md.
+"""
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from atomshuttle import scheduler
+from atomshuttle.architectures import ArchitectureSpec, Variant
+from atomshuttle.cli import main
+from atomshuttle.ir import (GateKind, LogicalCZ, Logical1Q, LogicalCircuit,
+                            events_to_jsonl)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ARTIFACTS = {"compile": ("compile.jsonl",),
+             "schedule": ("events.jsonl", "trajectories.csv", "makespan.txt")}
+
+CONFIG_DIGESTS = {
+    ("one-way-belt.arch", "compile"):
+        "a8c55ec468a0c023c6ec58ded99e7fe186f622bd21233642fe53f0920f47adf7",
+    ("one-way-belt.arch", "schedule"):
+        "3ece4ca03efc9183e8345629c0b860c3e21cf3ac56659c0a57a6a481ebc2d229",
+    ("shuttle-and-route.arch", "compile"):
+        "08946ddbadee1dc587f9a3f4b82b34aabec7e7310ca53c370f3b485fa5e870ab",
+    ("shuttle-and-route.arch", "schedule"):
+        "27e12f32a39543408b472be89f6e9ec5c8d24053bd90a2f176c1516996d11bd6",
+    ("throw-and-measure.arch", "compile"):
+        "7265d0f9b7ec201ff8722562da26ec09f94c97ea3986675b6b982c358d9b4be6",
+    ("throw-and-measure.arch", "schedule"):
+        "429fbd0743fe1de134209678dde26091f7e9517576e4bf5b65e211bb7e934d05",
+    ("throw-catch-throw.arch", "compile"):
+        "ace8c6c51defa18c1c044fefc2d85ef8cccf971eacd579825e623e4440b482ff",
+    ("throw-catch-throw.arch", "schedule"):
+        "591df089cfab82bf57d99caa19870a1859c97929f8e857f609bf7fae3ebd2e10",
+    ("two-way-belt.arch", "compile"):
+        "b891d3da7fd49f68a75ac02467df5d67709a10fb208d2cdff2b17a87017fce74",
+    ("two-way-belt.arch", "schedule"):
+        "fe55a98026cf4a448fb38ce6f90b3294a04d627bca8c2ebac5efe85789a02329",
+}
+
+CORPUS_DIGESTS = {
+    Variant.TWO_WAY_BELT:
+        "6b7db2a9e9a3c8812a5c55ae3d9684456e3e68779abd030351fc542a85cf4b09",
+    Variant.ONE_WAY_BELT:
+        "3b2c133eaa992978b138dcf15a882845371235523e15c8c1592af92dfc6347f1",
+    Variant.THROW_CATCH_THROW:
+        "fe837977b4953be63a8a94ebd8fd1b85d66a7ab2a67684f08cd0d2e5f1d8cea2",
+    Variant.SHUTTLE_AND_ROUTE:
+        "101faf883fee41ff4b39a9207274867b663ec39bce73b2131796cf6626b36f44",
+    Variant.THROW_AND_MEASURE:
+        "a3edea267cbb905e5449713f2ebcadd3128cfc07033f4ce0c6badb913448d923",
+}
+
+
+def config_digest(out: Path, arch_file: str, command: str) -> str:
+    assert main([command, "--arch", str(CONFIGS / arch_file),
+                 "--program", str(CONFIGS / "sample.program"), "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for name in ARTIFACTS[command]:
+        # drop the '# atomshuttle <version> config=<hash>' header line
+        h.update((out / name).read_text().split("\n", 1)[1].encode())
+    return h.hexdigest()
+
+
+def random_circuit(rng: random.Random, L: int, n_ops: int) -> LogicalCircuit:
+    cells = [(r, c) for r in range(L) for c in range(L)]
+    ops = []
+    for _ in range(n_ops):
+        if rng.random() < 0.8:
+            a, b = rng.sample(cells, 2)
+            ops.append(LogicalCZ(a, b))
+        else:
+            ops.append(Logical1Q(rng.choice((GateKind.H, GateKind.Z, GateKind.X)),
+                                 rng.choice(cells)))
+    return LogicalCircuit(L, tuple(ops))
+
+
+def corpus_digest(variant: Variant) -> str:
+    arch = ArchitectureSpec(variant, 8)
+    rng = random.Random(7001 + list(Variant).index(variant))
+    h = hashlib.sha256()
+    for _ in range(50):
+        prog = scheduler.schedule(random_circuit(rng, 8, rng.randint(1, 12)), arch)
+        h.update(events_to_jsonl(prog.events).encode())
+        h.update(scheduler.trajectories_to_csv(prog.trajectories).encode())
+        h.update(f"{prog.makespan!r}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+@pytest.mark.parametrize("arch_file", sorted(p.name for p in CONFIGS.glob("*.arch")))
+def test_config_artifacts_match_golden_digest(tmp_path, arch_file, command):
+    assert config_digest(tmp_path, arch_file, command) == \
+        CONFIG_DIGESTS[(arch_file, command)]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_corpus_schedules_match_golden_digest(monkeypatch, variant):
+    # Count exclusion conflicts seen by schedule() itself (outside the
+    # single-gate planner), so the corpus is known to drive its bump loop.
+    conflicts, in_plan = [0], [False]
+    plan, min_distance = scheduler.plan_trajectories, scheduler.min_distance
+
+    def counting_plan(*args):
+        in_plan[0] = True
+        try:
+            return plan(*args)
+        finally:
+            in_plan[0] = False
+
+    def counting_min_distance(*args):
+        d = min_distance(*args)
+        if not in_plan[0] and d < scheduler.EXCLUSION_CELLS - scheduler.DIST_TOL:
+            conflicts[0] += 1
+        return d
+
+    monkeypatch.setattr(scheduler, "plan_trajectories", counting_plan)
+    monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
+    assert corpus_digest(variant) == CORPUS_DIGESTS[variant]
+    assert conflicts[0] > 0

@@ -146,6 +146,21 @@ def test_shift_program_translates_everything():
         assert e1.t == pytest.approx(e0.t + 1e-3)
 
 
+def test_shifted_track_matches_shifted_program():
+    arch = arch_for(Variant.TWO_WAY_BELT)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (3, 3)))
+    d = 2.5e-6
+    moved = shift_program(prog, d).trajectories
+    partner = _Track(static_pos=(3.0, 3.0))
+    for s in prog.trajectories:
+        view = _Track(segments=prog.trajectories[s]).shifted(d)
+        rebuilt = _Track(segments=moved[s])
+        for other in [partner] + [_Track(segments=moved[r]) for r in moved if r != s]:
+            for t0, t1 in ((0.0, prog.makespan + d), (d, d + 1e-6), (3e-6, 9e-6)):
+                assert min_distance(view, other, t0, t1) == pytest.approx(
+                    min_distance(rebuilt, other, t0, t1), abs=1e-9)
+
+
 def test_min_max_distance_exact_on_crossing():
     # two messengers crossing orthogonally at the origin
     from atomshuttle.scheduler import TrajectorySegment
