@@ -24,6 +24,14 @@ class Variant(Enum):
     THROW_AND_MEASURE = "throw-and-measure"
 
 
+class FieldError(ValueError):
+    """A spec field outside its domain; `field` names the dataclass field."""
+
+    def __init__(self, field: str, value, requirement: str):
+        super().__init__(f"{field}={value} {requirement}")
+        self.field, self.value, self.requirement = field, value, requirement
+
+
 @dataclass(frozen=True)
 class ArchitectureSpec:
     """Variant plus geometry and timing parameters.
@@ -47,15 +55,16 @@ class ArchitectureSpec:
 
     def __post_init__(self):
         if self.L < 2:
-            raise ValueError("lattice size must be at least 2")
+            raise FieldError("L", self.L, "must be at least 2")
         for name in ("a", "R", "v", "t2", "t1", "tr", "t_route", "t_turnaround"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name}={value} must be finite and strictly positive")
+                raise FieldError(name, value, "must be finite and strictly positive")
         if self.R > self.a * (1 + 1e-12):
-            raise ValueError(f"blockade radius R={self.R} exceeds lattice spacing a={self.a}")
+            raise FieldError("R", self.R, f"exceeds the lattice spacing {self.a}")
         if self.v > self.a / self.t2 * (1 + 1e-12):
-            raise ValueError(f"speed v={self.v} exceeds a/t2={self.a / self.t2}")
+            raise FieldError("v", self.v, f"exceeds the lattice spacing per two-qubit "
+                                          f"gate time {self.a / self.t2}")
 
 
 _CONFIG_KEYS = {
@@ -76,9 +85,9 @@ def read_key_values(path: str | Path, keys: dict) -> dict:
     """Read a key=value config file into {field name: converted value}.
 
     `keys` maps each accepted key to (field name, converter).  `#` starts
-    a comment.  Every error names `path:line`.
+    a comment.  Every error names `path:line`, and a key may be set once.
     """
-    kwargs = {}
+    kwargs, first_line = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,6 +97,10 @@ def read_key_values(path: str | Path, keys: dict) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         name, conv = keys[key]
         try:
             kwargs[name] = conv(value)
@@ -96,12 +109,21 @@ def read_key_values(path: str | Path, keys: dict) -> dict:
     return kwargs
 
 
+def build_from_config(cls, path: str | Path, keys: dict, kwargs: dict):
+    """`cls(**kwargs)`; a `FieldError` is re-raised naming `path` and the config key."""
+    try:
+        return cls(**kwargs)
+    except FieldError as e:
+        key = next(k for k, (name, _) in keys.items() if name == e.field)
+        raise ValueError(f"{path}: {key}={e.value} {e.requirement}") from e
+
+
 def load_arch_config(path: str | Path) -> ArchitectureSpec:
     """Read a key=value architecture config file."""
     kwargs = read_key_values(path, _CONFIG_KEYS)
     if "variant" not in kwargs or "L" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'variant' and 'L'")
-    return ArchitectureSpec(**kwargs)
+    return build_from_config(ArchitectureSpec, path, _CONFIG_KEYS, kwargs)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .architectures import (ArchitectureSpec, GateCounts, Variant, gate_counts,
-                            neighbor_chain_decompose, read_key_values)
+from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
+                            build_from_config, gate_counts, neighbor_chain_decompose,
+                            read_key_values)
 from .scheduler import makespan_estimate
 
 CONTOUR_LEVEL = 1e-2
@@ -45,11 +46,11 @@ class CostParams:
         for name in ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name}={v} outside (0, 1]")
+                raise FieldError(name, v, "outside (0, 1]")
         if not 0.0 <= self.p2_baseline < 1.0:
-            raise ValueError(f"p2_baseline={self.p2_baseline} outside [0, 1)")
+            raise FieldError("p2_baseline", self.p2_baseline, "outside [0, 1)")
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValueError(f"kappa={self.kappa} must be finite and nonnegative")
+            raise FieldError("kappa", self.kappa, "must be finite and nonnegative")
 
     @classmethod
     def from_errors(cls, p1=0.0, p2=0.0, pr=0.0, p_shuttle=0.0, **kw) -> "CostParams":
@@ -63,7 +64,7 @@ _COST_KEYS = {key: (key, float) for key in
 
 def load_cost_config(path: str | Path) -> CostParams:
     """Read a key=value cost config file."""
-    return CostParams(**read_key_values(path, _COST_KEYS))
+    return build_from_config(CostParams, path, _COST_KEYS, read_key_values(path, _COST_KEYS))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ One cell of travel takes `a / v` seconds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -25,6 +26,8 @@ EXCLUSION_CELLS = 2.0       # min separation of concurrently firing 2q gates
 DIST_TOL = 1e-9
 ENTRY_MARGIN = 2.0          # cells of approach before the first interaction
 EXIT_MARGIN = 1.5           # cells past the last interaction before disposal
+BOX_MARGIN = 1e-6           # cells of slack on the bounding-box lower bound
+MAX_BUMP_PASSES = 10000     # exclusion passes per logical gate before giving up
 
 
 class InfeasibleError(RuntimeError):
@@ -100,6 +103,27 @@ class _Track:
         return [s.t_start + d for s in self.segments if t0 < s.t_start < t1] + \
                [s.t_end + d for s in self.segments if t0 < s.t_end < t1]
 
+    def box(self, t0: float = -math.inf, t1: float = math.inf):
+        """Bounding box (x0, y0, x1, y1) of every `position(t)` with t in [t0, t1].
+
+        Built from the segments `position` can pick for such a t, each
+        clipped to the window, so it also holds for the shifted track.
+        """
+        if self.static is not None:
+            x, y = self.static
+            return (x, y, x, y)
+        t0, t1 = t0 - self.offset, t1 - self.offset
+        pts = []
+        for s in self.segments:
+            if s.t_end >= t0:
+                pts += (s.position(t0), s.position(t1))
+                if s.t_end >= t1:
+                    break
+        else:
+            pts.append(self.segments[-1].end_pos)
+        xs, ys = zip(*pts)
+        return (min(xs), min(ys), max(xs), max(ys))
+
     def position(self, t: float) -> tuple[float, float]:
         if self.static is not None:
             return self.static
@@ -148,6 +172,12 @@ def min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
 def gate_distance(tracks_a, tracks_b, t0: float, t1: float) -> float:
     """Closest approach between any atom of one gate and any of another over [t0, t1]."""
     return min(min_distance(ta, tb, t0, t1) for ta in tracks_a for tb in tracks_b)
+
+
+def box_gap(a, b) -> float:
+    """Distance between two boxes (x0, y0, x1, y1): a lower bound on `min_distance`."""
+    return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0),
+                      max(a[1] - b[3], b[1] - a[3], 0.0))
 
 
 def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
@@ -679,8 +709,42 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     events: list[PhysicalEvent] = []
     trajectories: dict[int, list[TrajectorySegment]] = {}
     ready: dict[tuple[int, int], float] = {}
-    committed_2q: list[tuple[float, float, list[_Track]]] = []
+    # Committed 2q gates as [t0, t1, tracks, boxes] in commit order, plus a
+    # time index: their start times, sorted, with the commit position of each.
+    # No committed gate lasts longer than `reach`, so one that overlaps
+    # [c0, c1] in time starts in [c0 - reach, c1).  `boxes` (the atoms'
+    # bounding boxes over the gate window) are filled in on the first overlap.
+    committed_2q: list[list] = []
+    starts: list[float] = []
+    order: list[int] = []
+    reach = 0.0
     serial = bit = 0
+
+    def first_conflict(c, delta, after):
+        """Commit position of the first gate after `after` that candidate `c`,
+        shifted by `delta`, comes too close to; None if there is none."""
+        c0, c1, ctracks, _ = c
+        c0, c1 = c0 + delta, c1 + delta
+        lo, hi = bisect_left(starts, c0 - reach), bisect_left(starts, c1)
+        shifted = None
+        for k in sorted(k for k in order[lo:hi] if k > after):
+            other = committed_2q[k]
+            o0, o1, otracks, oboxes = other
+            if max(c0, o0) >= min(c1, o1):
+                continue
+            if oboxes is None:
+                oboxes = other[3] = [t.box(o0, o1) for t in otracks]
+            if c[3] is None:
+                c[3] = [t.box() for t in ctracks]
+            if shifted is None:
+                shifted = [t.shifted(delta) for t in ctracks]
+            # a box gap is a lower bound on the exact distance, so only
+            # atom pairs that may come too close are measured
+            if any(box_gap(ob, cb) < EXCLUSION_CELLS + BOX_MARGIN
+                   and min_distance(ot, ct, o0, o1) < EXCLUSION_CELLS - DIST_TOL
+                   for ot, ob in zip(otracks, oboxes) for ct, cb in zip(shifted, c[3])):
+                return k
+        return None
 
     for op in circuit.ops:
         if isinstance(op, Logical1Q):
@@ -695,25 +759,26 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         bit += d.counts.nr
         plan = plan_trajectories(arch, d)
         delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
-        cand = [(e.t, e.t_end, [_Track.for_qubit(q, plan.trajectories) for q in e.operands])
+        cand = [[e.t, e.t_end, [_Track.for_qubit(q, plan.trajectories) for q in e.operands],
+                 None]
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
-        for _ in range(10000):
+        for _ in range(MAX_BUMP_PASSES):
             bumped = False
-            for c0, c1, ctracks in cand:
-                for o0, o1, otracks in committed_2q:
-                    lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
-                    if lo >= hi:
-                        continue
-                    dmin = gate_distance(otracks, [tb.shifted(delta) for tb in ctracks],
-                                         o0, o1)
-                    if dmin < EXCLUSION_CELLS - DIST_TOL:
-                        delta = o1 - c0 + eps
-                        bumped = True
+            for c in cand:
+                # a bump raises delta; later committed gates are tested at the new value
+                k = -1
+                while (k := first_conflict(c, delta, k)) is not None:
+                    conflict = committed_2q[k]
+                    delta = conflict[1] - c[0] + eps
+                    bumped = True
             if not bumped:
                 break
         else:
-            raise InfeasibleError("scheduler failed to resolve exclusion conflicts")
+            raise InfeasibleError(
+                f"scheduler failed to resolve exclusion conflicts for cz {op.a} {op.b} "
+                f"on {arch.variant.value} after {MAX_BUMP_PASSES} passes; last conflict "
+                f"with a committed gate over [{conflict[0]:.6e}, {conflict[1]:.6e}] s")
         plan = shift_program(plan, delta)
         events.extend(plan.events)
         trajectories.update(plan.trajectories)
@@ -722,10 +787,16 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
             ends = [e.t_end for e in plan.events if q in e.operands]
             if ends:
                 ready[coord] = max(ends) + eps
-        committed_2q.extend(
-            (e.t, e.t_end, [_Track.for_qubit(q, plan.trajectories) for q in e.operands])
-            for e in plan.events
-            if e.action is ActionKind.GATE and e.gate.is_two_qubit)
+        for e in plan.events:
+            if e.action is ActionKind.GATE and e.gate.is_two_qubit:
+                i = bisect_right(starts, e.t)
+                starts.insert(i, e.t)
+                order.insert(i, len(committed_2q))
+                committed_2q.append(
+                    [e.t, e.t_end, [_Track.for_qubit(q, plan.trajectories) for q in e.operands],
+                     None])
+                # eps of slack over float rounding in t_end - t
+                reach = max(reach, e.t_end - e.t + eps)
 
     makespan = max((e.t_end for e in events), default=0.0)
     return ScheduledProgram(sort_events(events), trajectories, makespan)

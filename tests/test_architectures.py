@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
                                        gate_counts, load_arch_config,
                                        manhattan_path,
-                                       neighbor_chain_decompose, one_way_case)
+                                       neighbor_chain_decompose, one_way_case,
+                                       read_key_values)
 from atomshuttle.ir import ActionKind, GateKind, in_lattice
 from atomshuttle.scheduler import plan_trajectories
 
@@ -138,3 +139,16 @@ def test_load_arch_config(tmp_path):
     p.write_text("L = 16\n")
     with pytest.raises(ValueError):
         load_arch_config(p)
+    p.write_text("variant = throw-and-measure\nL = 16\nR_m = 4e-6\n")
+    with pytest.raises(ValueError, match=r"a\.arch: R_m=4e-06 exceeds the lattice spacing"):
+        load_arch_config(p)
+
+
+def test_read_key_values_rejects_a_repeated_key(tmp_path):
+    p = tmp_path / "a.cfg"
+    p.write_text("L = 8  # first\n\nL = 4\n")
+    with pytest.raises(ValueError,
+                       match=r"a\.cfg:3: duplicate key 'L' \(first set on line 1\)$"):
+        read_key_values(p, {"L": ("L", int)})
+    p.write_text("L = 8\nM = 4\n")
+    assert read_key_values(p, {"L": ("L", int), "M": ("m", int)}) == {"L": 8, "m": 4}

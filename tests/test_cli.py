@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from atomshuttle import scheduler
 from atomshuttle.cli import main
 from atomshuttle.ir import events_from_jsonl
 
@@ -117,11 +118,16 @@ def test_bad_config_exits_2(workdir, capsys):
     assert "bad.arch:1: variant:" in capsys.readouterr().err
     cases = [
         ("two-way-belt", "L = 8", "L = abc", "bad.arch:2: L:"),
-        ("throw-and-measure", "v_mps = 1.5", "v_mps = nan", "v=nan"),
-        ("throw-and-measure", "tr_s = 1e-5", "tr_s = inf", "tr=inf"),
-        ("throw-and-measure", "t1_s = 1e-7", "t1_s = nan", "t1=nan"),
-        ("two-way-belt", "v_mps = 1.5", "v_mps = nan", "v=nan"),
-        ("one-way-belt", "v_mps = 1.5", "v_mps = nan", "v=nan"),
+        ("two-way-belt", "L = 8", "L = 8\nL = 4",
+         "bad.arch:3: duplicate key 'L' (first set on line 2)"),
+        ("throw-and-measure", "v_mps = 1.5", "v_mps = nan",
+         "bad.arch: v_mps=nan must be finite and strictly positive"),
+        ("throw-and-measure", "tr_s = 1e-5", "tr_s = inf",
+         "bad.arch: tr_s=inf must be finite and strictly positive"),
+        ("throw-and-measure", "t1_s = 1e-7", "t1_s = nan",
+         "bad.arch: t1_s=nan must be finite and strictly positive"),
+        ("two-way-belt", "v_mps = 1.5", "v_mps = nan", "bad.arch: v_mps=nan"),
+        ("one-way-belt", "v_mps = 1.5", "v_mps = nan", "bad.arch: v_mps=nan"),
     ]
     for variant, good, bad, message in cases:
         text = ARCH_TEMPLATE.format(variant=variant)
@@ -135,7 +141,7 @@ def test_bad_config_exits_2(workdir, capsys):
         (workdir / "bad.cost").write_text(COST_TEXT + bad + "\n")
         code = run("cost", "--cost", str(workdir / "bad.cost"), "--out", str(workdir / "out"))
         assert code == 2
-        assert "kappa=" in capsys.readouterr().err
+        assert f"bad.cost: {bad.replace(' = ', '=')} must be finite" in capsys.readouterr().err
 
 
 def test_infeasible_exits_3(workdir):
@@ -148,6 +154,18 @@ def test_infeasible_exits_3(workdir):
                "--program", str(workdir / "row.program"),
                "--out", str(workdir / "out"))
     assert code == 3
+
+
+def test_exhausted_exclusion_loop_exits_3_naming_the_gate(workdir, capsys, monkeypatch):
+    # neighbouring parallel gates conflict, so the second one needs a bump
+    monkeypatch.setattr(scheduler, "MAX_BUMP_PASSES", 1)
+    (workdir / "pair.program").write_text("lattice 8\ncz (0,0) (4,4)\ncz (0,1) (4,5)\n")
+    code = run("schedule", "--arch", str(workdir / "a.arch"),
+               "--program", str(workdir / "pair.program"), "--out", str(workdir / "out"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "cz (0, 1) (4, 5) on two-way-belt after 1 passes" in err
+    assert "last conflict with a committed gate over [2.503337e-06, 3.503337e-06] s" in err
 
 
 def test_missing_file_exits_5(workdir):

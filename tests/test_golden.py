@@ -55,6 +55,21 @@ CORPUS_DIGESTS = {
         "a3edea267cbb905e5449713f2ebcadd3128cfc07033f4ce0c6badb913448d923",
 }
 
+# 3 programs x 96 uniform random CZs on 16x16 per variant: large enough
+# that the scheduler's time index and bounding-box prefilter both prune
+DEEP_DIGESTS = {
+    Variant.TWO_WAY_BELT:
+        "9b289a7a9c3ddefcd7195adcabfb9ffc40ca05f324a916bba47e75980200bf40",
+    Variant.ONE_WAY_BELT:
+        "88def91f2bb25cfc5b95427b96f8445b4f00e19143a05b1c4b8420b85de4f874",
+    Variant.THROW_CATCH_THROW:
+        "275434018c2585f58ed2be536eb2a639112b4ae5f48e70a830b4c9467892a81d",
+    Variant.SHUTTLE_AND_ROUTE:
+        "dddc7f1c2ed8eaf345ef16ec44fda3ed14a76493bac423e9e392ea5dfbd3364c",
+    Variant.THROW_AND_MEASURE:
+        "161df05e6915502a919b3634bf0edd632296318852eb6d4236f716bf6e653701",
+}
+
 
 def config_digest(out: Path, arch_file: str, command: str) -> str:
     assert main([command, "--arch", str(CONFIGS / arch_file),
@@ -79,16 +94,29 @@ def random_circuit(rng: random.Random, L: int, n_ops: int) -> LogicalCircuit:
     return LogicalCircuit(L, tuple(ops))
 
 
-def corpus_digest(variant: Variant) -> str:
-    arch = ArchitectureSpec(variant, 8)
-    rng = random.Random(7001 + list(Variant).index(variant))
+def digest_schedules(arch: ArchitectureSpec, circuits) -> str:
     h = hashlib.sha256()
-    for _ in range(50):
-        prog = scheduler.schedule(random_circuit(rng, 8, rng.randint(1, 12)), arch)
+    for circuit in circuits:
+        prog = scheduler.schedule(circuit, arch)
         h.update(events_to_jsonl(prog.events).encode())
         h.update(scheduler.trajectories_to_csv(prog.trajectories).encode())
         h.update(f"{prog.makespan!r}\n".encode())
     return h.hexdigest()
+
+
+def corpus_digest(variant: Variant) -> str:
+    rng = random.Random(7001 + list(Variant).index(variant))
+    return digest_schedules(ArchitectureSpec(variant, 8),
+                            (random_circuit(rng, 8, rng.randint(1, 12)) for _ in range(50)))
+
+
+def deep_digest(variant: Variant) -> str:
+    rng = random.Random(1601 + list(Variant).index(variant))
+    cells = [(r, c) for r in range(16) for c in range(16)]
+    return digest_schedules(
+        ArchitectureSpec(variant, 16),
+        (LogicalCircuit(16, tuple(LogicalCZ(*rng.sample(cells, 2)) for _ in range(96)))
+         for _ in range(3)))
 
 
 @pytest.mark.parametrize("command", sorted(ARTIFACTS))
@@ -122,3 +150,21 @@ def test_corpus_schedules_match_golden_digest(monkeypatch, variant):
     monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
     assert corpus_digest(variant) == CORPUS_DIGESTS[variant]
     assert conflicts[0] > 0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_deep_schedules_match_golden_digest(monkeypatch, variant):
+    # Count time-overlapping atom pairs that the bounding-box prefilter
+    # keeps away from the exact distance, so the corpus is known to use it.
+    skipped = [0]
+    box_gap = scheduler.box_gap
+
+    def counting_box_gap(a, b):
+        gap = box_gap(a, b)
+        if gap >= scheduler.EXCLUSION_CELLS + scheduler.BOX_MARGIN:
+            skipped[0] += 1
+        return gap
+
+    monkeypatch.setattr(scheduler, "box_gap", counting_box_gap)
+    assert deep_digest(variant) == DEEP_DIGESTS[variant]
+    assert skipped[0] > 0

@@ -2,12 +2,14 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, LogicalCZ, Logical1Q,
                             LogicalCircuit, classical_bits, gate_steps)
 from atomshuttle.oracle import verify_sequence
-from atomshuttle.scheduler import (InfeasibleError, SegmentKind, _Track,
+from atomshuttle.scheduler import (BOX_MARGIN, InfeasibleError, SegmentKind,
+                                   TrajectorySegment, _Track, box_gap,
                                    check_conflicts, makespan_estimate,
                                    max_distance, min_distance,
                                    plan_trajectories, schedule, shift_program,
@@ -163,7 +165,6 @@ def test_shifted_track_matches_shifted_program():
 
 def test_min_max_distance_exact_on_crossing():
     # two messengers crossing orthogonally at the origin
-    from atomshuttle.scheduler import TrajectorySegment
     sa = [TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 2.0, (-1.0, 0.0), (1.0, 0.0))]
     sb = [TrajectorySegment(1, SegmentKind.BELT_RIDE, 0.0, 2.0, (0.0, -1.0), (0.0, 1.0))]
     ta, tb = _Track(segments=sa), _Track(segments=sb)
@@ -171,6 +172,36 @@ def test_min_max_distance_exact_on_crossing():
     assert max_distance(ta, tb, 0.0, 2.0) == pytest.approx(math.sqrt(2))
     # restricted to the first half the closest approach is at t=1 boundary
     assert min_distance(ta, tb, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+coords = st.floats(-10.0, 10.0)
+points = st.tuples(coords, coords)
+
+
+@st.composite
+def tracks(draw):
+    """A static atom, or piecewise-linear motion that may dwell, pause or jump."""
+    if draw(st.booleans()):
+        return _Track(static_pos=draw(points))
+    t, p, segs = draw(st.floats(-5.0, 5.0)), draw(points), []
+    for _ in range(draw(st.integers(1, 5))):
+        t0 = t + draw(st.sampled_from([0.0, 0.0, draw(st.floats(0.0, 2.0))]))
+        if draw(st.integers(0, 3)) == 0:
+            p = draw(points)
+        t = t0 + draw(st.floats(0.0, 3.0))
+        end = draw(st.sampled_from([p, draw(points)]))
+        segs.append(TrajectorySegment(0, SegmentKind.BELT_RIDE, t0, t, p, end))
+        p = end
+    return _Track(segments=segs, offset=draw(st.floats(-3.0, 3.0)))
+
+
+@given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0),
+       st.floats(-5.0, 5.0))
+def test_box_gap_is_a_lower_bound_on_min_distance(other, cand, t0, width, delta):
+    # schedule() compares a committed atom's box over the committed window
+    # with the candidate's whole-motion box, whatever the candidate's shift
+    gap = box_gap(other.box(t0, t0 + width), cand.box())
+    assert gap <= min_distance(other, cand.shifted(delta), t0, t0 + width) + BOX_MARGIN
 
 
 def test_check_conflicts_flags_injected_exclusion_violation():
