@@ -87,8 +87,12 @@ def read_key_values(path: str | Path, keys: dict) -> dict:
     `keys` maps each accepted key to (field name, converter).  `#` starts
     a comment.  Every error names `path:line`, and a key may be set once.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text") from e
     kwargs, first_line = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -54,9 +54,11 @@ def _header(*config_parts: str) -> str:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _CliError(EXIT_IO, f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _CliError(EXIT_PARSE, f"{path}: not UTF-8 text") from e
 
 
 def _write(out_dir: str, name: str, header: str, body: str) -> Path:

@@ -180,6 +180,13 @@ def box_gap(a, b) -> float:
                       max(a[1] - b[3], b[1] - a[3], 0.0))
 
 
+def gate_boxes(tracks, t0: float, t1: float):
+    """Union and per-atom bounding boxes of a gate's atoms over [t0, t1]."""
+    boxes = [t.box(t0, t1) for t in tracks]
+    x0, y0, x1, y1 = zip(*boxes)
+    return (min(x0), min(y0), max(x1), max(y1)), boxes
+
+
 def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     """Maximum separation over [t0, t1] (convex per piece, so at breakpoints)."""
     times = sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
@@ -712,8 +719,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     # Committed 2q gates as [t0, t1, tracks, boxes] in commit order, plus a
     # time index: their start times, sorted, with the commit position of each.
     # No committed gate lasts longer than `reach`, so one that overlaps
-    # [c0, c1] in time starts in [c0 - reach, c1).  `boxes` (the atoms'
-    # bounding boxes over the gate window) are filled in on the first overlap.
+    # [c0, c1] in time starts in [c0 - reach, c1).  `boxes` (`gate_boxes`
+    # over the gate window) are filled in on the first overlap.
     committed_2q: list[list] = []
     starts: list[float] = []
     order: list[int] = []
@@ -733,16 +740,23 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
             if max(c0, o0) >= min(c1, o1):
                 continue
             if oboxes is None:
-                oboxes = other[3] = [t.box(o0, o1) for t in otracks]
+                oboxes = other[3] = gate_boxes(otracks, o0, o1)
             if c[3] is None:
-                c[3] = [t.box() for t in ctracks]
+                # The exact test sees the candidate over [o0 - delta, o1 - delta]
+                # of its unshifted time, which lies within `reach` of its own
+                # window [c[0], c[1]] for every overlapping gate and any delta.
+                # `reach` is fixed while a gate is placed.
+                c[3] = gate_boxes(ctracks, c[0] - reach, c[1] + reach)
+            (ounion, oatoms), (cunion, catoms) = oboxes, c[3]
+            # a box gap is a lower bound on the exact distance, so only gates,
+            # then atom pairs, that may come too close are measured
+            if box_gap(ounion, cunion) >= EXCLUSION_CELLS + BOX_MARGIN:
+                continue
             if shifted is None:
                 shifted = [t.shifted(delta) for t in ctracks]
-            # a box gap is a lower bound on the exact distance, so only
-            # atom pairs that may come too close are measured
             if any(box_gap(ob, cb) < EXCLUSION_CELLS + BOX_MARGIN
                    and min_distance(ot, ct, o0, o1) < EXCLUSION_CELLS - DIST_TOL
-                   for ot, ob in zip(otracks, oboxes) for ct, cb in zip(shifted, c[3])):
+                   for ot, ob in zip(otracks, oatoms) for ct, cb in zip(shifted, catoms)):
                 return k
         return None
 
@@ -838,21 +852,27 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
                         f"during {e.gate.value}"))
 
     gates_2q.sort(key=lambda ie: ie[1].t)
-    active: list[tuple[int, PhysicalEvent]] = []
+    active: list[tuple] = []
     for i, e in gates_2q:
-        active = [(j, o) for j, o in active if o.t_end > e.t]
-        for j, o in active:
+        active = [a for a in active if a[1].t_end > e.t]
+        etracks = [track(q) for q in e.operands]
+        # boxes over the event's own window, which holds every [lo, hi] below
+        eunion, eboxes = gate_boxes(etracks, e.t, e.t_end)
+        for j, o, otracks, ounion, oboxes in active:
             lo, hi = max(e.t, o.t), min(e.t_end, o.t_end)
-            if lo >= hi - 1e-18:
+            if lo >= hi - 1e-18 or box_gap(eunion, ounion) >= EXCLUSION_CELLS + BOX_MARGIN:
                 continue
-            dmin = gate_distance([track(q) for q in e.operands],
-                                 [track(q) for q in o.operands], lo, hi)
+            # a pruned atom pair stays >= EXCLUSION_CELLS apart, so a reported
+            # distance is the exact closest approach
+            dmin = min((min_distance(et, ot, lo, hi)
+                        for et, eb in zip(etracks, eboxes) for ot, ob in zip(otracks, oboxes)
+                        if box_gap(eb, ob) < EXCLUSION_CELLS + BOX_MARGIN), default=math.inf)
             if dmin < EXCLUSION_CELLS - DIST_TOL:
                 violations.append(Violation(
                     "exclusion", (j, i), dmin, (lo, hi),
                     f"events {j} and {i} overlap in time with atoms "
                     f"{dmin:.4f} cells apart (< {EXCLUSION_CELLS})"))
-        active.append((i, e))
+        active.append((i, e, etracks, eunion, eboxes))
 
     seen_load: dict[int, int] = {}
     seen_dispose: dict[int, int] = {}

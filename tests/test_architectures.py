@@ -152,3 +152,10 @@ def test_read_key_values_rejects_a_repeated_key(tmp_path):
         read_key_values(p, {"L": ("L", int)})
     p.write_text("L = 8\nM = 4\n")
     assert read_key_values(p, {"L": ("L", int), "M": ("m", int)}) == {"L": 8, "m": 4}
+
+
+def test_read_key_values_rejects_non_utf8(tmp_path):
+    p = tmp_path / "a.cfg"
+    p.write_bytes(b"L = 8\n\xff\xfe\n")
+    with pytest.raises(ValueError, match=r"a\.cfg: not UTF-8 text$"):
+        read_key_values(p, {"L": ("L", int)})

@@ -144,6 +144,20 @@ def test_bad_config_exits_2(workdir, capsys):
         assert f"bad.cost: {bad.replace(' = ', '=')} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--arch", "a.arch", "--program", "bad.program"),
+    ("schedule", "--arch", "bad.arch", "--program", "p.program"),
+    ("verify", "--arch", "bad.arch", "--pair", "0,0,1,1"),
+    ("cost", "--cost", "bad.cost"),
+])
+def test_non_utf8_input_exits_2(workdir, capsys, monkeypatch, argv):
+    monkeypatch.chdir(workdir)
+    name = next(a for a in argv if a.startswith("bad."))
+    (workdir / name).write_bytes(b"\xff\xfe")
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: {name}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_infeasible_exits_3(workdir):
     # same-row pair at the speed limit: the belt plan has no feasible firing
     fast = ARCH_TEMPLATE.format(variant="two-way-belt").replace(

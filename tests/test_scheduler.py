@@ -1,16 +1,19 @@
 import math
+import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from atomshuttle import scheduler
 from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, LogicalCZ, Logical1Q,
-                            LogicalCircuit, classical_bits, gate_steps)
+                            LogicalCircuit, QubitRef, classical_bits, gate_steps)
 from atomshuttle.oracle import verify_sequence
-from atomshuttle.scheduler import (BOX_MARGIN, InfeasibleError, SegmentKind,
-                                   TrajectorySegment, _Track, box_gap,
-                                   check_conflicts, makespan_estimate,
+from atomshuttle.scheduler import (BOX_MARGIN, InfeasibleError, ScheduledProgram,
+                                   SegmentKind, TrajectorySegment, _Track, box_gap,
+                                   check_conflicts, gate_boxes, makespan_estimate,
                                    max_distance, min_distance,
                                    plan_trajectories, schedule, shift_program,
                                    trajectories_to_csv)
@@ -195,28 +198,95 @@ def tracks(draw):
     return _Track(segments=segs, offset=draw(st.floats(-3.0, 3.0)))
 
 
-@given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0),
-       st.floats(-5.0, 5.0))
-def test_box_gap_is_a_lower_bound_on_min_distance(other, cand, t0, width, delta):
-    # schedule() compares a committed atom's box over the committed window
-    # with the candidate's whole-motion box, whatever the candidate's shift
-    gap = box_gap(other.box(t0, t0 + width), cand.box())
-    assert gap <= min_distance(other, cand.shifted(delta), t0, t0 + width) + BOX_MARGIN
+gate_tracks = st.lists(tracks(), min_size=1, max_size=3)
 
 
-def test_check_conflicts_flags_injected_exclusion_violation():
+@given(gate_tracks, gate_tracks, st.floats(0.01, 4.0), st.floats(-10.0, 15.0),
+       st.floats(0.0, 0.999), st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_box_gap_is_a_lower_bound_on_min_distance(others, cands, reach, o0, o_frac,
+                                                  c0, c_width, where):
+    # schedule() compares a committed gate's boxes over its window [o0, o1],
+    # shorter than `reach`, with the candidate's boxes over [c0 - reach,
+    # c1 + reach] of its own time: for every shift that makes [c0, c1]
+    # overlap [o0, o1], that holds the window the exact test measures
+    o1, c1 = o0 + o_frac * reach, c0 + c_width
+    delta = (o0 - c1) + where * ((o1 - c0) - (o0 - c1))
+    assume(max(c0 + delta, o0) < min(c1 + delta, o1))
+    ounion, oboxes = gate_boxes(others, o0, o1)
+    cunion, cboxes = gate_boxes(cands, c0 - reach, c1 + reach)
+    gaps = {(i, j): box_gap(ob, cb)
+            for i, ob in enumerate(oboxes) for j, cb in enumerate(cboxes)}
+    assert box_gap(ounion, cunion) <= min(gaps.values())
+    for (i, j), gap in gaps.items():
+        assert gap <= min_distance(others[i], cands[j].shifted(delta), o0, o1) + BOX_MARGIN
+
+
+def merge_programs(a: ScheduledProgram, b: ScheduledProgram) -> ScheduledProgram:
+    return ScheduledProgram(sorted(a.events + b.events, key=lambda e: e.sort_key()),
+                            {**a.trajectories, **b.trajectories},
+                            max(a.makespan, b.makespan))
+
+
+def injected_violation_program():
     arch = arch_for(Variant.THROW_AND_MEASURE)
     prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
     d2 = decompose_cz(arch, (0, 1), (4, 5), serial_start=10, bit_start=10)
     prog2 = plan_trajectories(arch, d2)  # one cell away, same timing
-    merged_events = sorted(prog.events + prog2.events,
-                           key=lambda e: e.sort_key())
-    merged_traj = {**prog.trajectories, **prog2.trajectories}
-    from atomshuttle.scheduler import ScheduledProgram
-    merged = ScheduledProgram(merged_events, merged_traj,
-                              max(prog.makespan, prog2.makespan))
-    violations = check_conflicts(merged, arch)
+    return merge_programs(prog, prog2), arch
+
+
+def first_2q_start(prog: ScheduledProgram, coord) -> float:
+    return min(e.t for e in prog.events
+               if e.action is ActionKind.GATE and e.gate.is_two_qubit
+               and QubitRef.comp(*coord) in e.operands)
+
+
+def shifted_onto_window_program(variant):
+    """A 16x16 schedule plus six more gates, each shifted so that its first
+    two-qubit gate starts with that of a scheduled gate on the next column."""
+    arch = arch_for(variant, L=16)
+    rng = random.Random(41)
+    cells = [(r, c) for r in range(16) for c in range(16)]
+    ops = [LogicalCZ(*rng.sample(cells, 2)) for _ in range(30)]
+    prog = schedule(LogicalCircuit(16, tuple(ops)), arch)
+    for op in rng.sample(ops, 6):
+        r, c = op.a
+        near = (r, c + 1 if c < 15 else c - 1)
+        other = rng.choice([x for x in cells if x != near])
+        extra = plan_trajectories(arch, decompose_cz(arch, near, other,
+                                                     serial_start=max(prog.trajectories) + 1,
+                                                     bit_start=10_000))
+        extra = shift_program(extra, first_2q_start(prog, op.a) - first_2q_start(extra, near))
+        prog = merge_programs(prog, extra)
+    return prog, arch
+
+
+def test_check_conflicts_flags_injected_exclusion_violation():
+    violations = check_conflicts(*injected_violation_program())
     assert any(v.kind == "exclusion" for v in violations)
+
+
+@pytest.mark.parametrize("build", [
+    injected_violation_program,
+    *(partial(shifted_onto_window_program, v) for v in Variant)],
+    ids=["injected", *(f"shifted-16x16-{v.value}" for v in Variant)])
+def test_check_conflicts_box_pruning_keeps_violations_exact(monkeypatch, build):
+    prog, arch = build()
+    pruned, box_gap_ = [0], scheduler.box_gap
+
+    def counting_box_gap(a, b):
+        gap = box_gap_(a, b)
+        pruned[0] += gap >= scheduler.EXCLUSION_CELLS + BOX_MARGIN
+        return gap
+
+    monkeypatch.setattr(scheduler, "box_gap", counting_box_gap)
+    violations = check_conflicts(prog, arch)
+    monkeypatch.setattr(scheduler, "box_gap", lambda a, b: 0.0)
+    assert check_conflicts(prog, arch) == violations
+    assert any(v.kind == "exclusion" for v in violations)
+    # two gates one cell apart leave the boxes nothing to prune
+    assert pruned[0] > 0 or build is injected_violation_program
 
 
 def test_check_conflicts_flags_use_after_dispose():
