@@ -81,16 +81,18 @@ _CONFIG_KEYS = {
 }
 
 
-def read_key_values(path: str | Path, keys: dict) -> dict:
+def read_key_values(path: str | Path, keys: dict, text: str | None = None) -> dict:
     """Read a key=value config file into {field name: converted value}.
 
     `keys` maps each accepted key to (field name, converter).  `#` starts
     a comment.  Every error names `path:line`, and a key may be set once.
+    `text`, if given, is the file's content, already read.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text") from e
+    if text is None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text") from e
     kwargs, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,9 +124,9 @@ def build_from_config(cls, path: str | Path, keys: dict, kwargs: dict):
         raise ValueError(f"{path}: {key}={e.value} {e.requirement}") from e
 
 
-def load_arch_config(path: str | Path) -> ArchitectureSpec:
-    """Read a key=value architecture config file."""
-    kwargs = read_key_values(path, _CONFIG_KEYS)
+def load_arch_config(path: str | Path, text: str | None = None) -> ArchitectureSpec:
+    """Read a key=value architecture config file (or its `text`, already read)."""
+    kwargs = read_key_values(path, _CONFIG_KEYS, text)
     if "variant" not in kwargs or "L" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'variant' and 'L'")
     return build_from_config(ArchitectureSpec, path, _CONFIG_KEYS, kwargs)

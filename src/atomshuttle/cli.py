@@ -72,12 +72,15 @@ def _write(out_dir: str, name: str, header: str, body: str) -> Path:
         raise _CliError(EXIT_IO, f"cannot write {name}: {e}") from e
 
 
-def _load_arch(args) -> ArchitectureSpec:
+# Each loader reads its file once and returns the parsed value with the
+# text it came from, so an artifact header hashes the bytes that were parsed.
+
+def _load_arch(args) -> tuple[ArchitectureSpec, str]:
     if args.arch is None:
         raise _CliError(EXIT_PARSE, "--arch is required for this command")
-    _read_text(args.arch)  # surface I/O problems as exit 5, not parse
+    text = _read_text(args.arch)
     try:
-        arch = load_arch_config(args.arch)
+        arch = load_arch_config(args.arch, text)
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
     if args.variant is not None:
@@ -86,15 +89,15 @@ def _load_arch(args) -> ArchitectureSpec:
         except ValueError as e:
             raise _CliError(EXIT_PARSE, f"unknown variant {args.variant!r}") from e
         arch = ArchitectureSpec(**{**arch.__dict__, "variant": variant})
-    return arch
+    return arch, text
 
 
-def _load_cost(args) -> CostParams:
+def _load_cost(args) -> tuple[CostParams, str]:
     if args.cost is None:
         raise _CliError(EXIT_PARSE, "--cost is required for this command")
-    _read_text(args.cost)
+    text = _read_text(args.cost)
     try:
-        return load_cost_config(args.cost)
+        return load_cost_config(args.cost, text), text
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
 
@@ -108,7 +111,13 @@ def _load_circuit(args, arch: ArchitectureSpec):
     if circuit.lattice_size != arch.L:
         raise _CliError(EXIT_PARSE,
                         f"program lattice {circuit.lattice_size} != arch L={arch.L}")
-    return circuit
+    return circuit, text
+
+
+def _lattice_size(args) -> int:
+    if args.L < 2:
+        raise _CliError(EXIT_PARSE, f"-L {args.L}: lattice size must be at least 2")
+    return args.L
 
 
 def _parse_pair(spec: str):
@@ -123,7 +132,7 @@ def _pairs_for(args, arch: ArchitectureSpec):
     if args.pair is not None:
         return [_parse_pair(args.pair)]
     if args.program is not None:
-        circuit = _load_circuit(args, arch)
+        circuit, _ = _load_circuit(args, arch)
         return [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)]
     raise _CliError(EXIT_PARSE, "either --pair or --program is required")
 
@@ -136,21 +145,19 @@ def _schedule_or_fail(circuit, arch):
 
 
 def _cmd_compile(args) -> int:
-    arch = _load_arch(args)
-    circuit = _load_circuit(args, arch)
+    arch, arch_text = _load_arch(args)
+    circuit, program_text = _load_circuit(args, arch)
     prog = _schedule_or_fail(circuit, arch)
-    header = _header(_read_text(args.arch), _read_text(args.program),
-                     str(args.variant))
+    header = _header(arch_text, program_text, str(args.variant))
     _write(args.out, "compile.jsonl", header, events_to_jsonl(prog.events))
     return EXIT_OK
 
 
 def _cmd_schedule(args) -> int:
-    arch = _load_arch(args)
-    circuit = _load_circuit(args, arch)
+    arch, arch_text = _load_arch(args)
+    circuit, program_text = _load_circuit(args, arch)
     prog = _schedule_or_fail(circuit, arch)
-    header = _header(_read_text(args.arch), _read_text(args.program),
-                     str(args.variant))
+    header = _header(arch_text, program_text, str(args.variant))
     _write(args.out, "events.jsonl", header, events_to_jsonl(prog.events))
     _write(args.out, "trajectories.csv", header,
            trajectories_to_csv(prog.trajectories))
@@ -159,7 +166,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    arch = _load_arch(args)
+    if args.haar < 0:
+        raise _CliError(EXIT_PARSE, f"--haar {args.haar}: number of inputs must be at least 0")
+    arch, arch_text = _load_arch(args)
     pairs = _pairs_for(args, arch)
     records = []
     ok = True
@@ -178,7 +187,7 @@ def _cmd_verify(args) -> int:
             raise _CliError(EXIT_PARSE, str(e)) from e
         ok = ok and report.ok
         records.extend(report.records)
-    header = _header(_read_text(args.arch), str(args.pair), str(args.program),
+    header = _header(arch_text, str(args.pair), str(args.program),
                      str(args.seed), str(args.drop_final_correction))
     body = "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
     _write(args.out, "verify.jsonl", header, body)
@@ -191,11 +200,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    params = _load_cost(args)
-    L = args.L
+    L = _lattice_size(args)
+    params, cost_text = _load_cost(args)
     rows = architecture_comparison(params, L)
     rows.sort(key=lambda r: (r.variant.value, r.case or 0))  # stable listing order
-    header = _header(_read_text(args.cost), str(L))
+    header = _header(cost_text, str(L))
     lines = ["variant,case,n1,n2_cz,n2_swap,nr,fidelity,error,makespan"]
     for row in rows:
         c = row.report.counts
@@ -214,8 +223,11 @@ def _cmd_sweep(args) -> int:
     except ValueError as e:
         raise _CliError(EXIT_PARSE, f"unknown variant {args.variant!r}") from e
     case = args.case
-    if variant is Variant.ONE_WAY_BELT and case is None:
-        case = 1
+    if variant is Variant.ONE_WAY_BELT:
+        case = case or 1
+    elif case is not None:
+        raise _CliError(EXIT_PARSE, f"--case {case}: only {Variant.ONE_WAY_BELT.value} "
+                                    f"has cases, not {variant.value}")
     result = error_budget_sweep(variant, args.axis, case=case)
     header = _header(args.variant, args.axis, str(case))
     _write(args.out, "sweep.csv", header, sweep_to_csv(result))
@@ -224,9 +236,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    params = _load_cost(args)
-    rows = architecture_comparison(params, args.L)
-    header = _header(_read_text(args.cost), str(args.L))
+    L = _lattice_size(args)
+    params, cost_text = _load_cost(args)
+    rows = architecture_comparison(params, L)
+    header = _header(cost_text, str(L))
     lines = ["rank,variant,case,error,fidelity,makespan"]
     for rank, row in enumerate(rows, start=1):
         lines.append(f"{rank},{row.variant.value},{row.case or ''},"

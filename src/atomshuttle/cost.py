@@ -62,9 +62,10 @@ _COST_KEYS = {key: (key, float) for key in
               ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle", "p2_baseline", "kappa")}
 
 
-def load_cost_config(path: str | Path) -> CostParams:
-    """Read a key=value cost config file."""
-    return build_from_config(CostParams, path, _COST_KEYS, read_key_values(path, _COST_KEYS))
+def load_cost_config(path: str | Path, text: str | None = None) -> CostParams:
+    """Read a key=value cost config file (or its `text`, already read)."""
+    return build_from_config(CostParams, path, _COST_KEYS,
+                             read_key_values(path, _COST_KEYS, text))
 
 
 @dataclass(frozen=True)

@@ -194,15 +194,20 @@ def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
 
 
 # --- single-gate planning ---------------------------------------------------
+#
+# A planner gives the geometry (messenger itineraries, loads, throws,
+# routes) and each gate's firing window.  The gate fixes the rest: its
+# duration (`_gate_duration`) and where it fires (its computational
+# partner's site, else its first messenger's position at the gate center).
+
+LANE_OFFSET = 0.5           # cells between a belt lane or flight line and a qubit
+
 
 @dataclass
 class _Anchor:
     step: GateStep
-    duration: float
     lo: float                 # earliest feasible firing *center*
     hi: float                 # latest feasible firing center (inf if flexible)
-    pos_kind: str             # "partner" | "cross" | "messenger" | "fixed"
-    fixed_pos: tuple[float, float] | None = None
     center: float = math.nan
 
 
@@ -215,18 +220,20 @@ class _Draft:
 
 
 class _Itinerary:
-    """Sequential builder for one messenger's trajectory."""
+    """Sequential builder for one messenger's trajectory at the speed `arch.v`."""
 
-    def __init__(self, serial: int, t0: float, p0: tuple[float, float]):
+    def __init__(self, arch: ArchitectureSpec, serial: int, t0: float,
+                 p0: tuple[float, float]):
+        self.vc = 1.0 / (arch.a / arch.v)   # cells per second
         self.serial = serial
         self.t = t0
         self.p = p0
         self.t_load = t0
         self.segs: list[TrajectorySegment] = []
 
-    def move_to(self, p1, v_cells: float, kind: SegmentKind, belt=None) -> float:
+    def move_to(self, p1, kind: SegmentKind, belt=None) -> float:
         d = _dist(self.p, p1)
-        t1 = self.t + d / v_cells
+        t1 = self.t + d / self.vc
         self.segs.append(TrajectorySegment(self.serial, kind, self.t, t1, self.p, p1, belt))
         self.t, self.p = t1, p1
         return t1
@@ -237,36 +244,43 @@ class _Itinerary:
         self.t = t1
         return t1
 
-    def time_passing(self, point, v_cells: float) -> float:
+    def time_passing(self, point) -> float:
         # time at which the *next* straight move passes `point`
-        return self.t + _dist(self.p, point) / v_cells
+        return self.t + _dist(self.p, point) / self.vc
 
 
-def _pass_window(arch: ArchitectureSpec, offset_cells: float, duration: float,
-                 t_closest: float, what: str) -> tuple[float, float]:
-    """Center window for a gate fired on a messenger passing a static partner."""
+def _pass_window(arch: ArchitectureSpec, step: GateStep, t_closest: float,
+                 what: str) -> _Anchor:
+    """A two-qubit gate fired on a messenger passing its static partner
+    `LANE_OFFSET` cells away, closest at `t_closest`."""
     R_c = arch.R / arch.a
     ct = arch.a / arch.v
-    chord2 = R_c * R_c - offset_cells * offset_cells
+    chord2 = R_c * R_c - LANE_OFFSET * LANE_OFFSET
     if chord2 <= 0:
-        raise InfeasibleError(f"{what}: lane offset {offset_cells} outside blockade radius {R_c}")
+        raise InfeasibleError(f"{what}: lane offset {LANE_OFFSET} outside blockade radius {R_c}")
     hw = math.sqrt(chord2) * ct
-    if 2 * hw < duration:
+    if 2 * hw < arch.t2:
         raise InfeasibleError(
-            f"{what}: blockade window {2 * hw:.3e}s shorter than gate duration {duration:.3e}s")
-    return (t_closest - hw + duration / 2, t_closest + hw - duration / 2)
+            f"{what}: blockade window {2 * hw:.3e}s shorter than gate duration {arch.t2:.3e}s")
+    return _within(arch, step, t_closest - hw, t_closest + hw)
 
 
-def _cross_window(arch: ArchitectureSpec, duration: float, t_sync: float,
-                  what: str) -> tuple[float, float]:
-    """Center window for a gate between two messengers crossing orthogonally."""
+def _cross_window(arch: ArchitectureSpec, step: GateStep, t_sync: float,
+                  what: str) -> _Anchor:
+    """A two-qubit gate between two messengers crossing orthogonally at `t_sync`."""
     R_c = arch.R / arch.a
     ct = arch.a / arch.v
     hw = R_c * ct / math.sqrt(2)  # relative speed sqrt(2) v at the crossing
-    if 2 * hw < duration:
+    if 2 * hw < arch.t2:
         raise InfeasibleError(
-            f"{what}: crossing window {2 * hw:.3e}s shorter than gate duration {duration:.3e}s")
-    return (t_sync - hw + duration / 2, t_sync + hw - duration / 2)
+            f"{what}: crossing window {2 * hw:.3e}s shorter than gate duration {arch.t2:.3e}s")
+    return _within(arch, step, t_sync - hw, t_sync + hw)
+
+
+def _within(arch: ArchitectureSpec, step: GateStep, t0: float, t1: float) -> _Anchor:
+    """A gate fired anywhere in [t0, t1]."""
+    half = _gate_duration(arch, step.gate) / 2
+    return _Anchor(step, t0 + half, t1 - half)
 
 
 def _gate_duration(arch: ArchitectureSpec, gate: GateKind) -> float:
@@ -291,198 +305,165 @@ def _plan_two_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     dh = 1.0 if cb >= ca else -1.0
     dv = 1.0 if rb >= ra else -1.0
     ct = arch.a / arch.v
-    vc = 1.0 / ct
 
-    y1 = ra - 0.5 * dv            # lane of m1, flows +dh
-    x2 = cb + 0.5 * dh            # lane of m2, flows +dv
+    y1 = ra - LANE_OFFSET * dv    # lane of m1, flows +dh
+    x2 = cb + LANE_OFFSET * dh    # lane of m2, flows +dv
     y3 = rb + 1.5 * dv            # return lane of m3, flows -dh
-    x4 = ca - 0.5 * dh            # lane of m4, flows -dv
+    x4 = ca - LANE_OFFSET * dh    # lane of m4, flows -dv
     s1, s2, s3, s4 = d.messengers
 
     draft = _Draft()
-    m1 = _Itinerary(s1, 0.0, (ca - ENTRY_MARGIN * dh, y1))
-    t_cz1 = m1.time_passing((ca, y1), vc)
-    t_x1 = m1.time_passing((x2, y1), vc)
-    m1.move_to((x2 + EXIT_MARGIN * dh, y1), vc, SegmentKind.BELT_RIDE, belt=0)
+    m1 = _Itinerary(arch, s1, 0.0, (ca - ENTRY_MARGIN * dh, y1))
+    t_cz1 = m1.time_passing((ca, y1))
+    t_x1 = m1.time_passing((x2, y1))
+    m1.move_to((x2 + EXIT_MARGIN * dh, y1), SegmentKind.BELT_RIDE, belt=0)
 
-    m2 = _Itinerary(s2, t_x1 - ENTRY_MARGIN * ct, (x2, y1 - ENTRY_MARGIN * dv))
-    t_cz2 = m2.time_passing((x2, rb), vc)
-    t_x2 = m2.time_passing((x2, y3), vc)
-    m2.move_to((x2, y3 + EXIT_MARGIN * dv), vc, SegmentKind.BELT_RIDE, belt=1)
+    m2 = _Itinerary(arch, s2, t_x1 - ENTRY_MARGIN * ct, (x2, y1 - ENTRY_MARGIN * dv))
+    t_cz2 = m2.time_passing((x2, rb))
+    t_x2 = m2.time_passing((x2, y3))
+    m2.move_to((x2, y3 + EXIT_MARGIN * dv), SegmentKind.BELT_RIDE, belt=1)
 
-    m3 = _Itinerary(s3, t_x2 - ENTRY_MARGIN * ct, (x2 + ENTRY_MARGIN * dh, y3))
-    t_x3 = m3.time_passing((x4, y3), vc)
-    m3.move_to((x4 - EXIT_MARGIN * dh, y3), vc, SegmentKind.BELT_RIDE, belt=2)
+    m3 = _Itinerary(arch, s3, t_x2 - ENTRY_MARGIN * ct, (x2 + ENTRY_MARGIN * dh, y3))
+    t_x3 = m3.time_passing((x4, y3))
+    m3.move_to((x4 - EXIT_MARGIN * dh, y3), SegmentKind.BELT_RIDE, belt=2)
 
-    m4 = _Itinerary(s4, t_x3 - ENTRY_MARGIN * ct, (x4, y3 + ENTRY_MARGIN * dv))
-    t_cz3 = m4.time_passing((x4, ra), vc)
-    m4.move_to((x4, ra - EXIT_MARGIN * dv), vc, SegmentKind.BELT_RIDE, belt=3)
+    m4 = _Itinerary(arch, s4, t_x3 - ENTRY_MARGIN * ct, (x4, y3 + ENTRY_MARGIN * dv))
+    t_cz3 = m4.time_passing((x4, ra))
+    m4.move_to((x4, ra - EXIT_MARGIN * dv), SegmentKind.BELT_RIDE, belt=3)
 
     for it, belt in ((m1, 0), (m2, 1), (m3, 2), (m4, 3)):
         draft.rides[it.serial] = it.segs
         draft.aux_events.append(_load_event(it, belt))
 
     g = d.gates
-    t2, t1 = arch.t2, arch.t1
     draft.anchors = [
-        _Anchor(g[0], t2, *_pass_window(arch, 0.5, t2, t_cz1, "CZ(A,m1)"), "partner"),
-        _Anchor(g[1], t1, m1.t_load + t1 / 2, m1.t - t1 / 2, "messenger"),
-        _Anchor(g[2], t2, *_cross_window(arch, t2, t_x1, "SWAP(m1,m2)"), "cross"),
-        _Anchor(g[3], t2, *_pass_window(arch, 0.5, t2, t_cz2, "CZ(m2,B)"), "partner"),
-        _Anchor(g[4], t2, *_cross_window(arch, t2, t_x2, "SWAP(m2,m3)"), "cross"),
-        _Anchor(g[5], t2, *_cross_window(arch, t2, t_x3, "SWAP(m3,m4)"), "cross"),
-        _Anchor(g[6], t1, m4.t_load + t1 / 2, m4.t - t1 / 2, "messenger"),
-        _Anchor(g[7], t2, *_pass_window(arch, 0.5, t2, t_cz3, "CZ(A,m4)"), "partner"),
+        _pass_window(arch, g[0], t_cz1, "CZ(A,m1)"),
+        _within(arch, g[1], m1.t_load, m1.t),
+        _cross_window(arch, g[2], t_x1, "SWAP(m1,m2)"),
+        _pass_window(arch, g[3], t_cz2, "CZ(m2,B)"),
+        _cross_window(arch, g[4], t_x2, "SWAP(m2,m3)"),
+        _cross_window(arch, g[5], t_x3, "SWAP(m3,m4)"),
+        _within(arch, g[6], m4.t_load, m4.t),
+        _pass_window(arch, g[7], t_cz3, "CZ(A,m4)"),
     ]
     return draft
 
 
 def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     ct = arch.a / arch.v
-    vc = 1.0 / ct
     L = arch.L
-    t2, t1 = arch.t2, arch.t1
     g = d.gates
-    draft = _Draft()
     s1, s2 = d.messengers
-
+    # m1 rides right beside the first target's row; m2 rides up beside the
+    # second's column and crosses m1's lane
     if d.case == 1:
-        (rs, cs) = g[0].operands[0].coord   # source (componentwise dominated)
-        (rd, cd) = g[3].operands[1].coord
-        y_h = rs - 0.5
-        x_v = cd + 0.5
-        m1 = _Itinerary(s1, 0.0, (cs - ENTRY_MARGIN, y_h))
-        t_cz1 = m1.time_passing((cs, y_h), vc)
-        t_x = m1.time_passing((x_v, y_h), vc)
-        m1.move_to((L + 1.0, y_h), vc, SegmentKind.BELT_RIDE, belt=0)
+        (r1, c1), (r2, c2) = g[0].operands[0].coord, g[3].operands[1].coord  # S, D
+    else:
+        (r1, c1), (r2, c2) = g[0].operands[0].coord, g[2].operands[0].coord  # P, Q
+    y_h = r1 - LANE_OFFSET
+    x_v = c2 + LANE_OFFSET
+    m1 = _Itinerary(arch, s1, 0.0, (c1 - ENTRY_MARGIN, y_h))
+    t_cz1 = m1.time_passing((c1, y_h))
+    t_x = m1.time_passing((x_v, y_h))
+    t_arr1 = m1.move_to((L + 1.0, y_h), SegmentKind.BELT_RIDE, belt=0)
 
-        m2 = _Itinerary(s2, t_x - ENTRY_MARGIN * ct, (x_v, y_h - ENTRY_MARGIN))
-        t_cz2 = m2.time_passing((x_v, float(rd)), vc)
-        t_arr = m2.move_to((x_v, L + 1.0), vc, SegmentKind.BELT_RIDE, belt=1)
+    # case 2: m2 passes Q first, then meets m1 at the lane crossing
+    y0 = y_h - ENTRY_MARGIN if d.case == 1 else r2 - ENTRY_MARGIN
+    m2 = _Itinerary(arch, s2, t_x - (y_h - y0) * ct, (x_v, y0))
+    t_cz2 = m2.time_passing((x_v, float(r2)))
+    t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE, belt=1)
 
-        draft.rides = {s1: m1.segs, s2: m2.segs}
-        draft.aux_events = [_load_event(m1, 0), _load_event(m2, 1)]
-        draft.hold[s2] = (t_arr, (x_v, L + 1.0))
+    draft = _Draft(rides={s1: m1.segs, s2: m2.segs},
+                   aux_events=[_load_event(m1, 0), _load_event(m2, 1)],
+                   hold={s2: (t_arr2, (x_v, L + 1.0))})
+    if d.case == 1:
         draft.anchors = [
-            _Anchor(g[0], t2, *_pass_window(arch, 0.5, t2, t_cz1, "CZ(S,m1)"), "partner"),
-            _Anchor(g[1], t1, m1.t_load + t1 / 2, m1.t - t1 / 2, "messenger"),
-            _Anchor(g[2], t2, *_cross_window(arch, t2, t_x, "SWAP(m1,m2)"), "cross"),
-            _Anchor(g[3], t2, *_pass_window(arch, 0.5, t2, t_cz2, "CZ(m2,D)"), "partner"),
-            _Anchor(g[4], arch.tr, t_arr + arch.tr / 2, math.inf, "fixed", (x_v, L + 1.0)),
-            _Anchor(g[5], t1, 0.0, math.inf, "fixed", _xy((rs, cs))),
+            _pass_window(arch, g[0], t_cz1, "CZ(S,m1)"),
+            _within(arch, g[1], m1.t_load, m1.t),
+            _cross_window(arch, g[2], t_x, "SWAP(m1,m2)"),
+            _pass_window(arch, g[3], t_cz2, "CZ(m2,D)"),
+            _within(arch, g[4], t_arr2, math.inf),
+            _Anchor(g[5], 0.0, math.inf),
         ]
     else:
-        (rp, cp) = g[0].operands[0].coord   # smaller column
-        (rq, cq) = g[2].operands[0].coord
-        y_h = rp - 0.5
-        x_v = cq + 0.5
-        m1 = _Itinerary(s1, 0.0, (cp - ENTRY_MARGIN, y_h))
-        t_cz1 = m1.time_passing((cp, y_h), vc)
-        t_x = m1.time_passing((x_v, y_h), vc)
-        t_arr1 = m1.move_to((L + 1.0, y_h), vc, SegmentKind.BELT_RIDE, belt=0)
-
-        # m2 passes Q first, then meets m1 at the lane crossing
-        m2 = _Itinerary(s2, t_x - (y_h - (rq - ENTRY_MARGIN)) * ct,
-                        (x_v, rq - ENTRY_MARGIN))
-        t_cz2 = m2.time_passing((x_v, float(rq)), vc)
-        t_arr2 = m2.move_to((x_v, L + 1.0), vc, SegmentKind.BELT_RIDE, belt=1)
-
-        draft.rides = {s1: m1.segs, s2: m2.segs}
-        draft.aux_events = [_load_event(m1, 0), _load_event(m2, 1)]
         draft.hold[s1] = (t_arr1, (L + 1.0, y_h))
-        draft.hold[s2] = (t_arr2, (x_v, L + 1.0))
         draft.anchors = [
-            _Anchor(g[0], t2, *_pass_window(arch, 0.5, t2, t_cz1, "CZ(P,m1)"), "partner"),
-            _Anchor(g[1], t1, m1.t_load + t1 / 2, m1.t - t1 / 2, "messenger"),
-            _Anchor(g[2], t2, *_pass_window(arch, 0.5, t2, t_cz2, "CZ(Q,m2)"), "partner"),
-            _Anchor(g[3], t1, m2.t_load + t1 / 2, m2.t - t1 / 2, "messenger"),
-            _Anchor(g[4], t2, *_cross_window(arch, t2, t_x, "CZ(m1,m2)"), "cross"),
-            _Anchor(g[5], arch.tr, t_arr1 + arch.tr / 2, math.inf, "fixed", (L + 1.0, y_h)),
-            _Anchor(g[6], arch.tr, t_arr2 + arch.tr / 2, math.inf, "fixed", (x_v, L + 1.0)),
-            _Anchor(g[7], t1, 0.0, math.inf, "fixed", _xy((rp, cp))),
-            _Anchor(g[8], t1, 0.0, math.inf, "fixed", _xy((rq, cq))),
+            _pass_window(arch, g[0], t_cz1, "CZ(P,m1)"),
+            _within(arch, g[1], m1.t_load, m1.t),
+            _pass_window(arch, g[2], t_cz2, "CZ(Q,m2)"),
+            _within(arch, g[3], m2.t_load, m2.t),
+            _cross_window(arch, g[4], t_x, "CZ(m1,m2)"),
+            _within(arch, g[5], t_arr1, math.inf),
+            _within(arch, g[6], t_arr2, math.inf),
+            _Anchor(g[7], 0.0, math.inf),
+            _Anchor(g[8], 0.0, math.inf),
         ]
     return draft
 
 
-def _flight_line(d: Decomposition):
+def _throw_out(arch: ArchitectureSpec, d: Decomposition):
+    """Throw the messenger past A, then B, on a line `LANE_OFFSET` cells off theirs.
+
+    The flight runs `ENTRY_MARGIN` cells before A to as far past B.  The
+    draft holds it, its LOAD and THROW, and the anchors of CZ(A,m), H and
+    CZ(m,B).  Returns the itinerary, the draft, the point of the line
+    abreast of A and the throw velocity.
+    """
     pa, pb = _xy(d.a), _xy(d.b)
     D = _dist(pa, pb)
     u = ((pb[0] - pa[0]) / D, (pb[1] - pa[1]) / D)
-    n = (-u[1], u[0])
-    off = (0.5 * n[0], 0.5 * n[1])
+    off = (-LANE_OFFSET * u[1], LANE_OFFSET * u[0])
     a_off = (pa[0] + off[0], pa[1] + off[1])
     b_off = (pb[0] + off[0], pb[1] + off[1])
-    return u, a_off, b_off
+    start = (a_off[0] - ENTRY_MARGIN * u[0], a_off[1] - ENTRY_MARGIN * u[1])
+
+    m = _Itinerary(arch, d.messengers[0], 0.0, start)
+    t_cz1 = m.time_passing(a_off)
+    t_cz2 = m.time_passing(b_off)
+    m.move_to((b_off[0] + ENTRY_MARGIN * u[0], b_off[1] + ENTRY_MARGIN * u[1]),
+              SegmentKind.FREE_FLIGHT)
+
+    vel = (arch.v * u[0], arch.v * u[1])
+    g = d.gates
+    draft = _Draft(rides={m.serial: m.segs}, aux_events=[
+        _load_event(m),
+        PhysicalEvent(0.0, start, ActionKind.THROW, (QubitRef.mess(m.serial),), velocity=vel),
+    ], anchors=[
+        _pass_window(arch, g[0], t_cz1, "CZ(A,m)"),
+        _within(arch, g[1], m.t_load, m.t),
+        _pass_window(arch, g[2], t_cz2, "CZ(m,B)"),
+    ])
+    return m, draft, a_off, vel
 
 
 def _plan_throw_catch_throw(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
-    ct = arch.a / arch.v
-    vc = 1.0 / ct
-    t2, t1 = arch.t2, arch.t1
-    u, a_off, b_off = _flight_line(d)
-    s = d.messengers[0]
-
-    start = (a_off[0] - ENTRY_MARGIN * u[0], a_off[1] - ENTRY_MARGIN * u[1])
-    catch = (b_off[0] + ENTRY_MARGIN * u[0], b_off[1] + ENTRY_MARGIN * u[1])
-    m = _Itinerary(s, 0.0, start)
-    t_cz1 = m.time_passing(a_off, vc)
-    t_cz2 = m.time_passing(b_off, vc)
-    t_catch = m.move_to(catch, vc, SegmentKind.FREE_FLIGHT)
+    m, draft, a_off, vel = _throw_out(arch, d)
+    mref = QubitRef.mess(m.serial)
+    catch, t_catch = m.p, m.t
     t_relaunch = m.dwell(arch.t_turnaround, SegmentKind.TURNAROUND)
-    t_cz3 = m.time_passing(a_off, vc)
-    m.move_to(start, vc, SegmentKind.FREE_FLIGHT)
+    t_cz3 = m.time_passing(a_off)
+    m.move_to(m.segs[0].start_pos, SegmentKind.FREE_FLIGHT)   # back to the launch point
 
-    draft = _Draft(rides={s: m.segs})
-    mref = QubitRef.mess(s)
-    vel = (arch.v * u[0], arch.v * u[1])
-    draft.aux_events = [
-        _load_event(m),
-        PhysicalEvent(0.0, start, ActionKind.THROW, (mref,), velocity=vel),
+    draft.aux_events += [
         PhysicalEvent(t_catch, catch, ActionKind.CATCH, (mref,)),
         PhysicalEvent(t_relaunch, catch, ActionKind.THROW, (mref,),
                       velocity=(-vel[0], -vel[1])),
     ]
     g = d.gates
-    draft.anchors = [
-        _Anchor(g[0], t2, *_pass_window(arch, 0.5, t2, t_cz1, "CZ(A,m)"), "partner"),
-        _Anchor(g[1], t1, m.t_load + t1 / 2, t_catch - t1 / 2, "messenger"),
-        _Anchor(g[2], t2, *_pass_window(arch, 0.5, t2, t_cz2, "CZ(m,B)"), "partner"),
-        _Anchor(g[3], t1, t_relaunch + t1 / 2, m.t - t1 / 2, "messenger"),
-        _Anchor(g[4], t2, *_pass_window(arch, 0.5, t2, t_cz3, "CZ(A,m) return"), "partner"),
+    draft.anchors += [
+        _within(arch, g[3], t_relaunch, m.t),
+        _pass_window(arch, g[4], t_cz3, "CZ(A,m) return"),
     ]
     return draft
 
 
 def _plan_throw_and_measure(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
-    ct = arch.a / arch.v
-    vc = 1.0 / ct
-    t2, t1 = arch.t2, arch.t1
-    u, a_off, b_off = _flight_line(d)
-    s = d.messengers[0]
-
-    start = (a_off[0] - ENTRY_MARGIN * u[0], a_off[1] - ENTRY_MARGIN * u[1])
-    readout = (b_off[0] + ENTRY_MARGIN * u[0], b_off[1] + ENTRY_MARGIN * u[1])
-    m = _Itinerary(s, 0.0, start)
-    t_cz1 = m.time_passing(a_off, vc)
-    t_cz2 = m.time_passing(b_off, vc)
-    t_arr = m.move_to(readout, vc, SegmentKind.FREE_FLIGHT)
-
-    draft = _Draft(rides={s: m.segs})
-    mref = QubitRef.mess(s)
-    draft.aux_events = [
-        _load_event(m),
-        PhysicalEvent(0.0, start, ActionKind.THROW, (mref,),
-                      velocity=(arch.v * u[0], arch.v * u[1])),
-    ]
-    draft.hold[s] = (t_arr, readout)
+    m, draft, _, _ = _throw_out(arch, d)
+    draft.hold[m.serial] = (m.t, m.p)
     g = d.gates
-    draft.anchors = [
-        _Anchor(g[0], t2, *_pass_window(arch, 0.5, t2, t_cz1, "CZ(A,m)"), "partner"),
-        _Anchor(g[1], t1, m.t_load + t1 / 2, t_arr - t1 / 2, "messenger"),
-        _Anchor(g[2], t2, *_pass_window(arch, 0.5, t2, t_cz2, "CZ(m,B)"), "partner"),
-        _Anchor(g[3], arch.tr, t_arr + arch.tr / 2, math.inf, "fixed", readout),
-        _Anchor(g[4], t1, 0.0, math.inf, "fixed", _xy(d.a)),
+    draft.anchors += [
+        _within(arch, g[3], m.t, math.inf),
+        _Anchor(g[4], 0.0, math.inf),
     ]
     return draft
 
@@ -491,53 +472,41 @@ def _plan_shuttle_and_route(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     (ra, ca), (rb, cb) = d.a, d.b
     dh = 1.0 if cb >= ca else -1.0
     dv = 1.0 if rb >= ra else -1.0
-    ct = arch.a / arch.v
-    vc = 1.0 / ct
-    t2, t1 = arch.t2, arch.t1
     s = d.messengers[0]
     mref = QubitRef.mess(s)
 
-    x_in = ca - 0.5 * dh
-    y_a = ra - 0.5 * dv
-    x_b = cb + 0.5 * dh
+    x_in = ca - LANE_OFFSET * dh
+    y_a = ra - LANE_OFFSET * dv
+    x_b = cb + LANE_OFFSET * dh
     y_ret = rb + 1.5 * dv
     y_out = ra - 1.5 * dv
+    # belt k ends at a junction that routes onto belt k + 1; some belts
+    # pass a target on the way
+    legs = [((x_in, y_a), None),
+            ((x_b, y_a), (float(ca), y_a)),
+            ((x_b, y_ret), (x_b, float(rb))),
+            ((x_in, y_ret), None),
+            ((x_in, y_out), (x_in, float(ra)))]
 
-    m = _Itinerary(s, 0.0, (x_in, y_a - ENTRY_MARGIN * dv))
-    routes = []
-    t = m.move_to((x_in, y_a), vc, SegmentKind.BELT_RIDE, belt=0)
-    routes.append((t, (x_in, y_a), 0, 1))
-    m.dwell(arch.t_route, SegmentKind.ROUTING)
-    t_cz1 = m.time_passing((float(ca), y_a), vc)
-    t = m.move_to((x_b, y_a), vc, SegmentKind.BELT_RIDE, belt=1)
-    routes.append((t, (x_b, y_a), 1, 2))
-    m.dwell(arch.t_route, SegmentKind.ROUTING)
-    t_cz2 = m.time_passing((x_b, float(rb)), vc)
-    t = m.move_to((x_b, y_ret), vc, SegmentKind.BELT_RIDE, belt=2)
-    routes.append((t, (x_b, y_ret), 2, 3))
-    m.dwell(arch.t_route, SegmentKind.ROUTING)
-    t = m.move_to((x_in, y_ret), vc, SegmentKind.BELT_RIDE, belt=3)
-    routes.append((t, (x_in, y_ret), 3, 4))
-    m.dwell(arch.t_route, SegmentKind.ROUTING)
-    t_cz3 = m.time_passing((x_in, float(ra)), vc)
-    t = m.move_to((x_in, y_out), vc, SegmentKind.BELT_RIDE, belt=4)
-    routes.append((t, (x_in, y_out), 4, 5))
-    m.dwell(arch.t_route, SegmentKind.ROUTING)
-    m.move_to((x_in - ENTRY_MARGIN * dh, y_out), vc, SegmentKind.BELT_RIDE, belt=5)
+    m = _Itinerary(arch, s, 0.0, (x_in, y_a - ENTRY_MARGIN * dv))
+    t_cz, routes = [], []
+    for belt, (junction, target) in enumerate(legs):
+        if target is not None:
+            t_cz.append(m.time_passing(target))
+        t = m.move_to(junction, SegmentKind.BELT_RIDE, belt=belt)
+        routes.append(PhysicalEvent(t, junction, ActionKind.ROUTE, (mref,),
+                                    duration=arch.t_route, belt=belt, to_belt=belt + 1))
+        m.dwell(arch.t_route, SegmentKind.ROUTING)
+    m.move_to((x_in - ENTRY_MARGIN * dh, y_out), SegmentKind.BELT_RIDE, belt=len(legs))
 
-    draft = _Draft(rides={s: m.segs})
-    draft.aux_events = [_load_event(m, 0)]
-    for t_r, pos, b_from, b_to in routes:
-        draft.aux_events.append(
-            PhysicalEvent(t_r, pos, ActionKind.ROUTE, (mref,),
-                          duration=arch.t_route, belt=b_from, to_belt=b_to))
+    draft = _Draft(rides={s: m.segs}, aux_events=[_load_event(m, 0)] + routes)
     g = d.gates
     draft.anchors = [
-        _Anchor(g[0], t2, *_pass_window(arch, 0.5, t2, t_cz1, "CZ(A,m)"), "partner"),
-        _Anchor(g[1], t1, m.t_load + t1 / 2, m.t - t1 / 2, "messenger"),
-        _Anchor(g[2], t2, *_pass_window(arch, 0.5, t2, t_cz2, "CZ(m,B)"), "partner"),
-        _Anchor(g[3], t1, m.t_load + t1 / 2, m.t - t1 / 2, "messenger"),
-        _Anchor(g[4], t2, *_pass_window(arch, 0.5, t2, t_cz3, "CZ(A,m) return"), "partner"),
+        _pass_window(arch, g[0], t_cz[0], "CZ(A,m)"),
+        _within(arch, g[1], m.t_load, m.t),
+        _pass_window(arch, g[2], t_cz[1], "CZ(m,B)"),
+        _within(arch, g[3], m.t_load, m.t),
+        _pass_window(arch, g[4], t_cz[2], "CZ(A,m) return"),
     ]
     return draft
 
@@ -556,7 +525,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
     eps = 1e-6 * arch.t2
     last_end: dict = {}    # QubitRef -> end time of its last gate
     bit_end: dict = {}
-    placed_2q: list[tuple[_Anchor, list[_Track]]] = []
+    placed_2q: list[tuple[float, float, list[_Track]]] = []
     tracks: dict = {}
 
     def track(q):
@@ -566,25 +535,25 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
 
     for an in draft.anchors:
         step = an.step
+        dur = _gate_duration(arch, step.gate)
         center = an.lo
         for q in step.operands:
             if q in last_end:
-                center = max(center, last_end[q] + an.duration / 2 + eps)
+                center = max(center, last_end[q] + dur / 2 + eps)
         if step.gate.reads_bit and step.bit in bit_end:
-            center = max(center, bit_end[step.bit] + an.duration / 2 + eps)
+            center = max(center, bit_end[step.bit] + dur / 2 + eps)
         if step.gate.is_two_qubit:
             an_tracks = [track(q) for q in step.operands]
             moved = True
             while moved:
                 moved = False
-                for other, other_tracks in placed_2q:
-                    o0, o1 = other.center - other.duration / 2, other.center + other.duration / 2
-                    c0, c1 = center - an.duration / 2, center + an.duration / 2
+                for o0, o1, other_tracks in placed_2q:
+                    c0, c1 = center - dur / 2, center + dur / 2
                     if c0 < o1 and o0 < c1:
                         lo, hi = max(c0, o0), min(c1, o1)
                         dmin = gate_distance(an_tracks, other_tracks, lo, hi)
                         if dmin < EXCLUSION_CELLS - DIST_TOL:
-                            center = o1 + an.duration / 2 + eps
+                            center = o1 + dur / 2 + eps
                             moved = True
         if center > an.hi + 1e-15:
             raise InfeasibleError(
@@ -592,11 +561,11 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
                 f"{center:.3e}s exceeds feasible window end {an.hi:.3e}s")
         an.center = center
         for q in step.operands:
-            last_end[q] = center + an.duration / 2
+            last_end[q] = center + dur / 2
         if step.gate.writes_bit:
-            bit_end[step.bit] = center + an.duration / 2
+            bit_end[step.bit] = center + dur / 2
         if step.gate.is_two_qubit:
-            placed_2q.append((an, an_tracks))
+            placed_2q.append((center - dur / 2, center + dur / 2, an_tracks))
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
@@ -613,21 +582,16 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
     mess_last_gate_end: dict[int, float] = {}
     for an in draft.anchors:
         step = an.step
-        t0 = an.center - an.duration / 2
-        if an.pos_kind == "fixed":
-            pos = an.fixed_pos
-        elif an.pos_kind == "partner":
-            comp = next(q for q in step.operands if not q.is_messenger)
-            pos = _xy(comp.coord)
-        else:  # "cross" | "messenger": where the first messenger is
-            pos = tracks[step.operands[0].serial].position(an.center)
-        events.append(PhysicalEvent(t0, pos, ActionKind.GATE, step.operands,
-                                    gate=step.gate, bit=step.bit,
-                                    duration=an.duration))
+        dur = _gate_duration(arch, step.gate)
+        comp = next((q for q in step.operands if not q.is_messenger), None)
+        pos = (_xy(comp.coord) if comp is not None
+               else tracks[step.operands[0].serial].position(an.center))
+        events.append(PhysicalEvent(an.center - dur / 2, pos, ActionKind.GATE, step.operands,
+                                    gate=step.gate, bit=step.bit, duration=dur))
         for q in step.operands:
             if q.is_messenger:
                 mess_last_gate_end[q.serial] = max(
-                    mess_last_gate_end.get(q.serial, 0.0), an.center + an.duration / 2)
+                    mess_last_gate_end.get(q.serial, 0.0), an.center + dur / 2)
 
     trajectories: dict[int, list[TrajectorySegment]] = {}
     for s, segs in draft.rides.items():

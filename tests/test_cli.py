@@ -217,3 +217,56 @@ def test_outputs_are_byte_identical_across_runs(workdir):
         outs.append(out)
     for name in ("events.jsonl", "trajectories.csv", "makespan.txt", "sweep.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("cost", "--cost", "c.cost", "-L", "1"), "-L"),
+    (("cost", "--cost", "c.cost", "-L", "0"), "-L"),
+    (("compare", "--cost", "c.cost", "-L", "-2"), "-L"),
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--haar", "-3"), "--haar"),
+    (("sweep", "--variant", "two-way-belt", "--case", "2"), "--case"),
+])
+def test_bad_argument_exits_2_naming_the_flag(workdir, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(workdir)
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("R_m, v_mps, message", [
+    ("1.2e-6", "1.5", "CZ(A,m1): lane offset 0.5 outside blockade radius "),
+    ("1.8e-6", "3.0", "CZ(A,m1): blockade window 6.633e-07s shorter than gate "
+                      "duration 1.000e-06s"),
+])
+def test_pass_window_errors_exit_3(workdir, capsys, R_m, v_mps, message):
+    text = ARCH_TEMPLATE.format(variant="two-way-belt")
+    (workdir / "tight.arch").write_text(
+        text.replace("R_m = 2.7e-6", f"R_m = {R_m}").replace("v_mps = 1.5", f"v_mps = {v_mps}"))
+    code = run("compile", "--arch", str(workdir / "tight.arch"),
+               "--program", str(workdir / "p.program"), "--out", str(workdir / "out"))
+    assert code == 3
+    assert f"error: infeasible schedule: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compile", "--arch", "a.arch", "--program", "p.program"),
+    ("schedule", "--arch", "a.arch", "--program", "p.program"),
+    ("verify", "--arch", "a.arch", "--pair", "0,0,3,3"),
+    ("verify", "--arch", "a.arch", "--program", "p.program"),
+    ("cost", "--cost", "c.cost"),
+    ("compare", "--cost", "c.cost"),
+    ("sweep", "--variant", "throw-catch-throw"),
+])
+def test_each_input_file_is_read_once(workdir, monkeypatch, argv):
+    # the header's config hash must come from the same bytes that were parsed
+    monkeypatch.chdir(workdir)
+    reads, read_text = {}, Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[str(self)] = reads.get(str(self), 0) + 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert run(*argv, "--out", "out") == 0
+    inputs = [a for a in argv if a.endswith((".arch", ".program", ".cost"))]
+    assert reads == {name: 1 for name in inputs}

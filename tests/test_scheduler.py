@@ -86,6 +86,43 @@ def test_gates_fire_inside_blockade_radius():
             assert max_distance(ta, tb, e.t, e.t_end) <= R_c + 1e-9
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("pair", PAIRS)
+def test_gate_duration_and_position_follow_from_the_gate(variant, pair):
+    # a planner gives only firing windows: the gate kind fixes the duration,
+    # the operands fix where it fires
+    arch = arch_for(variant)
+    prog = plan_trajectories(arch, decompose_cz(arch, *pair))
+    gates = [e for e in prog.events if e.action is ActionKind.GATE]
+    assert gates
+    for e in gates:
+        if e.gate.is_two_qubit:
+            assert e.duration == arch.t2
+        elif e.gate is GateKind.MEASURE_X:
+            assert e.duration == arch.tr
+        else:
+            assert e.duration == arch.t1
+        comp = [q for q in e.operands if not q.is_messenger]
+        if comp:
+            r, c = comp[0].coord
+            assert e.pos == (float(c), float(r))
+        else:
+            track = _Track.for_qubit(e.operands[0], prog.trajectories)
+            assert e.pos == pytest.approx(track.position(e.t + e.duration / 2), abs=1e-9)
+
+
+@pytest.mark.parametrize("R, v, message", [
+    (1.2e-6, 1.5, "CZ(A,m1): lane offset 0.5 outside blockade radius "),
+    (1.8e-6, 3.0, "CZ(A,m1): blockade window 6.633e-07s shorter than gate "
+                  "duration 1.000e-06s"),
+])
+def test_pass_window_errors_name_the_gate(R, v, message):
+    arch = arch_for(Variant.TWO_WAY_BELT, R=R, v=v)
+    with pytest.raises(InfeasibleError) as exc:
+        plan_trajectories(arch, decompose_cz(arch, (0, 0), (3, 3)))
+    assert str(exc.value).startswith(message)
+
+
 def test_every_messenger_loaded_once_and_disposed_once():
     for variant in Variant:
         arch = arch_for(variant)
