@@ -16,8 +16,7 @@ from .ir import (GateKind, GateStep, LogicalCircuit, LogicalCZ, Logical1Q,
 from .oracle import (VerificationReport, branch_execute, verify_logical_cz,
                      verify_sequence)
 from .scheduler import (InfeasibleError, ScheduledProgram, TrajectorySegment,
-                        check_conflicts, makespan_estimate, plan_trajectories,
-                        schedule)
+                        check_conflicts, plan_trajectories, schedule)
 
 __all__ = [
     "ArchitectureSpec", "CostParams", "Decomposition", "FidelityReport",
@@ -26,8 +25,8 @@ __all__ = [
     "ScheduledProgram", "TrajectorySegment", "VerificationReport", "Variant",
     "architecture_comparison", "branch_execute", "check_conflicts",
     "decompose_cz", "error_budget_sweep", "gate_counts", "load_arch_config",
-    "load_cost_config", "logical_gate_fidelity", "makespan_estimate",
-    "neighbor_chain_decompose", "neighbor_chain_fidelity", "one_way_case",
-    "parse_program", "plan_trajectories", "render_program", "schedule",
-    "verify_logical_cz", "verify_sequence",
+    "load_cost_config", "logical_gate_fidelity", "neighbor_chain_decompose",
+    "neighbor_chain_fidelity", "one_way_case", "parse_program",
+    "plan_trajectories", "render_program", "schedule", "verify_logical_cz",
+    "verify_sequence",
 ]

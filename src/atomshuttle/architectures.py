@@ -147,25 +147,6 @@ class GateCounts:
         return (self.n1, self.n2, self.nr)
 
 
-_TABLE = {
-    (Variant.TWO_WAY_BELT, None): GateCounts(2, 3, 3, 0),
-    (Variant.ONE_WAY_BELT, 1): GateCounts(2, 2, 1, 1),
-    (Variant.ONE_WAY_BELT, 2): GateCounts(4, 3, 0, 2),
-    (Variant.THROW_CATCH_THROW, None): GateCounts(2, 3, 0, 0),
-    (Variant.SHUTTLE_AND_ROUTE, None): GateCounts(2, 3, 0, 0),
-    (Variant.THROW_AND_MEASURE, None): GateCounts(2, 2, 0, 1),
-}
-
-
-def gate_counts(variant: Variant, case: int | None = None) -> GateCounts:
-    """Per-logical-gate physical gate and readout counts for each variant."""
-    if variant is Variant.ONE_WAY_BELT:
-        if case not in (1, 2):
-            raise ValueError("one-way belt needs case 1 or 2")
-        return _TABLE[(variant, case)]
-    return _TABLE[(variant, None)]
-
-
 def one_way_case(a: tuple[int, int], b: tuple[int, int]) -> int:
     """Relative-location case for the one-way belt (symmetric in a, b).
 
@@ -304,10 +285,19 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {v}")
 
-    counts = _counts_from_gates(gates)
-    expected = gate_counts(v, case)
-    assert counts == expected, f"decomposition counts {counts} != table {expected}"
-    return Decomposition(v, case, a, b, gates, counts, messengers)
+    return Decomposition(v, case, a, b, gates, _counts_from_gates(gates), messengers)
+
+
+def gate_counts(variant: Variant, case: int | None = None) -> GateCounts:
+    """Per-logical-gate physical gate and readout counts for each variant.
+
+    Read from the decomposition of a fixed pair on the 2x2 lattice: the
+    anti-diagonal for one-way case 2, the diagonal otherwise.
+    """
+    if variant is Variant.ONE_WAY_BELT and case not in (1, 2):
+        raise ValueError("one-way belt needs case 1 or 2")
+    pair = ((0, 1), (1, 0)) if case == 2 else ((0, 0), (1, 1))
+    return decompose_cz(ArchitectureSpec(variant, 2), *pair).counts
 
 
 def manhattan_path(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:

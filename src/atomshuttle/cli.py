@@ -129,11 +129,12 @@ def _parse_pair(spec: str):
 
 
 def _pairs_for(args, arch: ArchitectureSpec):
+    """The target pairs, and the program text they came from ('' for --pair)."""
     if args.pair is not None:
-        return [_parse_pair(args.pair)]
+        return [_parse_pair(args.pair)], ""
     if args.program is not None:
-        circuit, _ = _load_circuit(args, arch)
-        return [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)]
+        circuit, text = _load_circuit(args, arch)
+        return [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)], text
     raise _CliError(EXIT_PARSE, "either --pair or --program is required")
 
 
@@ -168,8 +169,10 @@ def _cmd_schedule(args) -> int:
 def _cmd_verify(args) -> int:
     if args.haar < 0:
         raise _CliError(EXIT_PARSE, f"--haar {args.haar}: number of inputs must be at least 0")
+    if args.seed < 0:
+        raise _CliError(EXIT_PARSE, f"--seed {args.seed}: seed must be at least 0")
     arch, arch_text = _load_arch(args)
-    pairs = _pairs_for(args, arch)
+    pairs, program_text = _pairs_for(args, arch)
     records = []
     ok = True
     for a, b in pairs:
@@ -187,8 +190,8 @@ def _cmd_verify(args) -> int:
             raise _CliError(EXIT_PARSE, str(e)) from e
         ok = ok and report.ok
         records.extend(report.records)
-    header = _header(arch_text, str(args.pair), str(args.program),
-                     str(args.seed), str(args.drop_final_correction))
+    header = _header(arch_text, str(args.variant), str(args.pair), program_text,
+                     str(args.seed), str(args.haar), str(args.drop_final_correction))
     body = "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
     _write(args.out, "verify.jsonl", header, body)
     if not ok:

@@ -1,4 +1,4 @@
-"""Closed-form fidelity and timing budgets.
+"""Closed-form fidelity budgets, error sweeps and a cross-variant ranking.
 
 Per-logical-gate fidelity is the literal product of per-operation
 fidelities weighted by the variant's gate counts; the nearest-neighbor
@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
-                            build_from_config, gate_counts, neighbor_chain_decompose,
-                            read_key_values)
-from .scheduler import makespan_estimate
+                            build_from_config, decompose_cz, gate_counts,
+                            neighbor_chain_decompose, read_key_values)
+from .scheduler import plan_trajectories
 
 CONTOUR_LEVEL = 1e-2
 SWEEP_GRID_DEFAULT = np.logspace(-5, -1, 50)
@@ -223,26 +223,22 @@ class ComparisonRow:
         return obj
 
 
-def architecture_comparison(params: CostParams, L: int,
-                            pair: tuple | None = None) -> list[ComparisonRow]:
-    """Per-variant fidelity and makespan for one pair, best error first.
+def architecture_comparison(params: CostParams, L: int) -> list[ComparisonRow]:
+    """Per-variant fidelity and makespan of one compiled CZ, best error first.
 
-    Ties on error break by makespan.  Default pair is corner-to-corner,
-    the worst case for the baseline and a neutral one for messengers.
+    Each row compiles the corner-to-corner pair, the worst case for the
+    baseline and a neutral one for messengers; the one-way belt adds the
+    anti-diagonal pair, its case-2 representative at equal distance.
+    Ties on error break by makespan.
     """
-    if pair is None:
-        pair = ((0, 0), (L - 1, L - 1))
+    corner, anti = ((0, 0), (L - 1, L - 1)), ((0, L - 1), (L - 1, 0))
     rows = []
     for variant in Variant:
-        cases = (1, 2) if variant is Variant.ONE_WAY_BELT else (None,)
-        for case in cases:
-            counts = gate_counts(variant, case)
-            rep = logical_gate_fidelity(counts, params)
-            arch = ArchitectureSpec(variant, L)
-            # the anti-diagonal pair is the case-2 representative at equal distance
-            mk_pair = ((0, L - 1), (L - 1, 0)) if case == 2 else pair
-            mk = makespan_estimate(arch, mk_pair)
-            rows.append(ComparisonRow(variant, case,
-                                      replace(rep, makespan=mk)))
+        arch = ArchitectureSpec(variant, L)
+        for pair in (corner, anti) if variant is Variant.ONE_WAY_BELT else (corner,):
+            d = decompose_cz(arch, *pair)
+            rep = logical_gate_fidelity(d.counts, params)
+            rows.append(ComparisonRow(variant, d.case, replace(
+                rep, makespan=plan_trajectories(arch, d).makespan)))
     rows.sort(key=lambda r: (r.report.error, r.report.makespan, r.variant.value))
     return rows

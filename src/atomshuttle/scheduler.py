@@ -17,8 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .architectures import (ArchitectureSpec, Decomposition, Variant,
-                            decompose_cz, one_way_case)
+from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
 from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCZ,
                  LogicalCircuit, PhysicalEvent, QubitRef, sort_events, validate)
 
@@ -608,15 +607,10 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
                                         (QubitRef.mess(s),)))
         trajectories[s] = segs
 
-    t_min = min(e.t for e in events)
-    if t_min != 0.0:
-        events = [replace(e, t=e.t - t_min) for e in events]
-        trajectories = {
-            s: [replace(seg, t_start=seg.t_start - t_min, t_end=seg.t_end - t_min)
-                for seg in segs]
-            for s, segs in trajectories.items()}
-    makespan = max(e.t_end for e in events)
-    return ScheduledProgram(sort_events(events), trajectories, makespan)
+    plan = shift_program(ScheduledProgram(events, trajectories, 0.0),
+                         -min(e.t for e in events))
+    return ScheduledProgram(sort_events(plan.events), plan.trajectories,
+                            max(e.t_end for e in plan.events))
 
 
 def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
@@ -631,40 +625,6 @@ def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
 
 
 # --- multi-gate scheduling --------------------------------------------------
-
-def makespan_estimate(arch: ArchitectureSpec, pair) -> float:
-    """Closed-form makespan: transport path length over v plus variant constants."""
-    (ra, ca), (rb, cb) = pair
-    dc, dr = abs(cb - ca), abs(rb - ra)
-    ct = arch.a / arch.v
-    L = arch.L
-    v = arch.variant
-    if v is Variant.TWO_WAY_BELT:
-        return ct * (2 * dc + 2 * dr + 2 * ENTRY_MARGIN + 2 * EXIT_MARGIN + 1.5)
-    if v is Variant.ONE_WAY_BELT:
-        case = one_way_case(pair[0], pair[1])
-        if case == 1:
-            src, dst = (pair[0], pair[1]) if (rb >= ra and cb >= ca) else (pair[1], pair[0])
-            (rs, cs), (rd, cd) = src, dst
-            m1_chain = ct * (L + 1 + ENTRY_MARGIN - cs)
-            m2_chain = ct * ((cd - cs + 0.5 + ENTRY_MARGIN) + (L + 1.5 - rs)) + arch.tr + arch.t1
-            return max(m1_chain, m2_chain)
-        p, q = (pair[0], pair[1]) if ca < cb else (pair[1], pair[0])
-        (rp, cp), (rq, cq) = p, q
-        t_x = ct * (cq - cp + 0.5 + ENTRY_MARGIN)
-        m2_load = t_x - ct * (rp - rq + 1.5)
-        m1_chain = ct * (L + 1 + ENTRY_MARGIN - cp) + arch.tr + arch.t1
-        m2_chain = t_x + ct * (L + 1.5 - rp) + arch.tr + arch.t1
-        return max(m1_chain, m2_chain) - min(0.0, m2_load)
-    D = math.hypot(dc, dr)
-    if v is Variant.THROW_CATCH_THROW:
-        return ct * (2 * D + 4 * ENTRY_MARGIN) + arch.t_turnaround
-    if v is Variant.THROW_AND_MEASURE:
-        return ct * (D + 2 * ENTRY_MARGIN) + arch.tr + arch.t1
-    if v is Variant.SHUTTLE_AND_ROUTE:
-        return ct * (2 * dc + 2 * dr + 7 + 2 * ENTRY_MARGIN) + 5 * arch.t_route
-    raise ValueError(f"unknown variant {v}")  # pragma: no cover
-
 
 def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgram:
     """Greedy list scheduler over the circuit's logical ops.

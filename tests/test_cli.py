@@ -219,12 +219,44 @@ def test_outputs_are_byte_identical_across_runs(workdir):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_verify_header_hashes_every_input(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+
+    def header(*argv, program=PROGRAM_TEXT):
+        (workdir / "p.program").write_text(program)
+        run("verify", "--arch", "a.arch", *argv, "--out", "out")
+        return (workdir / "out" / "verify.jsonl").read_text().split("\n", 1)[0]
+
+    base = ("--pair", "0,0,3,3")
+    first, first_program = header(*base), header("--program", "p.program")
+    changed = [header(*argv) for argv in (
+        ("--pair", "0,0,3,2"),
+        (*base, "--variant", "throw-and-measure"),
+        (*base, "--seed", "1"),
+        (*base, "--haar", "1"),
+        (*base, "--drop-final-correction"),
+    )]
+    changed.append(header("--program", "p.program",
+                          program=PROGRAM_TEXT.replace("(3,3)", "(3,4)")))
+    arch = ARCH_TEMPLATE.format(variant="two-way-belt")
+    (workdir / "a.arch").write_text(arch.replace("t1_s = 1e-7", "t1_s = 2e-7"))
+    changed.append(header(*base))
+    headers = [first, first_program, *changed]
+    assert len(set(headers)) == len(headers)
+    (workdir / "a.arch").write_text(arch)
+    assert header(*base) == first
+    assert header("--program", "p.program") == first_program
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("cost", "--cost", "c.cost", "-L", "1"), "-L"),
     (("cost", "--cost", "c.cost", "-L", "0"), "-L"),
     (("compare", "--cost", "c.cost", "-L", "-2"), "-L"),
     (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--haar", "-3"), "--haar"),
     (("sweep", "--variant", "two-way-belt", "--case", "2"), "--case"),
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--haar", "2", "--seed", "-1"),
+     "--seed"),
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--seed", "-1"), "--seed"),
 ])
 def test_bad_argument_exits_2_naming_the_flag(workdir, capsys, monkeypatch, argv, flag):
     monkeypatch.chdir(workdir)

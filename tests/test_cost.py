@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from atomshuttle.architectures import Variant, gate_counts
+from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
+                                       gate_counts)
 from atomshuttle.cost import (CostParams, architecture_comparison,
                               contour_to_csv, error_budget_sweep,
                               load_cost_config, logical_gate_fidelity,
                               neighbor_chain_exact, neighbor_chain_fidelity,
                               sweep_to_csv)
+from atomshuttle.scheduler import plan_trajectories
 
 
 def test_zero_error_gives_unit_fidelity():
@@ -159,6 +161,25 @@ def test_comparison_rankings():
     rows = architecture_comparison(CostParams.from_errors(p1=1e-3, p2=1e-3, pr=1e-3), 8)
     by_var = {r.variant: r.report.error for r in rows}
     assert by_var[Variant.THROW_CATCH_THROW] == by_var[Variant.SHUTTLE_AND_ROUTE]
+
+
+@pytest.mark.parametrize("L", [2, 8, 16])
+def test_comparison_rows_are_compiled_gates(L):
+    # each row is one compiled CZ: the corner pair, plus the anti-diagonal
+    # for the one-way belt's case 2
+    params = CostParams.from_errors(p1=5e-4, p2=1e-3, pr=3e-3)
+    rows = architecture_comparison(params, L)
+    assert sorted((r.variant.value, r.case or 0) for r in rows) == sorted(
+        [(v.value, 0) for v in Variant if v is not Variant.ONE_WAY_BELT]
+        + [(Variant.ONE_WAY_BELT.value, 1), (Variant.ONE_WAY_BELT.value, 2)])
+    for row in rows:
+        arch = ArchitectureSpec(row.variant, L)
+        pair = ((0, L - 1), (L - 1, 0)) if row.case == 2 else ((0, 0), (L - 1, L - 1))
+        d = decompose_cz(arch, *pair)
+        assert d.case == row.case
+        assert row.report.counts == d.counts
+        assert row.report.F == logical_gate_fidelity(d.counts, params).F
+        assert row.report.makespan == plan_trajectories(arch, d).makespan
 
 
 def test_size_independence_of_messenger_fidelity():

@@ -1,4 +1,5 @@
-"""Pinned sha256 digests of the `compile` and `schedule` artifact bodies.
+"""Pinned sha256 digests of the `compile`, `schedule`, `cost`, `compare`
+and `sweep` artifact bodies.
 
 A changed digest means the compiler's output changed.  Update one only
 for an intended output change, and record it in CHANGES.md.
@@ -70,14 +71,31 @@ DEEP_DIGESTS = {
         "161df05e6915502a919b3634bf0edd632296318852eb6d4236f716bf6e653701",
 }
 
+# `cost`/`compare` on configs/default.cost with -L 8
+COST_DIGESTS = {
+    "cost": "183171d9eb74a7e315b26db892bd159e07b78283e22f1e86e480c3342339c99c",
+    "compare": "d8842412b6c865b53020d7c909e50c6fe91d0da89331674c8fccb4cd50d1a5be",
+}
+
+# `sweep` over every variant (and both one-way cases), sweep.csv then
+# sweep_contour.csv
+SWEEP_DIGESTS = {
+    "p1": "f1e00cc50245e2923f3cd3860889981a2397b814655bc40b02ffc3ab1deb58af",
+    "pr": "bea784aedb86fb8006f354cb4097a94b29a63d52d865c9a003f376db3008c47c",
+}
+
+
+def body(path: Path) -> bytes:
+    """An artifact without its '# atomshuttle <version> config=<hash>' header line."""
+    return path.read_text().split("\n", 1)[1].encode()
+
 
 def config_digest(out: Path, arch_file: str, command: str) -> str:
     assert main([command, "--arch", str(CONFIGS / arch_file),
                  "--program", str(CONFIGS / "sample.program"), "--out", str(out)]) == 0
     h = hashlib.sha256()
     for name in ARTIFACTS[command]:
-        # drop the '# atomshuttle <version> config=<hash>' header line
-        h.update((out / name).read_text().split("\n", 1)[1].encode())
+        h.update(body(out / name))
     return h.hexdigest()
 
 
@@ -124,6 +142,28 @@ def deep_digest(variant: Variant) -> str:
 def test_config_artifacts_match_golden_digest(tmp_path, arch_file, command):
     assert config_digest(tmp_path, arch_file, command) == \
         CONFIG_DIGESTS[(arch_file, command)]
+
+
+@pytest.mark.parametrize("command", sorted(COST_DIGESTS))
+def test_cost_artifacts_match_golden_digest(tmp_path, command):
+    assert main([command, "--cost", str(CONFIGS / "default.cost"), "-L", "8",
+                 "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256(body(tmp_path / f"{command}.csv")).hexdigest() == \
+        COST_DIGESTS[command]
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_DIGESTS))
+def test_sweep_artifacts_match_golden_digest(tmp_path, axis):
+    h = hashlib.sha256()
+    for variant in Variant:
+        cases = ("1", "2") if variant is Variant.ONE_WAY_BELT else (None,)
+        for case in cases:
+            out = tmp_path / f"{variant.value}-{case}"
+            argv = ["sweep", "--variant", variant.value, "--axis", axis, "--out", str(out)]
+            assert main(argv + (["--case", case] if case else [])) == 0
+            for name in ("sweep.csv", "sweep_contour.csv"):
+                h.update(body(out / name))
+    assert h.hexdigest() == SWEEP_DIGESTS[axis]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
