@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 parse error, 3 infeasible schedule,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -177,6 +178,10 @@ def _cmd_verify(args) -> int:
     ok = True
     for a, b in pairs:
         try:
+            if args.drop_final_correction and not any(
+                    g.gate.reads_bit for g in decompose_cz(arch, a, b).gates):
+                raise _CliError(EXIT_PARSE, f"--drop-final-correction on {arch.variant.value}: "
+                                            "no conditional gate to drop")
             report = verify_logical_cz(arch, a, b,
                                        drop_final_correction=args.drop_final_correction)
             if args.haar > 0:
@@ -261,7 +266,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="atomshuttle",
         description="compile, verify, schedule and cost long-range CZ gates "
@@ -276,22 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "rank all variants by logical error, then makespan"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--arch", help="architecture config (key=value file)")
-        p.add_argument("--cost", help="cost-model config (key=value file)")
-        p.add_argument("--program", help="logical program file")
+        # each command takes only the flags it reads; any other exits 2
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--variant", help="override the config's variant")
-        p.add_argument("--pair", help="single-gate target pair: r1,c1,r2,c2")
+        if name in ("compile", "schedule", "verify"):
+            p.add_argument("--arch", help="architecture config (key=value file)")
+            p.add_argument("--variant", help="override the config's variant")
+            p.add_argument("--program", help="logical program file")
         if name == "verify":
-            p.add_argument("--drop-final-correction", action="store_true",
-                           help="mutation check: remove the last conditional gate")
+            p.add_argument("--pair", help="single-gate target pair: r1,c1,r2,c2")
+            p.add_argument("--seed", type=int, default=0, help="seed of the --haar inputs")
             p.add_argument("--haar", type=int, default=0,
                            help="additionally verify N seeded random inputs")
+            p.add_argument("--drop-final-correction", action="store_true",
+                           help="mutation check: remove the last conditional gate")
         if name == "sweep":
+            p.add_argument("--variant", help="the variant to sweep (required)")
             p.add_argument("--axis", choices=("p1", "pr"), default="p1")
             p.add_argument("--case", type=int, choices=(1, 2))
         if name in ("cost", "compare"):
+            p.add_argument("--cost", help="cost-model config (key=value file)")
             p.add_argument("-L", type=int, default=8, help="lattice size")
     return parser
 

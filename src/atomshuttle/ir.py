@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class ParseError(ValueError):
@@ -51,11 +52,6 @@ class QubitRef:
         if self.is_messenger:
             return (0, self.serial, 0)
         return (1, self.coord[0], self.coord[1])
-
-    def to_json(self):
-        if self.is_messenger:
-            return {"kind": "mess", "serial": self.serial}
-        return {"kind": "comp", "row": self.coord[0], "col": self.coord[1]}
 
     @classmethod
     def from_json(cls, obj) -> "QubitRef":
@@ -274,33 +270,15 @@ class PhysicalEvent:
         serials = [q.serial for q in self.operands if q.is_messenger]
         return min(serials) if serials else -1
 
-    def sort_key(self) -> tuple:
-        return (
-            self.t,
-            _ACTION_RANK[self.action],
-            self.messenger_serial(),
-            tuple(q.sort_key() for q in self.operands),
-        )
+    @cached_property
+    def order_tail(self) -> tuple:
+        """`sort_key` without the time, which a shift in time leaves unchanged.
+        Built on first use and kept on the event."""
+        return (_ACTION_RANK[self.action], self.messenger_serial(),
+                tuple(q.sort_key() for q in self.operands))
 
-    def to_json(self) -> dict:
-        obj = {
-            "t": self.t,
-            "x": self.pos[0],
-            "y": self.pos[1],
-            "action": self.action.value if self.gate is None
-            else f"{self.action.value}:{self.gate.value}",
-            "operands": [q.to_json() for q in self.operands],
-            "bit": self.bit,
-        }
-        if self.duration:
-            obj["dur"] = self.duration
-        if self.belt is not None:
-            obj["belt"] = self.belt
-        if self.to_belt is not None:
-            obj["to_belt"] = self.to_belt
-        if self.velocity is not None:
-            obj["vx"], obj["vy"] = self.velocity
-        return obj
+    def sort_key(self) -> tuple:
+        return (self.t,) + self.order_tail
 
     @classmethod
     def from_json(cls, obj: dict) -> "PhysicalEvent":
@@ -329,8 +307,32 @@ def sort_events(events: list[PhysicalEvent]) -> list[PhysicalEvent]:
     return sorted(events, key=PhysicalEvent.sort_key)
 
 
+def _operand_json(q: QubitRef) -> str:
+    if q.is_messenger:
+        return f'{{"kind": "mess", "serial": {q.serial!r}}}'
+    return f'{{"col": {q.coord[1]!r}, "kind": "comp", "row": {q.coord[0]!r}}}'
+
+
 def events_to_jsonl(events: list[PhysicalEvent]) -> str:
-    return "".join(json.dumps(e.to_json(), sort_keys=True) + "\n" for e in events)
+    """One JSON object per event and line, in the bytes `json.dumps(obj,
+    sort_keys=True)` would give: keys sorted, `bit` always, `dur` when
+    non-zero, `belt`, `to_belt` and `vx`/`vy` when set.  Numbers are written
+    with `repr`, as `json` writes ints and finite floats.
+    """
+    lines = []
+    for e in events:
+        action = e.action.value if e.gate is None else f"{e.action.value}:{e.gate.value}"
+        belt = "" if e.belt is None else f'"belt": {e.belt!r}, '
+        bit = "null" if e.bit is None else repr(e.bit)
+        dur = f'"dur": {e.duration!r}, ' if e.duration else ""
+        operands = ", ".join(_operand_json(q) for q in e.operands)
+        to_belt = "" if e.to_belt is None else f'"to_belt": {e.to_belt!r}, '
+        vel = "" if e.velocity is None else \
+            f'"vx": {e.velocity[0]!r}, "vy": {e.velocity[1]!r}, '
+        lines.append(f'{{"action": "{action}", {belt}"bit": {bit}, {dur}'
+                     f'"operands": [{operands}], "t": {e.t!r}, {to_belt}{vel}'
+                     f'"x": {e.pos[0]!r}, "y": {e.pos[1]!r}}}\n')
+    return "".join(lines)
 
 
 def events_from_jsonl(text: str) -> list[PhysicalEvent]:

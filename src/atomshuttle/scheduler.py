@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
 from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCZ,
@@ -607,20 +608,29 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
                                         (QubitRef.mess(s),)))
         trajectories[s] = segs
 
-    plan = shift_program(ScheduledProgram(events, trajectories, 0.0),
-                         -min(e.t for e in events))
-    return ScheduledProgram(sort_events(plan.events), plan.trajectories,
-                            max(e.t_end for e in plan.events))
+    t_min = min(e.t for e in events)
+    if t_min:
+        events, trajectories = _shifted(events, trajectories, -t_min)
+    events = sort_events(events)
+    return ScheduledProgram(events, trajectories, max(e.t_end for e in events))
+
+
+def _shifted(events, trajectories, delta: float):
+    """New events and trajectory segments, each `delta` seconds later."""
+    events = [PhysicalEvent(e.t + delta, e.pos, e.action, e.operands, e.gate, e.bit,
+                            e.duration, e.belt, e.to_belt, e.velocity) for e in events]
+    trajectories = {
+        s: [TrajectorySegment(seg.messenger, seg.kind, seg.t_start + delta,
+                              seg.t_end + delta, seg.start_pos, seg.end_pos, seg.belt)
+            for seg in segs]
+        for s, segs in trajectories.items()}
+    return events, trajectories
 
 
 def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
     if delta == 0.0:
         return prog
-    events = [replace(e, t=e.t + delta) for e in prog.events]
-    trajectories = {
-        s: [replace(seg, t_start=seg.t_start + delta, t_end=seg.t_end + delta)
-            for seg in segs]
-        for s, segs in prog.trajectories.items()}
+    events, trajectories = _shifted(prog.events, prog.trajectories, delta)
     return ScheduledProgram(events, trajectories, prog.makespan + delta)
 
 
@@ -637,7 +647,9 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     if issues:
         raise ValueError(f"invalid circuit: {issues[0].message}")
     eps = 1e-6 * arch.t2
-    events: list[PhysicalEvent] = []
+    # (sort key, event) in commit order; one stable sort at the end gives
+    # the order of `sort_events`
+    keyed: list[tuple[tuple, PhysicalEvent]] = []
     trajectories: dict[int, list[TrajectorySegment]] = {}
     ready: dict[tuple[int, int], float] = {}
     # Committed 2q gates as [t0, t1, tracks, boxes] in commit order, plus a
@@ -688,8 +700,9 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         if isinstance(op, Logical1Q):
             t = ready.get(op.q, 0.0)
             q = QubitRef.comp(*op.q)
-            events.append(PhysicalEvent(t, _xy(op.q), ActionKind.GATE, (q,),
-                                        gate=op.gate, duration=arch.t1))
+            e = PhysicalEvent(t, _xy(op.q), ActionKind.GATE, (q,), gate=op.gate,
+                              duration=arch.t1)
+            keyed.append(((t,) + e.order_tail, e))
             ready[op.q] = t + arch.t1 + eps
             continue
         d = decompose_cz(arch, op.a, op.b, serial_start=serial, bit_start=bit)
@@ -717,27 +730,32 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                 f"scheduler failed to resolve exclusion conflicts for cz {op.a} {op.b} "
                 f"on {arch.variant.value} after {MAX_BUMP_PASSES} passes; last conflict "
                 f"with a committed gate over [{conflict[0]:.6e}, {conflict[1]:.6e}] s")
-        plan = shift_program(plan, delta)
-        events.extend(plan.events)
-        trajectories.update(plan.trajectories)
-        for coord in (op.a, op.b):
-            q = QubitRef.comp(*coord)
-            ends = [e.t_end for e in plan.events if q in e.operands]
-            if ends:
-                ready[coord] = max(ends) + eps
-        for e in plan.events:
+        # one copy of the plan at its final time; each event's order tail is
+        # the one plan_trajectories built when it sorted the plan
+        placed, trajs = ((plan.events, plan.trajectories) if delta == 0.0
+                         else _shifted(plan.events, plan.trajectories, delta))
+        trajectories.update(trajs)
+        ends: dict[tuple[int, int], float] = {}
+        for p, e in zip(plan.events, placed):
+            keyed.append(((e.t,) + p.order_tail, e))
+            for q in e.operands:
+                if q.coord == op.a or q.coord == op.b:
+                    ends[q.coord] = max(ends.get(q.coord, e.t_end), e.t_end)
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
                 i = bisect_right(starts, e.t)
                 starts.insert(i, e.t)
                 order.insert(i, len(committed_2q))
                 committed_2q.append(
-                    [e.t, e.t_end, [_Track.for_qubit(q, plan.trajectories) for q in e.operands],
-                     None])
+                    [e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands], None])
                 # eps of slack over float rounding in t_end - t
                 reach = max(reach, e.t_end - e.t + eps)
+        for coord, end in ends.items():
+            ready[coord] = end + eps
 
+    keyed.sort(key=itemgetter(0))
+    events = [e for _, e in keyed]
     makespan = max((e.t_end for e in events), default=0.0)
-    return ScheduledProgram(sort_events(events), trajectories, makespan)
+    return ScheduledProgram(events, trajectories, makespan)
 
 
 # --- conflict checking ------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from atomshuttle import scheduler
-from atomshuttle.cli import main
+from atomshuttle.cli import build_parser, main
 from atomshuttle.ir import events_from_jsonl
 
 ARCH_TEMPLATE = """\
@@ -234,7 +234,7 @@ def test_verify_header_hashes_every_input(workdir, monkeypatch):
         (*base, "--variant", "throw-and-measure"),
         (*base, "--seed", "1"),
         (*base, "--haar", "1"),
-        (*base, "--drop-final-correction"),
+        (*base, "--variant", "throw-and-measure", "--drop-final-correction"),
     )]
     changed.append(header("--program", "p.program",
                           program=PROGRAM_TEXT.replace("(3,3)", "(3,4)")))
@@ -257,12 +257,44 @@ def test_verify_header_hashes_every_input(workdir, monkeypatch):
     (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--haar", "2", "--seed", "-1"),
      "--seed"),
     (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--seed", "-1"), "--seed"),
+    # variants without a conditional gate have nothing to drop
+    *((("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--variant", variant,
+        "--drop-final-correction"), "--drop-final-correction")
+      for variant in ("two-way-belt", "throw-catch-throw", "shuttle-and-route")),
 ])
 def test_bad_argument_exits_2_naming_the_flag(workdir, capsys, monkeypatch, argv, flag):
     monkeypatch.chdir(workdir)
     assert run(*argv, "--out", "out") == 2
     assert f"error: {flag} " in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("cost", "--cost", "c.cost", "--seed", "1"), "--seed"),
+    (("cost", "--cost", "c.cost", "--pair", "9,9,9,9"), "--pair"),
+    (("schedule", "--arch", "a.arch", "--program", "p.program", "--seed", "1"), "--seed"),
+    (("sweep", "--variant", "two-way-belt", "--arch", "a.arch"), "--arch"),
+])
+def test_flag_a_command_does_not_read_exits_2(workdir, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, "--out", "out")
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_argument_values(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert build_parser() is build_parser()
+    plain = ("verify", "--arch", "a.arch", "--pair", "0,0,3,3")
+    assert run(*plain, "--out", "first") == 0
+    assert run(*plain, "--haar", "2", "--seed", "3", "--out", "haar") == 0
+    assert run(*plain, "--out", "again") == 0
+    assert (workdir / "again" / "verify.jsonl").read_bytes() == \
+        (workdir / "first" / "verify.jsonl").read_bytes()
+    assert (workdir / "haar" / "verify.jsonl").read_bytes() != \
+        (workdir / "first" / "verify.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("R_m, v_mps, message", [

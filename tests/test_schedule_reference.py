@@ -1,0 +1,100 @@
+"""`scheduler.schedule` against a plain reference list scheduler.
+
+`reference_schedule` places gates by the same greedy rule as
+`scheduler.schedule`, written as simply as possible: every committed gate
+is scanned in commit order (no start-time index), every atom pair is
+measured exactly (no bounding boxes), each plan is moved with
+`shift_program` and the program is ordered with `sort_events`.  The two
+must give identical events, trajectories and makespan, so a faster
+search or a cheaper commit in `schedule` is checked beyond the fixed
+golden corpora.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
+from atomshuttle.ir import (ActionKind, GateKind, Logical1Q, LogicalCZ,
+                            LogicalCircuit, PhysicalEvent, QubitRef, events_to_jsonl,
+                            sort_events)
+from atomshuttle.scheduler import (DIST_TOL, EXCLUSION_CELLS, ScheduledProgram, _Track,
+                                   gate_distance, plan_trajectories, schedule,
+                                   shift_program, trajectories_to_csv)
+
+
+def two_qubit_gates(prog: ScheduledProgram):
+    """(start, end, atom tracks) of each two-qubit gate, in event order."""
+    return [(e.t, e.t_end, [_Track.for_qubit(q, prog.trajectories) for q in e.operands])
+            for e in prog.events if e.action is ActionKind.GATE and e.gate.is_two_qubit]
+
+
+def reference_schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgram:
+    eps = 1e-6 * arch.t2
+    events, trajectories, ready, committed = [], {}, {}, []
+    serial = bit = 0
+
+    def first_conflict(c0, c1, ctracks, delta, after):
+        shifted = [t.shifted(delta) for t in ctracks]
+        for k in range(after + 1, len(committed)):
+            o0, o1, otracks = committed[k]
+            if (max(c0 + delta, o0) < min(c1 + delta, o1)
+                    and gate_distance(otracks, shifted, o0, o1) < EXCLUSION_CELLS - DIST_TOL):
+                return k
+        return None
+
+    for op in circuit.ops:
+        if isinstance(op, Logical1Q):
+            t = ready.get(op.q, 0.0)
+            events.append(PhysicalEvent(t, (float(op.q[1]), float(op.q[0])), ActionKind.GATE,
+                                        (QubitRef.comp(*op.q),), gate=op.gate,
+                                        duration=arch.t1))
+            ready[op.q] = t + arch.t1 + eps
+            continue
+        d = decompose_cz(arch, op.a, op.b, serial_start=serial, bit_start=bit)
+        serial += len(d.messengers)
+        bit += d.counts.nr
+        plan = plan_trajectories(arch, d)
+        delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
+        candidates = two_qubit_gates(plan)
+        bumped = True
+        while bumped:
+            bumped = False
+            for c0, c1, ctracks in candidates:
+                k = -1
+                while (k := first_conflict(c0, c1, ctracks, delta, k)) is not None:
+                    delta = committed[k][1] - c0 + eps
+                    bumped = True
+        plan = shift_program(plan, delta)
+        events += plan.events
+        trajectories.update(plan.trajectories)
+        for coord in (op.a, op.b):
+            q = QubitRef.comp(*coord)
+            ready[coord] = max(e.t_end for e in plan.events if q in e.operands) + eps
+        committed += two_qubit_gates(plan)
+
+    makespan = max((e.t_end for e in events), default=0.0)
+    return ScheduledProgram(sort_events(events), trajectories, makespan)
+
+
+@st.composite
+def circuits(draw):
+    L = draw(st.integers(4, 8))
+    cell = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    cz = st.builds(LogicalCZ, cell, cell).filter(lambda op: op.a != op.b)
+    one_qubit = st.builds(Logical1Q, st.sampled_from((GateKind.H, GateKind.Z, GateKind.X)),
+                          cell)
+    ops = draw(st.lists(cz | one_qubit, min_size=1, max_size=12))
+    return LogicalCircuit(L, tuple(ops))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@settings(max_examples=40, deadline=None)
+@given(circuit=circuits())
+def test_schedule_matches_reference_model(variant, circuit):
+    arch = ArchitectureSpec(variant, circuit.lattice_size)
+    fast, plain = schedule(circuit, arch), reference_schedule(circuit, arch)
+    assert fast.events == plain.events
+    assert fast.trajectories == plain.trajectories
+    assert repr(fast.makespan) == repr(plain.makespan)
+    # and the artifacts written from them, down to the sign of a zero
+    assert events_to_jsonl(fast.events) == events_to_jsonl(plain.events)
+    assert trajectories_to_csv(fast.trajectories) == trajectories_to_csv(plain.trajectories)
