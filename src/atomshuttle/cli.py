@@ -135,7 +135,10 @@ def _pairs_for(args, arch: ArchitectureSpec):
         return [_parse_pair(args.pair)], ""
     if args.program is not None:
         circuit, text = _load_circuit(args, arch)
-        return [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)], text
+        pairs = [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)]
+        if not pairs:
+            raise _CliError(EXIT_PARSE, f"{args.program}: no cz statement to verify")
+        return pairs, text
     raise _CliError(EXIT_PARSE, "either --pair or --program is required")
 
 

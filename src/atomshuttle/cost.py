@@ -75,11 +75,6 @@ class FidelityReport:
     error: float
     makespan: float | None = None
 
-    def to_json(self) -> dict:
-        return {"counts": {"n1": self.counts.n1, "n2_cz": self.counts.n2_cz,
-                           "n2_swap": self.counts.n2_swap, "nr": self.counts.nr},
-                "fidelity": self.F, "error": self.error, "makespan": self.makespan}
-
 
 def logical_gate_fidelity(counts: GateCounts, params: CostParams,
                           distance: float = 0.0) -> FidelityReport:
@@ -129,7 +124,6 @@ class SweepResult:
 def error_budget_sweep(variant: Variant, axis1_name: str,
                        axis1: np.ndarray | None = None,
                        p2: np.ndarray | None = None,
-                       fixed: CostParams | None = None,
                        case: int | None = None) -> SweepResult:
     """Grid of logical errors over (p1 or pr) x p2 with F_shuttle = 1.
 
@@ -145,26 +139,16 @@ def error_budget_sweep(variant: Variant, axis1_name: str,
         if np.any(np.diff(ax) <= 0) or ax[0] <= 0 or ax[-1] >= 1:
             raise ValueError("sweep axes must be strictly increasing within (0, 1)")
 
-    if axis1_name == "p1":
-        p1_fixed, pr_fixed = None, PINNED_READOUT_ERROR
-    else:
-        p1_fixed, pr_fixed = PINNED_SINGLE_QUBIT_ERROR, None
-    if fixed is not None:
-        if fixed.f1 < 1.0:
-            p1_fixed = 1.0 - fixed.f1
-        if fixed.fr < 1.0:
-            pr_fixed = 1.0 - fixed.fr
-
     counts = gate_counts(variant, case)
     f2 = 1.0 - p2                       # shape (n2cols,)
     f2_pow = f2 ** (counts.n2_cz + counts.n2_swap)
     if axis1_name == "p1":
-        f1_pow = (1.0 - axis1) ** counts.n1        # rows
-        fr_pow = (1.0 - pr_fixed) ** counts.nr     # scalar
+        f1_pow = (1.0 - axis1) ** counts.n1                       # rows
+        fr_pow = (1.0 - PINNED_READOUT_ERROR) ** counts.nr        # scalar
         F = np.outer(f1_pow, f2_pow) * fr_pow
     else:
-        fr_pow = (1.0 - axis1) ** counts.nr        # rows
-        f1_pow = (1.0 - p1_fixed) ** counts.n1     # scalar
+        fr_pow = (1.0 - axis1) ** counts.nr                       # rows
+        f1_pow = (1.0 - PINNED_SINGLE_QUBIT_ERROR) ** counts.n1   # scalar
         F = np.outer(fr_pow, f2_pow) * f1_pow
     errors = 1.0 - F
     return SweepResult(axis1_name, axis1, p2, errors,
@@ -215,12 +199,6 @@ class ComparisonRow:
     variant: Variant
     case: int | None
     report: FidelityReport
-
-    def to_json(self) -> dict:
-        obj = self.report.to_json()
-        obj["variant"] = self.variant.value
-        obj["case"] = self.case
-        return obj
 
 
 def architecture_comparison(params: CostParams, L: int) -> list[ComparisonRow]:

@@ -21,7 +21,6 @@ NORM_ABORT = 1e-9
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -169,11 +169,6 @@ def min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     return best
 
 
-def gate_distance(tracks_a, tracks_b, t0: float, t1: float) -> float:
-    """Closest approach between any atom of one gate and any of another over [t0, t1]."""
-    return min(min_distance(ta, tb, t0, t1) for ta in tracks_a for tb in tracks_b)
-
-
 def box_gap(a, b) -> float:
     """Distance between two boxes (x0, y0, x1, y1): a lower bound on `min_distance`."""
     return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0),
@@ -191,6 +186,67 @@ def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     """Maximum separation over [t0, t1] (convex per piece, so at breakpoints)."""
     times = sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
     return max(_dist(ta.position(t), tb.position(t)) for t in times)
+
+
+class _Committed:
+    """Two-qubit gates placed so far, and the exclusion search over them.
+
+    `gates` holds [t0, t1, tracks, boxes] in placement order; `starts` holds
+    their start times, sorted, and `order` the placement index of each.  No
+    gate lasts longer than `reach`, so one that overlaps [c0, c1] in time
+    starts in [c0 - reach, c1).  `boxes` (`gate_boxes` over the gate's
+    window) are filled in on its first overlap.
+    """
+
+    def __init__(self, eps: float):
+        self.eps = eps            # slack over float rounding in t1 - t0
+        self.gates: list[list] = []
+        self.starts: list[float] = []
+        self.order: list[int] = []
+        self.reach = 0.0
+
+    def add(self, t0: float, t1: float, tracks) -> None:
+        i = bisect_right(self.starts, t0)
+        self.starts.insert(i, t0)
+        self.order.insert(i, len(self.gates))
+        self.gates.append([t0, t1, tracks, None])
+        self.reach = max(self.reach, t1 - t0 + self.eps)
+
+    def first_conflict(self, c, delta: float, after: int):
+        """Placement index of the first gate after `after` that candidate `c`
+        ([t0, t1, tracks, boxes]), shifted by `delta`, comes too close to
+        while both fire; None if there is none."""
+        c0, c1 = c[0] + delta, c[1] + delta
+        starts = self.starts
+        near = self.order[bisect_left(starts, c0 - self.reach):bisect_left(starts, c1)]
+        near.sort()
+        shifted = None
+        for k in near:
+            if k <= after:
+                continue
+            other = self.gates[k]
+            o0, o1, otracks, oboxes = other
+            t0, t1 = max(c0, o0), min(c1, o1)
+            if t0 >= t1:
+                continue
+            if oboxes is None:
+                oboxes = other[3] = gate_boxes(otracks, o0, o1)
+            if c[3] is None:
+                # a shift moves the atoms with the window, so boxes over the
+                # candidate's own window hold for every delta
+                c[3] = gate_boxes(c[2], c[0], c[1])
+            (ounion, oatoms), (cunion, catoms) = oboxes, c[3]
+            # a box gap is a lower bound on the exact distance, so only gates,
+            # then atom pairs, that may come too close are measured
+            if box_gap(ounion, cunion) >= EXCLUSION_CELLS + BOX_MARGIN:
+                continue
+            if shifted is None:
+                shifted = [t.shifted(delta) for t in c[2]]
+            if any(box_gap(ob, cb) < EXCLUSION_CELLS + BOX_MARGIN
+                   and min_distance(ot, ct, t0, t1) < EXCLUSION_CELLS - DIST_TOL
+                   for ot, ob in zip(otracks, oatoms) for ct, cb in zip(shifted, catoms)):
+                return k
+        return None
 
 
 # --- single-gate planning ---------------------------------------------------
@@ -525,7 +581,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
     eps = 1e-6 * arch.t2
     last_end: dict = {}    # QubitRef -> end time of its last gate
     bit_end: dict = {}
-    placed_2q: list[tuple[float, float, list[_Track]]] = []
+    placed = _Committed(eps)
     tracks: dict = {}
 
     def track(q):
@@ -546,15 +602,14 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
             an_tracks = [track(q) for q in step.operands]
             moved = True
             while moved:
-                moved = False
-                for o0, o1, other_tracks in placed_2q:
-                    c0, c1 = center - dur / 2, center + dur / 2
-                    if c0 < o1 and o0 < c1:
-                        lo, hi = max(c0, o0), min(c1, o1)
-                        dmin = gate_distance(an_tracks, other_tracks, lo, hi)
-                        if dmin < EXCLUSION_CELLS - DIST_TOL:
-                            center = o1 + dur / 2 + eps
-                            moved = True
+                # the atoms keep their rides while the firing time moves, so
+                # each new center is a new, unshifted candidate
+                moved, k = False, -1
+                while (k := placed.first_conflict(
+                        [center - dur / 2, center + dur / 2, an_tracks, None],
+                        0.0, k)) is not None:
+                    center = placed.gates[k][1] + dur / 2 + eps
+                    moved = True
         if center > an.hi + 1e-15:
             raise InfeasibleError(
                 f"{step.gate.value} on {step.operands}: required firing time "
@@ -565,7 +620,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
         if step.gate.writes_bit:
             bit_end[step.bit] = center + dur / 2
         if step.gate.is_two_qubit:
-            placed_2q.append((center - dur / 2, center + dur / 2, an_tracks))
+            placed.add(center - dur / 2, center + dur / 2, an_tracks)
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
@@ -652,49 +707,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     keyed: list[tuple[tuple, PhysicalEvent]] = []
     trajectories: dict[int, list[TrajectorySegment]] = {}
     ready: dict[tuple[int, int], float] = {}
-    # Committed 2q gates as [t0, t1, tracks, boxes] in commit order, plus a
-    # time index: their start times, sorted, with the commit position of each.
-    # No committed gate lasts longer than `reach`, so one that overlaps
-    # [c0, c1] in time starts in [c0 - reach, c1).  `boxes` (`gate_boxes`
-    # over the gate window) are filled in on the first overlap.
-    committed_2q: list[list] = []
-    starts: list[float] = []
-    order: list[int] = []
-    reach = 0.0
+    committed = _Committed(eps)
     serial = bit = 0
-
-    def first_conflict(c, delta, after):
-        """Commit position of the first gate after `after` that candidate `c`,
-        shifted by `delta`, comes too close to; None if there is none."""
-        c0, c1, ctracks, _ = c
-        c0, c1 = c0 + delta, c1 + delta
-        lo, hi = bisect_left(starts, c0 - reach), bisect_left(starts, c1)
-        shifted = None
-        for k in sorted(k for k in order[lo:hi] if k > after):
-            other = committed_2q[k]
-            o0, o1, otracks, oboxes = other
-            if max(c0, o0) >= min(c1, o1):
-                continue
-            if oboxes is None:
-                oboxes = other[3] = gate_boxes(otracks, o0, o1)
-            if c[3] is None:
-                # The exact test sees the candidate over [o0 - delta, o1 - delta]
-                # of its unshifted time, which lies within `reach` of its own
-                # window [c[0], c[1]] for every overlapping gate and any delta.
-                # `reach` is fixed while a gate is placed.
-                c[3] = gate_boxes(ctracks, c[0] - reach, c[1] + reach)
-            (ounion, oatoms), (cunion, catoms) = oboxes, c[3]
-            # a box gap is a lower bound on the exact distance, so only gates,
-            # then atom pairs, that may come too close are measured
-            if box_gap(ounion, cunion) >= EXCLUSION_CELLS + BOX_MARGIN:
-                continue
-            if shifted is None:
-                shifted = [t.shifted(delta) for t in ctracks]
-            if any(box_gap(ob, cb) < EXCLUSION_CELLS + BOX_MARGIN
-                   and min_distance(ot, ct, o0, o1) < EXCLUSION_CELLS - DIST_TOL
-                   for ot, ob in zip(otracks, oatoms) for ct, cb in zip(shifted, catoms)):
-                return k
-        return None
 
     for op in circuit.ops:
         if isinstance(op, Logical1Q):
@@ -719,8 +733,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
             for c in cand:
                 # a bump raises delta; later committed gates are tested at the new value
                 k = -1
-                while (k := first_conflict(c, delta, k)) is not None:
-                    conflict = committed_2q[k]
+                while (k := committed.first_conflict(c, delta, k)) is not None:
+                    conflict = committed.gates[k]
                     delta = conflict[1] - c[0] + eps
                     bumped = True
             if not bumped:
@@ -742,13 +756,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                 if q.coord == op.a or q.coord == op.b:
                     ends[q.coord] = max(ends.get(q.coord, e.t_end), e.t_end)
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
-                i = bisect_right(starts, e.t)
-                starts.insert(i, e.t)
-                order.insert(i, len(committed_2q))
-                committed_2q.append(
-                    [e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands], None])
-                # eps of slack over float rounding in t_end - t
-                reach = max(reach, e.t_end - e.t + eps)
+                committed.add(e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands])
         for coord, end in ends.items():
             ready[coord] = end + eps
 

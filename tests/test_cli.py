@@ -102,6 +102,17 @@ def test_verify_mutation_exits_4(workdir, capsys):
     assert any(not r["ok"] for r in records)
 
 
+@pytest.mark.parametrize("extra", [(), ("--drop-final-correction",)],
+                         ids=["plain", "drop-final-correction"])
+def test_verify_program_without_cz_exits_2(workdir, capsys, monkeypatch, extra):
+    monkeypatch.chdir(workdir)
+    (workdir / "h.program").write_text("lattice 8\nh (1,1)\n")
+    assert run("verify", "--arch", "a.arch", "--program", "h.program", *extra,
+               "--out", "out") == 2
+    assert "error: h.program: no cz statement to verify" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_parse_error_exits_2(workdir):
     (workdir / "bad.program").write_text("lattice 8\ncz (0,0)\n")
     code = run("compile", "--arch", str(workdir / "a.arch"),

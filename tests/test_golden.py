@@ -1,17 +1,18 @@
 """Pinned sha256 digests of the `compile`, `schedule`, `cost`, `compare`
-and `sweep` artifact bodies.
+and `sweep` artifact bodies, and of single-gate `plan_trajectories` plans.
 
 A changed digest means the compiler's output changed.  Update one only
 for an intended output change, and record it in CHANGES.md.
 """
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from atomshuttle import scheduler
-from atomshuttle.architectures import ArchitectureSpec, Variant
+from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.cli import main
 from atomshuttle.ir import (GateKind, LogicalCZ, Logical1Q, LogicalCircuit,
                             events_to_jsonl)
@@ -45,11 +46,11 @@ CONFIG_DIGESTS = {
 
 CORPUS_DIGESTS = {
     Variant.TWO_WAY_BELT:
-        "6b7db2a9e9a3c8812a5c55ae3d9684456e3e68779abd030351fc542a85cf4b09",
+        "a2ba8b1118b4a7d9829ab1b71fd81b566937bf113de0460d77fb2b88b919c637",
     Variant.ONE_WAY_BELT:
-        "3b2c133eaa992978b138dcf15a882845371235523e15c8c1592af92dfc6347f1",
+        "ea746f1159df97f597d183f7bd80fbb32feb94571e6017cfc90f889dab72e8e4",
     Variant.THROW_CATCH_THROW:
-        "fe837977b4953be63a8a94ebd8fd1b85d66a7ab2a67684f08cd0d2e5f1d8cea2",
+        "2cf488fc4e784c38eafebe509aed38b74a1c2ebba4156ca370dd25aec91a08c6",
     Variant.SHUTTLE_AND_ROUTE:
         "101faf883fee41ff4b39a9207274867b663ec39bce73b2131796cf6626b36f44",
     Variant.THROW_AND_MEASURE:
@@ -60,16 +61,19 @@ CORPUS_DIGESTS = {
 # that the scheduler's time index and bounding-box prefilter both prune
 DEEP_DIGESTS = {
     Variant.TWO_WAY_BELT:
-        "9b289a7a9c3ddefcd7195adcabfb9ffc40ca05f324a916bba47e75980200bf40",
+        "9c0d58fd8ee3a89718448c32a76c8fb0a735a24a8c9104886b6b53192ee19244",
     Variant.ONE_WAY_BELT:
-        "88def91f2bb25cfc5b95427b96f8445b4f00e19143a05b1c4b8420b85de4f874",
+        "0a5e777af175ba39d8dead92c90c35bde53252b738041770452fa20df22cd58d",
     Variant.THROW_CATCH_THROW:
-        "275434018c2585f58ed2be536eb2a639112b4ae5f48e70a830b4c9467892a81d",
+        "227e83c9aee2fcfc8165751952beb6e2d6f64158b94515fb21304a9a2ea31b31",
     Variant.SHUTTLE_AND_ROUTE:
-        "dddc7f1c2ed8eaf345ef16ec44fda3ed14a76493bac423e9e392ea5dfbd3364c",
+        "47b1bcc09db62b7a549b369745807160034408f6beb64f07766a2acddfeb1902",
     Variant.THROW_AND_MEASURE:
-        "161df05e6915502a919b3634bf0edd632296318852eb6d4236f716bf6e653701",
+        "de0368bca40f9c2fb0638fc5f39847d5b06d4c381f0e589ad24273fe7e34c126",
 }
+
+# plan_trajectories on every ordered pair of L = 4 and 5, all variants
+PLAN_DIGEST = "701859ac71bd97d0225ad935fa4f3f7897b7c6c88f9dd1e8412ef2cea412b6b0"
 
 # `cost`/`compare` on configs/default.cost with -L 8
 COST_DIGESTS = {
@@ -112,14 +116,28 @@ def random_circuit(rng: random.Random, L: int, n_ops: int) -> LogicalCircuit:
     return LogicalCircuit(L, tuple(ops))
 
 
-def digest_schedules(arch: ArchitectureSpec, circuits) -> str:
+def digest_programs(programs) -> str:
     h = hashlib.sha256()
-    for circuit in circuits:
-        prog = scheduler.schedule(circuit, arch)
+    for prog in programs:
         h.update(events_to_jsonl(prog.events).encode())
         h.update(scheduler.trajectories_to_csv(prog.trajectories).encode())
         h.update(f"{prog.makespan!r}\n".encode())
     return h.hexdigest()
+
+
+def digest_schedules(arch: ArchitectureSpec, circuits) -> str:
+    return digest_programs(scheduler.schedule(circuit, arch) for circuit in circuits)
+
+
+def plan_digest() -> str:
+    def plans():
+        for variant in Variant:
+            for L in (4, 5):
+                arch = ArchitectureSpec(variant, L)
+                cells = [(r, c) for r in range(L) for c in range(L)]
+                for a, b in itertools.permutations(cells, 2):
+                    yield scheduler.plan_trajectories(arch, decompose_cz(arch, a, b))
+    return digest_programs(plans())
 
 
 def corpus_digest(variant: Variant) -> str:
@@ -164,6 +182,21 @@ def test_sweep_artifacts_match_golden_digest(tmp_path, axis):
             for name in ("sweep.csv", "sweep_contour.csv"):
                 h.update(body(out / name))
     assert h.hexdigest() == SWEEP_DIGESTS[axis]
+
+
+def test_plans_match_golden_digest(monkeypatch):
+    # Count in-plan exclusion conflicts, so the pairs are known to drive
+    # the planner's exclusion bumps.
+    conflicts, min_distance = [0], scheduler.min_distance
+
+    def counting_min_distance(*args):
+        d = min_distance(*args)
+        conflicts[0] += d < scheduler.EXCLUSION_CELLS - scheduler.DIST_TOL
+        return d
+
+    monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
+    assert plan_digest() == PLAN_DIGEST
+    assert conflicts[0] > 0
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -3,11 +3,11 @@
 `reference_schedule` places gates by the same greedy rule as
 `scheduler.schedule`, written as simply as possible: every committed gate
 is scanned in commit order (no start-time index), every atom pair is
-measured exactly (no bounding boxes), each plan is moved with
-`shift_program` and the program is ordered with `sort_events`.  The two
-must give identical events, trajectories and makespan, so a faster
-search or a cheaper commit in `schedule` is checked beyond the fixed
-golden corpora.
+measured exactly (no bounding boxes) over the time both gates fire, each
+plan is moved with `shift_program` and the program is ordered with
+`sort_events`.  The two must give identical events, trajectories and
+makespan, so a faster search or a cheaper commit in `schedule` is
+checked beyond the fixed golden corpora.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from atomshuttle.ir import (ActionKind, GateKind, Logical1Q, LogicalCZ,
                             LogicalCircuit, PhysicalEvent, QubitRef, events_to_jsonl,
                             sort_events)
 from atomshuttle.scheduler import (DIST_TOL, EXCLUSION_CELLS, ScheduledProgram, _Track,
-                                   gate_distance, plan_trajectories, schedule,
+                                   min_distance, plan_trajectories, schedule,
                                    shift_program, trajectories_to_csv)
 
 
@@ -25,6 +25,11 @@ def two_qubit_gates(prog: ScheduledProgram):
     """(start, end, atom tracks) of each two-qubit gate, in event order."""
     return [(e.t, e.t_end, [_Track.for_qubit(q, prog.trajectories) for q in e.operands])
             for e in prog.events if e.action is ActionKind.GATE and e.gate.is_two_qubit]
+
+
+def gate_distance(tracks_a, tracks_b, t0: float, t1: float) -> float:
+    """Closest approach between any atom of one gate and any of another over [t0, t1]."""
+    return min(min_distance(ta, tb, t0, t1) for ta in tracks_a for tb in tracks_b)
 
 
 def reference_schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgram:
@@ -36,8 +41,8 @@ def reference_schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> Sched
         shifted = [t.shifted(delta) for t in ctracks]
         for k in range(after + 1, len(committed)):
             o0, o1, otracks = committed[k]
-            if (max(c0 + delta, o0) < min(c1 + delta, o1)
-                    and gate_distance(otracks, shifted, o0, o1) < EXCLUSION_CELLS - DIST_TOL):
+            lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
+            if lo < hi and gate_distance(otracks, shifted, lo, hi) < EXCLUSION_CELLS - DIST_TOL:
                 return k
         return None
 

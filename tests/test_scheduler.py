@@ -242,25 +242,27 @@ def tracks(draw):
 gate_tracks = st.lists(tracks(), min_size=1, max_size=3)
 
 
-@given(gate_tracks, gate_tracks, st.floats(0.01, 4.0), st.floats(-10.0, 15.0),
-       st.floats(0.0, 0.999), st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
+@given(gate_tracks, gate_tracks, st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
+       st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_box_gap_is_a_lower_bound_on_min_distance(others, cands, reach, o0, o_frac,
+def test_box_gap_is_a_lower_bound_on_min_distance(others, cands, o0, o_width,
                                                   c0, c_width, where):
-    # schedule() compares a committed gate's boxes over its window [o0, o1],
-    # shorter than `reach`, with the candidate's boxes over [c0 - reach,
-    # c1 + reach] of its own time: for every shift that makes [c0, c1]
-    # overlap [o0, o1], that holds the window the exact test measures
-    o1, c1 = o0 + o_frac * reach, c0 + c_width
+    # the exclusion search compares a committed gate's boxes over its window
+    # [o0, o1] with the candidate's boxes over its own window [c0, c1]: a
+    # shift moves the candidate's atoms with its window, so for every shift
+    # that makes the windows overlap, both hold the overlap [lo, hi] that
+    # the exact test measures
+    o1, c1 = o0 + o_width, c0 + c_width
     delta = (o0 - c1) + where * ((o1 - c0) - (o0 - c1))
-    assume(max(c0 + delta, o0) < min(c1 + delta, o1))
+    lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
+    assume(lo < hi)
     ounion, oboxes = gate_boxes(others, o0, o1)
-    cunion, cboxes = gate_boxes(cands, c0 - reach, c1 + reach)
+    cunion, cboxes = gate_boxes(cands, c0, c1)
     gaps = {(i, j): box_gap(ob, cb)
             for i, ob in enumerate(oboxes) for j, cb in enumerate(cboxes)}
     assert box_gap(ounion, cunion) <= min(gaps.values())
     for (i, j), gap in gaps.items():
-        assert gap <= min_distance(others[i], cands[j].shifted(delta), o0, o1) + BOX_MARGIN
+        assert gap <= min_distance(others[i], cands[j].shifted(delta), lo, hi) + BOX_MARGIN
 
 
 def merge_programs(a: ScheduledProgram, b: ScheduledProgram) -> ScheduledProgram:
@@ -364,6 +366,20 @@ def test_schedule_keeps_disjoint_gates_parallel():
     # far-apart gates should not be serialized
     single = plan_trajectories(arch, decompose_cz(arch, (0, 0), (2, 2)))
     assert prog.makespan < 1.9 * single.makespan
+
+
+@pytest.mark.parametrize("variant, ops, makespan_us", [
+    (Variant.TWO_WAY_BELT, (((0, 0), (1, 0)), ((0, 3), (2, 2))), 30.776),
+    (Variant.ONE_WAY_BELT, (((0, 0), (0, 2)), ((0, 1), (1, 0))), 31.324),
+], ids=["two-way-belt", "one-way-belt"])
+def test_schedule_measures_exclusion_only_while_both_gates_fire(variant, ops, makespan_us):
+    # The atoms of these two CZs come too close only outside the time both
+    # gates fire.  Measuring over the committed gate's whole window would
+    # delay the second CZ: makespans 31.224 and 33.324 us.
+    arch = arch_for(variant, L=4)
+    prog = schedule(LogicalCircuit(4, tuple(LogicalCZ(a, b) for a, b in ops)), arch)
+    assert prog.makespan * 1e6 == pytest.approx(makespan_us, abs=1e-3)
+    assert check_conflicts(prog, arch) == []
 
 
 def test_schedule_handles_single_qubit_ops():
