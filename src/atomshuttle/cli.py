@@ -21,8 +21,7 @@ from . import __version__
 from .architectures import (ArchitectureSpec, Variant, decompose_cz,
                             load_arch_config)
 from .cost import (CostParams, architecture_comparison, contour_to_csv,
-                   error_budget_sweep, load_cost_config, logical_gate_fidelity,
-                   sweep_to_csv)
+                   error_budget_sweep, load_cost_config, sweep_to_csv)
 from .ir import LogicalCZ, ParseError, events_to_jsonl, parse_program
 from .oracle import (haar_random_two_qubit_inputs, verify_logical_cz,
                      verify_sequence)

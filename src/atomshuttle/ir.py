@@ -8,11 +8,11 @@ times in seconds.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 
 class ParseError(ValueError):
@@ -30,28 +30,40 @@ class QubitKind(Enum):
 
 @dataclass(frozen=True)
 class QubitRef:
-    """A computational qubit (grid coordinate) or a messenger qubit (serial)."""
+    """A computational qubit (grid coordinate) or a messenger qubit (serial).
+
+    Its hash, `is_messenger` and sort key are computed once, at construction.
+    """
 
     kind: QubitKind
     coord: tuple[int, int] | None = None  # (row, col) when computational
     serial: int | None = None             # unique id when messenger
 
+    def __post_init__(self):
+        is_messenger = self.kind is QubitKind.MESSENGER
+        object.__setattr__(self, "is_messenger", is_messenger)
+        object.__setattr__(self, "_hash", hash((is_messenger, self.coord, self.serial)))
+        object.__setattr__(self, "_sort_key", (0, self.serial, 0) if is_messenger
+                           else (1, self.coord[0], self.coord[1]))
+
+    def __hash__(self):
+        return self._hash
+
+    # `comp` and `mess` hand out shared instances: a ref is immutable, and a
+    # dict lookup with the very key it holds skips `__eq__`.  `typed`, so
+    # that 1 and 1.0 (equal, but written differently) get their own refs.
     @classmethod
+    @functools.lru_cache(maxsize=1 << 12, typed=True)
     def comp(cls, row: int, col: int) -> "QubitRef":
         return cls(QubitKind.COMPUTATIONAL, coord=(row, col))
 
     @classmethod
+    @functools.lru_cache(maxsize=1 << 12, typed=True)
     def mess(cls, serial: int) -> "QubitRef":
         return cls(QubitKind.MESSENGER, serial=serial)
 
-    @property
-    def is_messenger(self) -> bool:
-        return self.kind is QubitKind.MESSENGER
-
     def sort_key(self) -> tuple:
-        if self.is_messenger:
-            return (0, self.serial, 0)
-        return (1, self.coord[0], self.coord[1])
+        return self._sort_key
 
     @classmethod
     def from_json(cls, obj) -> "QubitRef":
@@ -75,21 +87,12 @@ class GateKind(Enum):
     COND_Z = "cond_z"
     COND_X = "cond_x"
 
-    @property
-    def n_operands(self) -> int:
-        return 2 if self in (GateKind.CZ, GateKind.SWAP) else 1
-
-    @property
-    def writes_bit(self) -> bool:
-        return self is GateKind.MEASURE_X
-
-    @property
-    def reads_bit(self) -> bool:
-        return self in (GateKind.COND_Z, GateKind.COND_X)
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.n_operands == 2
+    def __init__(self, value: str):
+        # set once per member; a property would re-test membership on every read
+        self.n_operands = 2 if value in ("cz", "swap") else 1
+        self.is_two_qubit = self.n_operands == 2
+        self.writes_bit = value == "mx"
+        self.reads_bit = value in ("cond_z", "cond_x")
 
 
 @dataclass(frozen=True)
@@ -239,14 +242,10 @@ class ActionKind(Enum):
     DISPOSE = "dispose"
 
 
-_ACTION_RANK = {
-    ActionKind.LOAD: 0,
-    ActionKind.ROUTE: 1,
-    ActionKind.THROW: 2,
-    ActionKind.CATCH: 3,
-    ActionKind.GATE: 4,
-    ActionKind.DISPOSE: 5,
-}
+# events at one time are ordered by action, in definition order
+for _rank, _kind in enumerate(ActionKind):
+    _kind.rank = _rank
+del _rank, _kind
 
 
 @dataclass(frozen=True)
@@ -270,12 +269,16 @@ class PhysicalEvent:
         serials = [q.serial for q in self.operands if q.is_messenger]
         return min(serials) if serials else -1
 
-    @cached_property
+    @property
     def order_tail(self) -> tuple:
         """`sort_key` without the time, which a shift in time leaves unchanged.
         Built on first use and kept on the event."""
-        return (_ACTION_RANK[self.action], self.messenger_serial(),
-                tuple(q.sort_key() for q in self.operands))
+        tail = self.__dict__.get("_order_tail")
+        if tail is None:
+            tail = self.__dict__["_order_tail"] = (
+                self.action.rank, self.messenger_serial(),
+                tuple(q._sort_key for q in self.operands))
+        return tail
 
     def sort_key(self) -> tuple:
         return (self.t,) + self.order_tail
@@ -321,7 +324,8 @@ def events_to_jsonl(events: list[PhysicalEvent]) -> str:
     """
     lines = []
     for e in events:
-        action = e.action.value if e.gate is None else f"{e.action.value}:{e.gate.value}"
+        # `_value_`, not the `value` property, which is Python-level on 3.11
+        action = e.action._value_ if e.gate is None else f"{e.action._value_}:{e.gate._value_}"
         belt = "" if e.belt is None else f'"belt": {e.belt!r}, '
         bit = "null" if e.bit is None else repr(e.bit)
         dur = f'"dur": {e.duration!r}, ' if e.duration else ""

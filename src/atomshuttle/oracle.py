@@ -7,7 +7,7 @@ and leaves every messenger disentangled before disposal.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +46,10 @@ class PureState:
             raise ValueError("amplitude length does not match qubit count")
         if n > MAX_QUBITS:
             raise ValueError(f"dense oracle capped at {MAX_QUBITS} qubits")
+        axis = {q: i for i, q in enumerate(self.qubit_order)}
+        if len(axis) != n:
+            raise ValueError("qubit order names a qubit twice")
+        object.__setattr__(self, "_axis", axis)
 
     @property
     def n_qubits(self) -> int:
@@ -53,8 +57,8 @@ class PureState:
 
     def index_of(self, q: QubitRef) -> int:
         try:
-            return self.qubit_order.index(q)
-        except ValueError:
+            return self._axis[q]
+        except KeyError:
             raise KeyError(f"qubit {q!r} not in state") from None
 
     def norm(self) -> float:
@@ -68,11 +72,21 @@ def product_state(qubits: list[QubitRef], kets: list[np.ndarray]) -> PureState:
     return PureState(amps, tuple(qubits))
 
 
+@functools.cache
+def _axes_1q(q: int, n: int):
+    """The shape of an n-qubit state, the axis order that brings qubit q to
+    the front, and the order that puts it back."""
+    rest = tuple(i for i in range(n) if i != q)
+    return (2,) * n, (q,) + rest, tuple(range(1, q + 1)) + (0,) + tuple(range(q + 1, n))
+
+
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    psi = np.tensordot(mat, psi, axes=([1], [q]))
-    psi = np.moveaxis(psi, 0, q)
-    return psi.reshape(-1)
+    # np.tensordot(mat, psi, axes=([1], [q])) then np.moveaxis(psi, 0, q),
+    # without their Python-side axis handling: the same transposes and the
+    # same np.dot call on identically laid-out operands
+    shape, front, back = _axes_1q(q, n)
+    psi = amps.reshape(shape).transpose(front).reshape(2, -1)
+    return np.dot(mat, psi).reshape(shape).transpose(back).reshape(-1)
 
 
 def _apply_2q(amps: np.ndarray, gate: GateKind, q0: int, q1: int, n: int) -> np.ndarray:
@@ -93,23 +107,27 @@ def _apply_2q(amps: np.ndarray, gate: GateKind, q0: int, q1: int, n: int) -> np.
     return psi.reshape(-1)
 
 
+def _unitary(amps: np.ndarray, gate: GateKind, axes: list[int], n: int) -> np.ndarray:
+    """`amps` after the unitary `gate` on the qubits at `axes`; raises when
+    the norm drifts by more than NORM_ABORT."""
+    if gate.is_two_qubit:
+        if axes[0] == axes[1]:
+            raise ValueError("two-qubit gate operands must be distinct")
+        amps = _apply_2q(amps, gate, axes[0], axes[1], n)
+    else:
+        amps = _apply_1q(amps, _1Q_MATRICES[gate], axes[0], n)
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > NORM_ABORT:
+        raise NumericalInstabilityError(f"norm drifted to {norm}")
+    return amps
+
+
 def apply_gate(state: PureState, gate: GateKind, operands: tuple[QubitRef, ...]) -> PureState:
     """Apply a unitary gate; measurement/conditional gates are rejected here."""
     if gate is GateKind.MEASURE_X or gate.reads_bit:
         raise ValueError(f"{gate.value} is handled by branch_execute, not apply_gate")
-    n = state.n_qubits
-    if gate.is_two_qubit:
-        q0, q1 = (state.index_of(q) for q in operands)
-        if q0 == q1:
-            raise ValueError("two-qubit gate operands must be distinct")
-        amps = _apply_2q(state.amplitudes, gate, q0, q1, n)
-    else:
-        q = state.index_of(operands[0])
-        amps = _apply_1q(state.amplitudes, _1Q_MATRICES[gate], q, n)
-    out = PureState(amps, state.qubit_order)
-    if abs(out.norm() - 1.0) > NORM_ABORT:
-        raise NumericalInstabilityError(f"norm drifted to {out.norm()}")
-    return out
+    axes = [state.index_of(q) for q in operands]
+    return PureState(_unitary(state.amplitudes, gate, axes, state.n_qubits), state.qubit_order)
 
 
 @dataclass
@@ -128,57 +146,53 @@ def branch_execute(steps: list[GateStep], initial: PureState, prune: bool = True
     protocol bug that breaks outcome symmetry shows up as an asymmetric
     branch set rather than being silently dropped.
     """
-    branches = [Branch(outcomes={}, probability=1.0, state=initial)]
+    n = initial.n_qubits
+    branches = [[{}, 1.0, initial.amplitudes]]   # [outcomes, probability, amplitudes]
     for step in steps:
+        axes = [initial.index_of(q) for q in step.operands]
         if step.gate is GateKind.MEASURE_X:
             new_branches = []
-            for br in branches:
-                n = br.state.n_qubits
-                q = br.state.index_of(step.operands[0])
-                amps = br.state.amplitudes
-                x_amps = _apply_1q(amps, _X, q, n)
+            for outcomes, prob, amps in branches:
+                x_amps = _apply_1q(amps, _X, axes[0], n)
                 for outcome, sign in ((0, 1.0), (1, -1.0)):
                     proj = 0.5 * (amps + sign * x_amps)
                     p = float(np.vdot(proj, proj).real)
                     if p > 0:
                         proj = proj / np.sqrt(p)
-                    sub = Branch(
-                        outcomes={**br.outcomes, step.bit: outcome},
-                        probability=br.probability * p,
-                        state=PureState(proj, br.state.qubit_order),
-                    )
-                    new_branches.append(sub)
+                    new_branches.append([{**outcomes, step.bit: outcome}, prob * p, proj])
             branches = new_branches
         elif step.gate.reads_bit:
             base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
             for br in branches:
-                if br.outcomes.get(step.bit) is None:
+                if br[0].get(step.bit) is None:
                     raise ValueError(f"conditional reads unwritten bit {step.bit}")
-                if br.outcomes[step.bit] == 1 and br.probability > 0:
-                    br.state = apply_gate(br.state, base, step.operands)
+                if br[0][step.bit] == 1 and br[1] > 0:
+                    br[2] = _unitary(br[2], base, axes, n)
         else:
             for br in branches:
-                if br.probability > 0:
-                    br.state = apply_gate(br.state, step.gate, step.operands)
-    total = sum(br.probability for br in branches)
+                if br[1] > 0:
+                    br[2] = _unitary(br[2], step.gate, axes, n)
+    total = sum(prob for _, prob, _ in branches)
     if abs(total - 1.0) > 1e-10:
         raise NumericalInstabilityError(f"branch probabilities sum to {total}")
-    if prune:
-        branches = [br for br in branches if br.probability > 1e-12]
-    return branches
+    return [Branch(outcomes, prob, PureState(amps, initial.qubit_order))
+            for outcomes, prob, amps in branches if not prune or prob > 1e-12]
 
 
 # --- reduced states ---------------------------------------------------------
 
+@functools.cache
+def _keep_first(keep: tuple[int, ...], n: int):
+    """The shape of an n-qubit state, the axis order that brings the qubits
+    `keep` to the front, and their dimension."""
+    rest = tuple(i for i in range(n) if i not in keep)
+    return (2,) * n, keep + rest, 2 ** len(keep)
+
+
 def reduced_density(state: PureState, keep: list[QubitRef]) -> np.ndarray:
     """Partial trace keeping `keep` (in the given order)."""
-    n = state.n_qubits
-    keep_idx = [state.index_of(q) for q in keep]
-    rest = [i for i in range(n) if i not in keep_idx]
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.transpose(psi, keep_idx + rest)
-    k = len(keep_idx)
-    psi = psi.reshape(2 ** k, -1)
+    shape, order, dim = _keep_first(tuple(state.index_of(q) for q in keep), state.n_qubits)
+    psi = state.amplitudes.reshape(shape).transpose(order).reshape(dim, -1)
     return psi @ psi.conj().T
 
 
@@ -263,11 +277,12 @@ def verify_sequence(
     report = VerificationReport()
     for label, ab_vec in inputs.items():
         target = CZ_2Q @ ab_vec
+        # np.kron of two vectors is their outer product, flattened
         amps = ab_vec
         for _ in mess:
-            amps = np.kron(amps, KET_PLUS)
+            amps = np.multiply.outer(amps, KET_PLUS).reshape(-1)
         for _ in ancillas:
-            amps = np.kron(amps, KET_0)
+            amps = np.multiply.outer(amps, KET_0).reshape(-1)
         initial = PureState(amps, (qa, qb, *mess, *ancillas))
         for br in branch_execute(steps, initial):
             purities = [purity(reduced_density(br.state, [m])) for m in mess]

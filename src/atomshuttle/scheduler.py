@@ -19,8 +19,8 @@ from enum import Enum
 from operator import itemgetter
 
 from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
-from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCZ,
-                 LogicalCircuit, PhysicalEvent, QubitRef, sort_events, validate)
+from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCircuit,
+                 PhysicalEvent, QubitRef, sort_events, validate)
 
 EXCLUSION_CELLS = 2.0       # min separation of concurrently firing 2q gates
 DIST_TOL = 1e-9
@@ -860,5 +860,5 @@ def trajectories_to_csv(trajectories: dict[int, list[TrajectorySegment]]) -> str
         for seg in trajectories[s]:
             lines.append(
                 f"{s},{seg.t_start!r},{seg.t_end!r},{seg.start_pos[0]!r},"
-                f"{seg.start_pos[1]!r},{seg.end_pos[0]!r},{seg.end_pos[1]!r},{seg.kind.value}")
+                f"{seg.start_pos[1]!r},{seg.end_pos[0]!r},{seg.end_pos[1]!r},{seg.kind._value_}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
-"""Pinned sha256 digests of the `compile`, `schedule`, `cost`, `compare`
-and `sweep` artifact bodies, and of single-gate `plan_trajectories` plans.
+"""Pinned sha256 digests of the `compile`, `schedule`, `verify`, `cost`,
+`compare` and `sweep` artifact bodies, and of single-gate
+`plan_trajectories` plans.
 
 A changed digest means the compiler's output changed.  Update one only
 for an intended output change, and record it in CHANGES.md.
@@ -74,6 +75,13 @@ DEEP_DIGESTS = {
 
 # plan_trajectories on every ordered pair of L = 4 and 5, all variants
 PLAN_DIGEST = "701859ac71bd97d0225ad935fa4f3f7897b7c6c88f9dd1e8412ef2cea412b6b0"
+
+# `verify --pair` on every pair of L = 4 for each variant, then the three
+# `--drop-final-correction` mutants, then `--haar 3 --seed 1` on
+# (0,0)-(3,3) for each variant
+VERIFY_DIGEST = "1dbecb5ada368d55b68cf426ae413b60f51e36bb526f601a601d3f1804c8b6ae"
+VERIFY_MUTANTS = ((Variant.ONE_WAY_BELT, "0,0,3,3"), (Variant.ONE_WAY_BELT, "0,3,3,0"),
+                  (Variant.THROW_AND_MEASURE, "0,0,3,3"))
 
 # `cost`/`compare` on configs/default.cost with -L 8
 COST_DIGESTS = {
@@ -160,6 +168,31 @@ def deep_digest(variant: Variant) -> str:
 def test_config_artifacts_match_golden_digest(tmp_path, arch_file, command):
     assert config_digest(tmp_path, arch_file, command) == \
         CONFIG_DIGESTS[(arch_file, command)]
+
+
+def test_verify_artifacts_match_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    out = tmp_path / "out"
+
+    def verify(variant, pair, *flags, code=0):
+        arch = tmp_path / f"{variant.value}.arch"
+        assert main(["verify", "--arch", str(arch), "--pair", pair, *flags,
+                     "--out", str(out)]) == code
+        h.update(body(out / "verify.jsonl"))
+
+    for variant in Variant:
+        text = (CONFIGS / f"{variant.value}.arch").read_text()
+        (tmp_path / f"{variant.value}.arch").write_text(text.replace("L = 8", "L = 4"))
+    cells = itertools.product(range(4), range(4))
+    pairs = [f"{a[0]},{a[1]},{b[0]},{b[1]}" for a, b in itertools.combinations(cells, 2)]
+    for variant in Variant:
+        for pair in pairs:
+            verify(variant, pair)
+    for variant, pair in VERIFY_MUTANTS:
+        verify(variant, pair, "--drop-final-correction", code=4)
+    for variant in Variant:
+        verify(variant, "0,0,3,3", "--haar", "3", "--seed", "1")
+    assert h.hexdigest() == VERIFY_DIGEST
 
 
 @pytest.mark.parametrize("command", sorted(COST_DIGESTS))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from atomshuttle.ir import (ActionKind, GateKind, GateStep, Logical1Q,
                             LogicalCZ, LogicalCircuit, ParseError,
-                            PhysicalEvent, QubitRef, classical_bits,
+                            PhysicalEvent, QubitKind, QubitRef, classical_bits,
                             events_from_jsonl, events_to_jsonl, parse_program,
                             render_program, sort_events, validate)
 
@@ -172,3 +172,50 @@ def test_qubitref_ordering_messengers_first():
     ordered = sorted(refs, key=QubitRef.sort_key)
     assert ordered == [QubitRef.mess(0), QubitRef.mess(2),
                        QubitRef.comp(0, 0), QubitRef.comp(0, 1)]
+
+
+@pytest.mark.parametrize("gate", list(GateKind))
+def test_gate_kind_flags(gate):
+    assert gate.n_operands == (2 if gate in (GateKind.CZ, GateKind.SWAP) else 1)
+    assert gate.is_two_qubit == (gate.n_operands == 2)
+    assert gate.writes_bit == (gate is GateKind.MEASURE_X)
+    assert gate.reads_bit == (gate in (GateKind.COND_Z, GateKind.COND_X))
+
+
+@given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 10**6))
+def test_qubit_refs_match_refs_built_directly(row, col, serial):
+    for ref, direct, text, key in (
+            (QubitRef.comp(row, col), QubitRef(QubitKind.COMPUTATIONAL, coord=(row, col)),
+             f"q({row}, {col})", (1, row, col)),
+            (QubitRef.mess(serial), QubitRef(QubitKind.MESSENGER, serial=serial),
+             f"m{serial}", (0, serial, 0))):
+        assert ref == direct and hash(ref) == hash(direct)
+        assert repr(ref) == repr(direct) == text
+        assert ref.sort_key() == direct.sort_key() == key
+        assert ref.is_messenger == direct.is_messenger == (direct.kind is QubitKind.MESSENGER)
+    assert QubitRef.comp(row, col) != QubitRef.mess(serial)
+    # a shared ref keeps the argument types it was made from
+    assert repr(QubitRef.comp(float(row), col)) == f"q({float(row)}, {col})"
+
+
+def test_actions_rank_in_definition_order():
+    assert [k.rank for k in ActionKind] == list(range(len(ActionKind)))
+    assert [k.value for k in ActionKind] == \
+        ["load", "route", "throw", "catch", "gate", "dispose"]
+
+
+def reference_order_tail(e: PhysicalEvent) -> tuple:
+    serials = [q.serial for q in e.operands if q.kind is QubitKind.MESSENGER]
+    return (list(ActionKind).index(e.action), min(serials, default=-1),
+            tuple((0, q.serial, 0) if q.kind is QubitKind.MESSENGER else (1, *q.coord)
+                  for q in e.operands))
+
+
+@given(st.lists(physical_events(), max_size=12).flatmap(st.permutations))
+def test_sort_events_orders_by_time_then_reference_tail(events):
+    for e in events:
+        assert e.order_tail == reference_order_tail(e) == e.order_tail
+    expected = sorted(events, key=lambda e: (e.t,) + reference_order_tail(e))
+    ordered = sort_events(events)
+    assert len(ordered) == len(expected)
+    assert all(a is b for a, b in zip(ordered, expected))

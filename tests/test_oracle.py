@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from atomshuttle.architectures import ArchitectureSpec, Variant
 from atomshuttle.ir import GateKind, GateStep, QubitRef
-from atomshuttle.oracle import (CZ_2Q, KET_0, KET_PLUS, PureState,
-                                branch_execute, fidelity_with,
+from atomshuttle.oracle import (CZ_2Q, KET_0, KET_PLUS, PureState, _1Q_MATRICES,
+                                _apply_1q, branch_execute, fidelity_with,
                                 haar_random_two_qubit_inputs, product_state,
                                 purity, reduced_density, apply_gate,
                                 verify_logical_cz, verify_sequence)
@@ -147,6 +147,38 @@ def test_verification_catches_a_wrong_protocol():
              GateStep(GateKind.SWAP, (M, B))]
     report = verify_sequence(steps, (0, 0), (0, 1), [0])
     assert not report.ok
+
+
+def test_state_rejects_a_repeated_qubit():
+    with pytest.raises(ValueError):
+        PureState(np.array([1, 0, 0, 0], dtype=complex), (A, A))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+       st.sampled_from([GateKind.H, GateKind.Z, GateKind.X]),
+       st.integers(0, 2 ** 31 - 1))
+def test_1q_kernel_has_the_bits_of_tensordot(nq, gate, seed):
+    # the kernel is np.tensordot + np.moveaxis minus their axis handling
+    n, q = nq
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    mat = _1Q_MATRICES[gate]
+    reference = np.moveaxis(np.tensordot(mat, amps.reshape([2] * n), axes=([1], [q])),
+                            0, q).reshape(-1)
+    assert _apply_1q(amps, mat, q, n).tobytes() == reference.tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 6))
+def test_input_outer_products_have_the_bits_of_kron(seed, n_extra):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    amps = reference = v / np.linalg.norm(v)
+    for ket in [KET_PLUS, KET_0] * (n_extra // 2) + [KET_PLUS] * (n_extra % 2):
+        amps = np.multiply.outer(amps, ket).reshape(-1)
+        reference = np.kron(reference, ket)
+    assert amps.tobytes() == reference.tobytes()
 
 
 def test_oracle_caps_register_size():
