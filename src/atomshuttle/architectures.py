@@ -67,17 +67,29 @@ class ArchitectureSpec:
                                           f"gate time {self.a / self.t2}")
 
 
+def _ascii(conv):
+    """`conv` (`int` or `float`) on ASCII text without `_` only: the builtins
+    also read other Unicode digits and `_` digit groups."""
+    def convert(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{text!r} is not an ASCII number")
+        return conv(text)
+    convert.__name__ = conv.__name__   # argparse names the type in its errors
+    return convert
+
+
+ascii_int, ascii_float = _ascii(int), _ascii(float)
 _CONFIG_KEYS = {
     "variant": ("variant", Variant),
-    "L": ("L", int),
-    "a_m": ("a", float),
-    "R_m": ("R", float),
-    "v_mps": ("v", float),
-    "t2_s": ("t2", float),
-    "t1_s": ("t1", float),
-    "tr_s": ("tr", float),
-    "t_route_s": ("t_route", float),
-    "t_turnaround_s": ("t_turnaround", float),
+    "L": ("L", ascii_int),
+    "a_m": ("a", ascii_float),
+    "R_m": ("R", ascii_float),
+    "v_mps": ("v", ascii_float),
+    "t2_s": ("t2", ascii_float),
+    "t1_s": ("t1", ascii_float),
+    "tr_s": ("tr", ascii_float),
+    "t_route_s": ("t_route", ascii_float),
+    "t_turnaround_s": ("t_turnaround", ascii_float),
 }
 
 

@@ -11,18 +11,20 @@ Exit codes: 0 success, 2 parse error, 3 infeasible schedule,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
-from .architectures import (ArchitectureSpec, Variant, decompose_cz,
+from .architectures import (ArchitectureSpec, Variant, ascii_int, decompose_cz,
                             load_arch_config)
 from .cost import (CostParams, architecture_comparison, contour_to_csv,
                    error_budget_sweep, load_cost_config, sweep_to_csv)
-from .ir import LogicalCZ, ParseError, events_to_jsonl, parse_program
+from .ir import INT_RE, LogicalCZ, ParseError, events_to_jsonl, parse_program
 from .oracle import (haar_random_two_qubit_inputs, verify_logical_cz,
                      verify_sequence)
 from .scheduler import InfeasibleError, schedule, trajectories_to_csv
@@ -32,6 +34,8 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
+
+_PAIR_RE = re.compile(rf"{INT_RE}(,{INT_RE}){{3}}")
 
 
 class _CliError(Exception):
@@ -61,15 +65,23 @@ def _read_text(path: str) -> str:
         raise _CliError(EXIT_PARSE, f"{path}: not UTF-8 text") from e
 
 
-def _write(out_dir: str, name: str, header: str, body: str) -> Path:
+def _write(out_dir: str, header: str, artifacts: dict[str, str]) -> None:
+    """Write each {name: body} of one command into `out_dir`, made once."""
+    name = out_dir   # what a failed mkdir names
     try:
         d = Path(out_dir)
         d.mkdir(parents=True, exist_ok=True)
-        target = d / name
-        target.write_text(header + body)
-        return target
+        for name, body in artifacts.items():
+            (d / name).write_text(header + body)
     except OSError as e:
         raise _CliError(EXIT_IO, f"cannot write {name}: {e}") from e
+
+
+def _variant(name: str) -> Variant:
+    try:
+        return Variant(name)
+    except ValueError as e:
+        raise _CliError(EXIT_PARSE, f"unknown variant {name!r}") from e
 
 
 # Each loader reads its file once and returns the parsed value with the
@@ -84,11 +96,7 @@ def _load_arch(args) -> tuple[ArchitectureSpec, str]:
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
     if args.variant is not None:
-        try:
-            variant = Variant(args.variant)
-        except ValueError as e:
-            raise _CliError(EXIT_PARSE, f"unknown variant {args.variant!r}") from e
-        arch = ArchitectureSpec(**{**arch.__dict__, "variant": variant})
+        arch = dataclasses.replace(arch, variant=_variant(args.variant))
     return arch, text
 
 
@@ -121,10 +129,9 @@ def _lattice_size(args) -> int:
 
 
 def _parse_pair(spec: str):
-    try:
-        r1, c1, r2, c2 = (int(s) for s in spec.split(","))
-    except ValueError as e:
-        raise _CliError(EXIT_PARSE, f"--pair expects r1,c1,r2,c2, got {spec!r}") from e
+    if not _PAIR_RE.fullmatch(spec):
+        raise _CliError(EXIT_PARSE, f"--pair expects r1,c1,r2,c2, got {spec!r}")
+    r1, c1, r2, c2 = map(int, spec.split(","))
     return (r1, c1), (r2, c2)
 
 
@@ -153,7 +160,7 @@ def _cmd_compile(args) -> int:
     circuit, program_text = _load_circuit(args, arch)
     prog = _schedule_or_fail(circuit, arch)
     header = _header(arch_text, program_text, str(args.variant))
-    _write(args.out, "compile.jsonl", header, events_to_jsonl(prog.events))
+    _write(args.out, header, {"compile.jsonl": events_to_jsonl(prog.events)})
     return EXIT_OK
 
 
@@ -162,18 +169,20 @@ def _cmd_schedule(args) -> int:
     circuit, program_text = _load_circuit(args, arch)
     prog = _schedule_or_fail(circuit, arch)
     header = _header(arch_text, program_text, str(args.variant))
-    _write(args.out, "events.jsonl", header, events_to_jsonl(prog.events))
-    _write(args.out, "trajectories.csv", header,
-           trajectories_to_csv(prog.trajectories))
-    _write(args.out, "makespan.txt", header, f"{prog.makespan!r}\n")
+    _write(args.out, header, {"events.jsonl": events_to_jsonl(prog.events),
+                              "trajectories.csv": trajectories_to_csv(prog.trajectories),
+                              "makespan.txt": f"{prog.makespan!r}\n"})
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.haar < 0:
         raise _CliError(EXIT_PARSE, f"--haar {args.haar}: number of inputs must be at least 0")
-    if args.seed < 0:
-        raise _CliError(EXIT_PARSE, f"--seed {args.seed}: seed must be at least 0")
+    seed = args.seed or 0
+    if seed < 0:
+        raise _CliError(EXIT_PARSE, f"--seed {seed}: seed must be at least 0")
+    if args.seed is not None and args.haar == 0:
+        raise _CliError(EXIT_PARSE, f"--seed {seed}: only --haar inputs are seeded")
     arch, arch_text = _load_arch(args)
     pairs, program_text = _pairs_for(args, arch)
     records = []
@@ -191,16 +200,16 @@ def _cmd_verify(args) -> int:
                 extra = verify_sequence(
                     list(d.gates), a, b, list(d.messengers),
                     variant=arch.variant.value,
-                    two_qubit_inputs=haar_random_two_qubit_inputs(args.haar, args.seed))
+                    two_qubit_inputs=haar_random_two_qubit_inputs(args.haar, seed))
                 report.records.extend(extra.records)
         except ValueError as e:
             raise _CliError(EXIT_PARSE, str(e)) from e
         ok = ok and report.ok
         records.extend(report.records)
     header = _header(arch_text, str(args.variant), str(args.pair), program_text,
-                     str(args.seed), str(args.haar), str(args.drop_final_correction))
+                     str(seed), str(args.haar), str(args.drop_final_correction))
     body = "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
-    _write(args.out, "verify.jsonl", header, body)
+    _write(args.out, header, {"verify.jsonl": body})
     if not ok:
         n_bad = sum(1 for r in records if not r.ok)
         print(f"verification FAILED: {n_bad}/{len(records)} branch checks",
@@ -221,17 +230,14 @@ def _cmd_cost(args) -> int:
         lines.append(f"{row.variant.value},{row.case or ''},{c.n1},{c.n2_cz},"
                      f"{c.n2_swap},{c.nr},{row.report.F!r},{row.report.error!r},"
                      f"{row.report.makespan!r}")
-    _write(args.out, "cost.csv", header, "\n".join(lines) + "\n")
+    _write(args.out, header, {"cost.csv": "\n".join(lines) + "\n"})
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     if args.variant is None:
         raise _CliError(EXIT_PARSE, "--variant is required for sweep")
-    try:
-        variant = Variant(args.variant)
-    except ValueError as e:
-        raise _CliError(EXIT_PARSE, f"unknown variant {args.variant!r}") from e
+    variant = _variant(args.variant)
     case = args.case
     if variant is Variant.ONE_WAY_BELT:
         case = case or 1
@@ -240,8 +246,8 @@ def _cmd_sweep(args) -> int:
                                     f"has cases, not {variant.value}")
     result = error_budget_sweep(variant, args.axis, case=case)
     header = _header(args.variant, args.axis, str(case))
-    _write(args.out, "sweep.csv", header, sweep_to_csv(result))
-    _write(args.out, "sweep_contour.csv", header, contour_to_csv(result))
+    _write(args.out, header, {"sweep.csv": sweep_to_csv(result),
+                              "sweep_contour.csv": contour_to_csv(result)})
     return EXIT_OK
 
 
@@ -254,7 +260,7 @@ def _cmd_compare(args) -> int:
     for rank, row in enumerate(rows, start=1):
         lines.append(f"{rank},{row.variant.value},{row.case or ''},"
                      f"{row.report.error!r},{row.report.F!r},{row.report.makespan!r}")
-    _write(args.out, "compare.csv", header, "\n".join(lines) + "\n")
+    _write(args.out, header, {"compare.csv": "\n".join(lines) + "\n"})
     return EXIT_OK
 
 
@@ -293,18 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--program", help="logical program file")
         if name == "verify":
             p.add_argument("--pair", help="single-gate target pair: r1,c1,r2,c2")
-            p.add_argument("--seed", type=int, default=0, help="seed of the --haar inputs")
-            p.add_argument("--haar", type=int, default=0,
+            p.add_argument("--seed", type=ascii_int,
+                           help="seed of the --haar inputs (default 0)")
+            p.add_argument("--haar", type=ascii_int, default=0,
                            help="additionally verify N seeded random inputs")
             p.add_argument("--drop-final-correction", action="store_true",
                            help="mutation check: remove the last conditional gate")
         if name == "sweep":
             p.add_argument("--variant", help="the variant to sweep (required)")
             p.add_argument("--axis", choices=("p1", "pr"), default="p1")
-            p.add_argument("--case", type=int, choices=(1, 2))
+            p.add_argument("--case", type=ascii_int, choices=(1, 2))
         if name in ("cost", "compare"):
             p.add_argument("--cost", help="cost-model config (key=value file)")
-            p.add_argument("-L", type=int, default=8, help="lattice size")
+            p.add_argument("-L", type=ascii_int, default=8, help="lattice size")
     return parser
 
 

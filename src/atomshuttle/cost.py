@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
-                            build_from_config, decompose_cz, gate_counts,
-                            neighbor_chain_decompose, read_key_values)
+                            ascii_float, build_from_config, decompose_cz,
+                            gate_counts, neighbor_chain_decompose, read_key_values)
 from .scheduler import plan_trajectories
 
 CONTOUR_LEVEL = 1e-2
@@ -27,11 +27,10 @@ PINNED_SINGLE_QUBIT_ERROR = 5e-4  # fixed p1 for the pr-p2 sweep
 
 @dataclass(frozen=True)
 class CostParams:
-    """Per-operation fidelities plus the baseline two-qubit error.
+    """Per-operation fidelities, each in (0, 1].
 
-    `kappa` optionally makes shuttling distance-dependent:
-    F_shuttle(d) = f_shuttle * exp(-kappa * d); the default kappa = 0
-    keeps it a single per-logical-gate factor.
+    `f_shuttle` is one factor per logical gate; every field changes the
+    fidelity of some variant's compiled CZ.
     """
 
     f1: float = 1.0
@@ -39,27 +38,20 @@ class CostParams:
     f2_swap: float = 1.0
     fr: float = 1.0
     f_shuttle: float = 1.0
-    p2_baseline: float = 0.0
-    kappa: float = 0.0
 
     def __post_init__(self):
         for name in ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise FieldError(name, v, "outside (0, 1]")
-        if not 0.0 <= self.p2_baseline < 1.0:
-            raise FieldError("p2_baseline", self.p2_baseline, "outside [0, 1)")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise FieldError("kappa", self.kappa, "must be finite and nonnegative")
 
     @classmethod
-    def from_errors(cls, p1=0.0, p2=0.0, pr=0.0, p_shuttle=0.0, **kw) -> "CostParams":
-        return cls(f1=1.0 - p1, f2_cz=1.0 - p2, f2_swap=1.0 - p2,
-                   fr=1.0 - pr, f_shuttle=1.0 - p_shuttle, **kw)
+    def from_errors(cls, p1=0.0, p2=0.0, pr=0.0) -> "CostParams":
+        return cls(f1=1.0 - p1, f2_cz=1.0 - p2, f2_swap=1.0 - p2, fr=1.0 - pr)
 
 
-_COST_KEYS = {key: (key, float) for key in
-              ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle", "p2_baseline", "kappa")}
+_COST_KEYS = {key: (key, ascii_float) for key in
+              ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle")}
 
 
 def load_cost_config(path: str | Path, text: str | None = None) -> CostParams:
@@ -76,15 +68,13 @@ class FidelityReport:
     makespan: float | None = None
 
 
-def logical_gate_fidelity(counts: GateCounts, params: CostParams,
-                          distance: float = 0.0) -> FidelityReport:
+def logical_gate_fidelity(counts: GateCounts, params: CostParams) -> FidelityReport:
     """Exact product fidelity for one logical gate with the given counts."""
-    f_sh = params.f_shuttle * math.exp(-params.kappa * distance)
     F = (params.f2_cz ** counts.n2_cz
          * params.f2_swap ** counts.n2_swap
          * params.f1 ** counts.n1
          * params.fr ** counts.nr
-         * f_sh)
+         * params.f_shuttle)
     return FidelityReport(counts, F, 1.0 - F)
 
 
@@ -122,22 +112,17 @@ class SweepResult:
 
 
 def error_budget_sweep(variant: Variant, axis1_name: str,
-                       axis1: np.ndarray | None = None,
-                       p2: np.ndarray | None = None,
                        case: int | None = None) -> SweepResult:
     """Grid of logical errors over (p1 or pr) x p2 with F_shuttle = 1.
 
-    CZ and SWAP errors are taken equal (both 1 - p2).  The axis not being
-    swept is pinned to its conventional value: readout error 3e-3 when
-    sweeping p1, single-qubit error 5e-4 when sweeping pr.
+    Both axes are `SWEEP_GRID_DEFAULT`.  CZ and SWAP errors are taken
+    equal (both 1 - p2).  The axis not being swept is pinned to its
+    conventional value: readout error 3e-3 when sweeping p1, single-qubit
+    error 5e-4 when sweeping pr.
     """
     if axis1_name not in ("p1", "pr"):
         raise ValueError("axis1 must be 'p1' or 'pr'")
-    axis1 = SWEEP_GRID_DEFAULT if axis1 is None else np.asarray(axis1, dtype=float)
-    p2 = SWEEP_GRID_DEFAULT if p2 is None else np.asarray(p2, dtype=float)
-    for ax in (axis1, p2):
-        if np.any(np.diff(ax) <= 0) or ax[0] <= 0 or ax[-1] >= 1:
-            raise ValueError("sweep axes must be strictly increasing within (0, 1)")
+    axis1 = p2 = SWEEP_GRID_DEFAULT
 
     counts = gate_counts(variant, case)
     f2 = 1.0 - p2                       # shape (n2cols,)

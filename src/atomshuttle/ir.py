@@ -16,11 +16,10 @@ from enum import Enum
 
 
 class ParseError(ValueError):
-    """Raised on malformed program text; carries the 1-based line number."""
+    """Raised on malformed program text; the message starts with the 1-based line."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class QubitKind(Enum):
@@ -169,10 +168,11 @@ def validate(circuit: LogicalCircuit) -> list[ValidationIssue]:
     return issues
 
 
-_COORD_RE = r"\((\s*-?\d+)\s*,\s*(-?\d+)\s*\)"
+INT_RE = r"-?[0-9]+"   # not `\d`, which matches every Unicode digit
+_COORD_RE = rf"\((\s*{INT_RE})\s*,\s*({INT_RE})\s*\)"
 _CZ_RE = re.compile(rf"^cz\s+{_COORD_RE}\s+{_COORD_RE}$")
 _1Q_RE = re.compile(rf"^([hzx])\s+{_COORD_RE}$")
-_LATTICE_RE = re.compile(r"^lattice\s+(\d+)$")
+_LATTICE_RE = re.compile(r"^lattice\s+([0-9]+)$")
 
 
 def parse_program(text: str) -> LogicalCircuit:

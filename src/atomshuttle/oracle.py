@@ -137,7 +137,7 @@ class Branch:
     state: PureState
 
 
-def branch_execute(steps: list[GateStep], initial: PureState, prune: bool = True) -> list[Branch]:
+def branch_execute(steps: list[GateStep], initial: PureState) -> list[Branch]:
     """Execute a gate-level program, enumerating all measurement branches.
 
     Branches are ordered lexicographically over bit outcomes (outcome 0
@@ -176,7 +176,7 @@ def branch_execute(steps: list[GateStep], initial: PureState, prune: bool = True
     if abs(total - 1.0) > 1e-10:
         raise NumericalInstabilityError(f"branch probabilities sum to {total}")
     return [Branch(outcomes, prob, PureState(amps, initial.qubit_order))
-            for outcomes, prob, amps in branches if not prune or prob > 1e-12]
+            for outcomes, prob, amps in branches if prob > 1e-12]
 
 
 # --- reduced states ---------------------------------------------------------
@@ -262,14 +262,13 @@ def verify_sequence(
     messengers: list[int],
     variant: str = "?",
     two_qubit_inputs: dict | None = None,
-    ancillas: tuple[QubitRef, ...] = (),
 ) -> VerificationReport:
-    """Check that a gate sequence implements CZ between A=`a` and B=`b`.
+    """Check that a gate sequence on A=`a`, B=`b` and the `messengers`
+    implements CZ between A and B.
 
-    Messengers start in |+>; `ancillas` (e.g. the intermediate qubits of
-    a SWAP chain) start in |0>.  Every measurement branch must map each
-    input to CZ|input> on (A, B) up to a global phase, and each
-    messenger must be disentangled (reduced-state purity ~ 1) at the end.
+    Messengers start in |+>.  Every measurement branch must map each input
+    to CZ|input> on (A, B) up to a global phase, and each messenger must
+    be disentangled (reduced-state purity ~ 1) at the end.
     """
     qa, qb = QubitRef.comp(*a), QubitRef.comp(*b)
     mess = [QubitRef.mess(s) for s in messengers]
@@ -281,9 +280,7 @@ def verify_sequence(
         amps = ab_vec
         for _ in mess:
             amps = np.multiply.outer(amps, KET_PLUS).reshape(-1)
-        for _ in ancillas:
-            amps = np.multiply.outer(amps, KET_0).reshape(-1)
-        initial = PureState(amps, (qa, qb, *mess, *ancillas))
+        initial = PureState(amps, (qa, qb, *mess))
         for br in branch_execute(steps, initial):
             purities = [purity(reduced_density(br.state, [m])) for m in mess]
             min_pur = min(purities) if purities else 1.0

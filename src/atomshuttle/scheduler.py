@@ -54,7 +54,6 @@ class TrajectorySegment:
     t_end: float
     start_pos: tuple[float, float]
     end_pos: tuple[float, float]
-    belt: int | None = None
 
     def position(self, t: float) -> tuple[float, float]:
         if self.t_end <= self.t_start:
@@ -137,10 +136,9 @@ class _Track:
         return segs[-1].end_pos
 
 
-def _pieces(ta: _Track, tb: _Track, t0: float, t1: float):
-    cuts = sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield lo, hi
+def _cuts(ta: _Track, tb: _Track, t0: float, t1: float) -> list[float]:
+    """t0, t1 and the breakpoints of either track between them, sorted."""
+    return sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
 
 
 def _dist(p, q):
@@ -152,7 +150,8 @@ def min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     if t1 < t0:
         return math.inf
     best = math.inf
-    for lo, hi in _pieces(ta, tb, t0, t1):
+    cuts = _cuts(ta, tb, t0, t1)
+    for lo, hi in zip(cuts, cuts[1:]):
         pa0, pa1 = ta.position(lo), ta.position(hi)
         pb0, pb1 = tb.position(lo), tb.position(hi)
         r0 = (pa0[0] - pb0[0], pa0[1] - pb0[1])
@@ -184,8 +183,7 @@ def gate_boxes(tracks, t0: float, t1: float):
 
 def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     """Maximum separation over [t0, t1] (convex per piece, so at breakpoints)."""
-    times = sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
-    return max(_dist(ta.position(t), tb.position(t)) for t in times)
+    return max(_dist(ta.position(t), tb.position(t)) for t in _cuts(ta, tb, t0, t1))
 
 
 class _Committed:
@@ -287,10 +285,10 @@ class _Itinerary:
         self.t_load = t0
         self.segs: list[TrajectorySegment] = []
 
-    def move_to(self, p1, kind: SegmentKind, belt=None) -> float:
+    def move_to(self, p1, kind: SegmentKind) -> float:
         d = _dist(self.p, p1)
         t1 = self.t + d / self.vc
-        self.segs.append(TrajectorySegment(self.serial, kind, self.t, t1, self.p, p1, belt))
+        self.segs.append(TrajectorySegment(self.serial, kind, self.t, t1, self.p, p1))
         self.t, self.p = t1, p1
         return t1
 
@@ -372,20 +370,20 @@ def _plan_two_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     m1 = _Itinerary(arch, s1, 0.0, (ca - ENTRY_MARGIN * dh, y1))
     t_cz1 = m1.time_passing((ca, y1))
     t_x1 = m1.time_passing((x2, y1))
-    m1.move_to((x2 + EXIT_MARGIN * dh, y1), SegmentKind.BELT_RIDE, belt=0)
+    m1.move_to((x2 + EXIT_MARGIN * dh, y1), SegmentKind.BELT_RIDE)
 
     m2 = _Itinerary(arch, s2, t_x1 - ENTRY_MARGIN * ct, (x2, y1 - ENTRY_MARGIN * dv))
     t_cz2 = m2.time_passing((x2, rb))
     t_x2 = m2.time_passing((x2, y3))
-    m2.move_to((x2, y3 + EXIT_MARGIN * dv), SegmentKind.BELT_RIDE, belt=1)
+    m2.move_to((x2, y3 + EXIT_MARGIN * dv), SegmentKind.BELT_RIDE)
 
     m3 = _Itinerary(arch, s3, t_x2 - ENTRY_MARGIN * ct, (x2 + ENTRY_MARGIN * dh, y3))
     t_x3 = m3.time_passing((x4, y3))
-    m3.move_to((x4 - EXIT_MARGIN * dh, y3), SegmentKind.BELT_RIDE, belt=2)
+    m3.move_to((x4 - EXIT_MARGIN * dh, y3), SegmentKind.BELT_RIDE)
 
     m4 = _Itinerary(arch, s4, t_x3 - ENTRY_MARGIN * ct, (x4, y3 + ENTRY_MARGIN * dv))
     t_cz3 = m4.time_passing((x4, ra))
-    m4.move_to((x4, ra - EXIT_MARGIN * dv), SegmentKind.BELT_RIDE, belt=3)
+    m4.move_to((x4, ra - EXIT_MARGIN * dv), SegmentKind.BELT_RIDE)
 
     for it, belt in ((m1, 0), (m2, 1), (m3, 2), (m4, 3)):
         draft.rides[it.serial] = it.segs
@@ -421,13 +419,13 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     m1 = _Itinerary(arch, s1, 0.0, (c1 - ENTRY_MARGIN, y_h))
     t_cz1 = m1.time_passing((c1, y_h))
     t_x = m1.time_passing((x_v, y_h))
-    t_arr1 = m1.move_to((L + 1.0, y_h), SegmentKind.BELT_RIDE, belt=0)
+    t_arr1 = m1.move_to((L + 1.0, y_h), SegmentKind.BELT_RIDE)
 
     # case 2: m2 passes Q first, then meets m1 at the lane crossing
     y0 = y_h - ENTRY_MARGIN if d.case == 1 else r2 - ENTRY_MARGIN
     m2 = _Itinerary(arch, s2, t_x - (y_h - y0) * ct, (x_v, y0))
     t_cz2 = m2.time_passing((x_v, float(r2)))
-    t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE, belt=1)
+    t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE)
 
     draft = _Draft(rides={s1: m1.segs, s2: m2.segs},
                    aux_events=[_load_event(m1, 0), _load_event(m2, 1)],
@@ -549,11 +547,11 @@ def _plan_shuttle_and_route(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     for belt, (junction, target) in enumerate(legs):
         if target is not None:
             t_cz.append(m.time_passing(target))
-        t = m.move_to(junction, SegmentKind.BELT_RIDE, belt=belt)
+        t = m.move_to(junction, SegmentKind.BELT_RIDE)
         routes.append(PhysicalEvent(t, junction, ActionKind.ROUTE, (mref,),
                                     duration=arch.t_route, belt=belt, to_belt=belt + 1))
         m.dwell(arch.t_route, SegmentKind.ROUTING)
-    m.move_to((x_in - ENTRY_MARGIN * dh, y_out), SegmentKind.BELT_RIDE, belt=len(legs))
+    m.move_to((x_in - ENTRY_MARGIN * dh, y_out), SegmentKind.BELT_RIDE)
 
     draft = _Draft(rides={s: m.segs}, aux_events=[_load_event(m, 0)] + routes)
     g = d.gates
@@ -676,7 +674,7 @@ def _shifted(events, trajectories, delta: float):
                             e.duration, e.belt, e.to_belt, e.velocity) for e in events]
     trajectories = {
         s: [TrajectorySegment(seg.messenger, seg.kind, seg.t_start + delta,
-                              seg.t_end + delta, seg.start_pos, seg.end_pos, seg.belt)
+                              seg.t_end + delta, seg.start_pos, seg.end_pos)
             for seg in segs]
         for s, segs in trajectories.items()}
     return events, trajectories

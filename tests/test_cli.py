@@ -26,7 +26,6 @@ f2_cz = 0.999
 f2_swap = 0.999
 fr = 0.997
 f_shuttle = 1.0
-p2_baseline = 1e-3
 """
 
 PROGRAM_TEXT = "lattice 8\ncz (0,0) (7,7)\ncz (0,7) (7,0)\nh (3,3)\n"
@@ -148,11 +147,19 @@ def test_bad_config_exits_2(workdir, capsys):
                    "--program", str(workdir / "p.program"), "--out", str(workdir / "out"))
         assert code == 2
         assert message in capsys.readouterr().err
-    for bad in ("kappa = nan", "kappa = inf"):
-        (workdir / "bad.cost").write_text(COST_TEXT + bad + "\n")
+    for good, bad, message in (
+            ("f1 = 0.9995", "f1 = nan", "bad.cost: f1=nan outside (0, 1]"),
+            ("f_shuttle = 1.0", "f_shuttle = inf", "bad.cost: f_shuttle=inf outside (0, 1]"),
+            # keys the cost model does not read are unknown
+            ("f_shuttle = 1.0", "f_shuttle = 1.0\nkappa = 0.01",
+             "bad.cost:6: unknown key 'kappa'"),
+            ("f_shuttle = 1.0", "f_shuttle = 1.0\np2_baseline = 1e-3",
+             "bad.cost:6: unknown key 'p2_baseline'")):
+        assert good in COST_TEXT
+        (workdir / "bad.cost").write_text(COST_TEXT.replace(good, bad))
         code = run("cost", "--cost", str(workdir / "bad.cost"), "--out", str(workdir / "out"))
         assert code == 2
-        assert f"bad.cost: {bad.replace(' = ', '=')} must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -243,7 +250,7 @@ def test_verify_header_hashes_every_input(workdir, monkeypatch):
     changed = [header(*argv) for argv in (
         ("--pair", "0,0,3,2"),
         (*base, "--variant", "throw-and-measure"),
-        (*base, "--seed", "1"),
+        (*base, "--haar", "1", "--seed", "1"),
         (*base, "--haar", "1"),
         (*base, "--variant", "throw-and-measure", "--drop-final-correction"),
     )]
@@ -272,6 +279,8 @@ def test_verify_header_hashes_every_input(workdir, monkeypatch):
     *((("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--variant", variant,
         "--drop-final-correction"), "--drop-final-correction")
       for variant in ("two-way-belt", "throw-catch-throw", "shuttle-and-route")),
+    # without --haar the seed would change only the header
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--seed", "1"), "--seed"),
 ])
 def test_bad_argument_exits_2_naming_the_flag(workdir, capsys, monkeypatch, argv, flag):
     monkeypatch.chdir(workdir)
@@ -345,3 +354,90 @@ def test_each_input_file_is_read_once(workdir, monkeypatch, argv):
     assert run(*argv, "--out", "out") == 0
     inputs = [a for a in argv if a.endswith((".arch", ".program", ".cost"))]
     assert reads == {name: 1 for name in inputs}
+
+
+# Numbers are ASCII: `\d`, `int()` and `float()` also read other Unicode
+# digits (U+0661 and U+0663 are Arabic-Indic one and three, U+0668 eight)
+# and `_` digit groups, which would give one input a second spelling.
+
+@pytest.mark.parametrize("program, line", [
+    ("lattice 8\ncz (0,0) (1,١)\n", 2),
+    ("lattice ٨\ncz (0,0) (1,1)\n", 1),
+], ids=["cz-coordinate", "lattice"])
+def test_program_numbers_are_ascii_digits(workdir, capsys, monkeypatch, program, line):
+    monkeypatch.chdir(workdir)
+    (workdir / "u.program").write_text(program)
+    assert run("schedule", "--arch", "a.arch", "--program", "u.program", "--out", "out") == 2
+    assert f"error: line {line}: " in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("spec", ["0,0,0_3,3", "0,0,٣,3", "0,0,+3,3", "0,0, 3,3",
+                                  "0,0,3,3,"])
+def test_pair_is_four_ascii_integers(workdir, capsys, monkeypatch, spec):
+    monkeypatch.chdir(workdir)
+    assert run("verify", "--arch", "a.arch", "--pair", spec, "--out", "out") == 2
+    assert f"error: --pair expects r1,c1,r2,c2, got {spec!r}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("name, good, bad, message", [
+    ("a.arch", "L = 8", "L = ٨", "a.arch:2: L: '٨' is not an ASCII number"),
+    ("a.arch", "a_m = 3e-6", "a_m = 3_0e-7", "a.arch:3: a_m: '3_0e-7' is not an ASCII number"),
+    ("c.cost", "f1 = 0.9995", "f1 = 0.999٥", "c.cost:1: f1: '0.999٥' is not an ASCII"),
+])
+def test_config_numbers_are_ascii(workdir, capsys, monkeypatch, name, good, bad, message):
+    monkeypatch.chdir(workdir)
+    text = (workdir / name).read_text()
+    assert good in text
+    (workdir / name).write_text(text.replace(good, bad))
+    argv = (("cost", "--cost", name) if name.endswith(".cost") else
+            ("schedule", "--arch", name, "--program", "p.program"))
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("cost", "--cost", "c.cost", "-L", "٨"), "-L"),
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--haar", "1_0"), "--haar"),
+    (("sweep", "--variant", "one-way-belt", "--case", "١"), "--case"),
+])
+def test_integer_flags_are_ascii(workdir, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, "--out", "out")
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}: invalid int value: " in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("schedule", "--arch", "a.arch", "--program", "p.program"),
+     ("events.jsonl", "trajectories.csv", "makespan.txt")),
+    (("sweep", "--variant", "throw-catch-throw"), ("sweep.csv", "sweep_contour.csv")),
+])
+def test_one_mkdir_per_command(workdir, monkeypatch, argv, names):
+    monkeypatch.chdir(workdir)
+    made, mkdir = [], Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(str(self))
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    assert run(*argv, "--out", "out") == 0
+    assert made == ["out"]
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted(names)
+
+
+def test_write_error_exits_5_naming_the_artifact(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    (workdir / "out").mkdir()
+    (workdir / "out" / "trajectories.csv").mkdir()   # a directory where a file goes
+    assert run("schedule", "--arch", "a.arch", "--program", "p.program", "--out", "out") == 5
+    assert "error: cannot write trajectories.csv: " in capsys.readouterr().err
+    (workdir / "file").write_text("")
+    assert run("schedule", "--arch", "a.arch", "--program", "p.program",
+               "--out", "file/out") == 5
+    assert "error: cannot write file/out: " in capsys.readouterr().err

@@ -60,18 +60,6 @@ def test_fidelity_monotone_in_each_error(p1, p2, pr, variant):
         assert logical_gate_fidelity(counts, bump).F <= base + 1e-15
 
 
-def test_distance_dependent_shuttle_extension():
-    params = CostParams(f_shuttle=0.999, kappa=0.01)
-    counts = gate_counts(Variant.THROW_CATCH_THROW)
-    near = logical_gate_fidelity(counts, params, distance=1.0).F
-    far = logical_gate_fidelity(counts, params, distance=10.0).F
-    assert far < near < 0.999 + 1e-12
-    # default kappa: distance changes nothing
-    flat = CostParams(f_shuttle=0.999)
-    assert logical_gate_fidelity(counts, flat, distance=1.0).F == \
-        logical_gate_fidelity(counts, flat, distance=50.0).F
-
-
 def test_neighbor_chain_forms_and_agreement():
     assert neighbor_chain_fidelity(100, 0.0) == 1.0
     assert neighbor_chain_fidelity(100, 1e-3) == pytest.approx(math.exp(-0.1))
@@ -132,9 +120,6 @@ def test_contour_points_sit_on_the_level():
 def test_sweep_rejects_bad_axes():
     with pytest.raises(ValueError):
         error_budget_sweep(Variant.TWO_WAY_BELT, "p3")
-    with pytest.raises(ValueError):
-        error_budget_sweep(Variant.TWO_WAY_BELT, "p1",
-                           axis1=np.array([0.1, 0.1, 0.2]))
 
 
 def test_sweep_csv_round_shape():
@@ -198,15 +183,14 @@ def test_size_independence_of_messenger_fidelity():
 def test_params_validation_and_config(tmp_path):
     with pytest.raises(ValueError):
         CostParams(f1=0.0)
-    with pytest.raises(ValueError):
-        CostParams(p2_baseline=1.0)
-    for kappa in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="kappa"):
-            CostParams(kappa=kappa)
+    for bad in (math.nan, math.inf, 1.5):
+        with pytest.raises(ValueError, match="f_shuttle"):
+            CostParams(f_shuttle=bad)
     p = tmp_path / "c.cost"
     p.write_text("f1 = 0.9995\nf2_cz = 0.999\nf2_swap = 0.999\nfr = 0.997\n")
     params = load_cost_config(p)
     assert params.f1 == 0.9995 and params.fr == 0.997
-    p.write_text("nope = 1\n")
-    with pytest.raises(ValueError):
-        load_cost_config(p)
+    for key in ("nope", "kappa", "p2_baseline"):
+        p.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            load_cost_config(p)

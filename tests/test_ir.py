@@ -33,7 +33,7 @@ def test_parse_comments_and_blank_lines():
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as exc:
         parse_program(text)
-    assert exc.value.line == lineno
+    assert str(exc.value).startswith(f"line {lineno}: ")
 
 
 @st.composite

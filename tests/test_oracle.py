@@ -85,8 +85,6 @@ def test_branch_execute_prunes_impossible_outcome():
     init = product_state([M], [KET_PLUS])
     branches = branch_execute(steps, init)
     assert len(branches) == 1 and branches[0].outcomes == {0: 0}
-    unpruned = branch_execute(steps, init, prune=False)
-    assert len(unpruned) == 2
 
 
 def test_branch_execute_is_deterministic():
