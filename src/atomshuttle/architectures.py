@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .ir import GateKind, GateStep, QubitRef, in_lattice
+from .ir import ASCII_SPACE, GateKind, GateStep, QubitRef, content_lines, in_lattice
 
 
 class Variant(Enum):
@@ -106,13 +106,10 @@ def read_key_values(path: str | Path, keys: dict, text: str | None = None) -> di
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: not UTF-8 text") from e
     kwargs, first_line = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+        key, value = (s.strip(ASCII_SPACE) for s in line.split("=", 1))
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_line:

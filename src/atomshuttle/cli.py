@@ -14,19 +14,17 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import re
 import sys
 from pathlib import Path
 
 from . import __version__
-from .architectures import (ArchitectureSpec, Variant, ascii_int, decompose_cz,
-                            load_arch_config)
+from .architectures import ArchitectureSpec, Variant, ascii_int, load_arch_config
 from .cost import (CostParams, architecture_comparison, contour_to_csv,
                    error_budget_sweep, load_cost_config, sweep_to_csv)
 from .ir import INT_RE, LogicalCZ, ParseError, events_to_jsonl, parse_program
-from .oracle import (haar_random_two_qubit_inputs, verify_logical_cz,
-                     verify_sequence)
+from .oracle import (STANDARD_INPUTS, NothingToDropError, haar_random_two_qubit_inputs,
+                     records_to_jsonl, verify_logical_cz)
 from .scheduler import InfeasibleError, schedule, trajectories_to_csv
 
 EXIT_OK = 0
@@ -185,33 +183,24 @@ def _cmd_verify(args) -> int:
         raise _CliError(EXIT_PARSE, f"--seed {seed}: only --haar inputs are seeded")
     arch, arch_text = _load_arch(args)
     pairs, program_text = _pairs_for(args, arch)
+    inputs = STANDARD_INPUTS
+    if args.haar > 0:
+        inputs = {**inputs, **haar_random_two_qubit_inputs(args.haar, seed)}
     records = []
-    ok = True
     for a, b in pairs:
         try:
-            if args.drop_final_correction and not any(
-                    g.gate.reads_bit for g in decompose_cz(arch, a, b).gates):
-                raise _CliError(EXIT_PARSE, f"--drop-final-correction on {arch.variant.value}: "
-                                            "no conditional gate to drop")
-            report = verify_logical_cz(arch, a, b,
+            report = verify_logical_cz(arch, a, b, two_qubit_inputs=inputs,
                                        drop_final_correction=args.drop_final_correction)
-            if args.haar > 0:
-                d = decompose_cz(arch, a, b)
-                extra = verify_sequence(
-                    list(d.gates), a, b, list(d.messengers),
-                    variant=arch.variant.value,
-                    two_qubit_inputs=haar_random_two_qubit_inputs(args.haar, seed))
-                report.records.extend(extra.records)
+        except NothingToDropError as e:
+            raise _CliError(EXIT_PARSE, f"--drop-final-correction on {e}") from e
         except ValueError as e:
             raise _CliError(EXIT_PARSE, str(e)) from e
-        ok = ok and report.ok
         records.extend(report.records)
     header = _header(arch_text, str(args.variant), str(args.pair), program_text,
                      str(seed), str(args.haar), str(args.drop_final_correction))
-    body = "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
-    _write(args.out, header, {"verify.jsonl": body})
-    if not ok:
-        n_bad = sum(1 for r in records if not r.ok)
+    _write(args.out, header, {"verify.jsonl": records_to_jsonl(records)})
+    n_bad = sum(1 for r in records if not r.ok)
+    if n_bad:
         print(f"verification FAILED: {n_bad}/{len(records)} branch checks",
               file=sys.stderr)
         return EXIT_VERIFY

@@ -31,7 +31,8 @@ class QubitKind(Enum):
 class QubitRef:
     """A computational qubit (grid coordinate) or a messenger qubit (serial).
 
-    Its hash, `is_messenger` and sort key are computed once, at construction.
+    Its hash, `is_messenger`, sort key and JSON text are computed once, at
+    construction.
     """
 
     kind: QubitKind
@@ -44,6 +45,10 @@ class QubitRef:
         object.__setattr__(self, "_hash", hash((is_messenger, self.coord, self.serial)))
         object.__setattr__(self, "_sort_key", (0, self.serial, 0) if is_messenger
                            else (1, self.coord[0], self.coord[1]))
+        # its operand object in `events_to_jsonl`, as `json.dumps(obj, sort_keys=True)` writes it
+        object.__setattr__(self, "_json", f'{{"kind": "mess", "serial": {self.serial!r}}}'
+                           if is_messenger else f'{{"col": {self.coord[1]!r}, "kind": "comp", '
+                                                f'"row": {self.coord[0]!r}}}')
 
     def __hash__(self):
         return self._hash
@@ -170,9 +175,24 @@ def validate(circuit: LogicalCircuit) -> list[ValidationIssue]:
 
 INT_RE = r"-?[0-9]+"   # not `\d`, which matches every Unicode digit
 _COORD_RE = rf"\((\s*{INT_RE})\s*,\s*({INT_RE})\s*\)"
-_CZ_RE = re.compile(rf"^cz\s+{_COORD_RE}\s+{_COORD_RE}$")
-_1Q_RE = re.compile(rf"^([hzx])\s+{_COORD_RE}$")
-_LATTICE_RE = re.compile(r"^lattice\s+([0-9]+)$")
+_CZ_RE = re.compile(rf"^cz\s+{_COORD_RE}\s+{_COORD_RE}$", re.ASCII)
+_1Q_RE = re.compile(rf"^([hzx])\s+{_COORD_RE}$", re.ASCII)
+_LATTICE_RE = re.compile(r"^lattice\s+([0-9]+)$", re.ASCII)
+
+# Whitespace and line breaks are ASCII, as numbers are: `\s`, `str.strip()`
+# and `str.splitlines()` also take other Unicode spaces and line separators,
+# which would give one input a second spelling.
+ASCII_SPACE = " \t\n\r\v\f"
+_LINE_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e]")   # the ASCII ones of splitlines
+
+
+def content_lines(text: str):
+    """(1-based line number, line) for each line of `text` that has content
+    once its `#` comment and surrounding whitespace are removed."""
+    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
+        line = raw.split("#", 1)[0].strip(ASCII_SPACE)
+        if line:
+            yield lineno, line
 
 
 def parse_program(text: str) -> LogicalCircuit:
@@ -183,10 +203,7 @@ def parse_program(text: str) -> LogicalCircuit:
     """
     L = None
     ops = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if L is None:
             m = _LATTICE_RE.match(line)
             if not m:
@@ -310,12 +327,6 @@ def sort_events(events: list[PhysicalEvent]) -> list[PhysicalEvent]:
     return sorted(events, key=PhysicalEvent.sort_key)
 
 
-def _operand_json(q: QubitRef) -> str:
-    if q.is_messenger:
-        return f'{{"kind": "mess", "serial": {q.serial!r}}}'
-    return f'{{"col": {q.coord[1]!r}, "kind": "comp", "row": {q.coord[0]!r}}}'
-
-
 def events_to_jsonl(events: list[PhysicalEvent]) -> str:
     """One JSON object per event and line, in the bytes `json.dumps(obj,
     sort_keys=True)` would give: keys sorted, `bit` always, `dur` when
@@ -329,7 +340,7 @@ def events_to_jsonl(events: list[PhysicalEvent]) -> str:
         belt = "" if e.belt is None else f'"belt": {e.belt!r}, '
         bit = "null" if e.bit is None else repr(e.bit)
         dur = f'"dur": {e.duration!r}, ' if e.duration else ""
-        operands = ", ".join(_operand_json(q) for q in e.operands)
+        operands = ", ".join([q._json for q in e.operands])
         to_belt = "" if e.to_belt is None else f'"to_belt": {e.to_belt!r}, '
         vel = "" if e.velocity is None else \
             f'"vx": {e.velocity[0]!r}, "vy": {e.velocity[1]!r}, '

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .ir import GateKind, GateStep, QubitRef
 
 MAX_QUBITS = 8
 NORM_ABORT = 1e-9
+# inputs that `verify_sequence` runs in one stacked pass; bounds its memory
+STACK_INPUTS = 32
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -35,31 +38,41 @@ class NumericalInstabilityError(RuntimeError):
     pass
 
 
+def _axis_map(qubit_order: tuple[QubitRef, ...], length: int) -> dict:
+    """{qubit: axis} of the register `qubit_order`, whose states hold
+    `length` amplitudes; raises unless it is a register the oracle takes."""
+    n = len(qubit_order)
+    if length != 2 ** n:
+        raise ValueError("amplitude length does not match qubit count")
+    if n > MAX_QUBITS:
+        raise ValueError(f"dense oracle capped at {MAX_QUBITS} qubits")
+    axis = {q: i for i, q in enumerate(qubit_order)}
+    if len(axis) != n:
+        raise ValueError("qubit order names a qubit twice")
+    return axis
+
+
+def _axes(axis: dict, qubits) -> tuple[int, ...]:
+    try:
+        return tuple(axis[q] for q in qubits)
+    except KeyError as e:
+        raise KeyError(f"qubit {e.args[0]!r} not in state") from None
+
+
 @dataclass(frozen=True)
 class PureState:
     amplitudes: np.ndarray
     qubit_order: tuple[QubitRef, ...]
 
     def __post_init__(self):
-        n = len(self.qubit_order)
-        if len(self.amplitudes) != 2 ** n:
-            raise ValueError("amplitude length does not match qubit count")
-        if n > MAX_QUBITS:
-            raise ValueError(f"dense oracle capped at {MAX_QUBITS} qubits")
-        axis = {q: i for i, q in enumerate(self.qubit_order)}
-        if len(axis) != n:
-            raise ValueError("qubit order names a qubit twice")
-        object.__setattr__(self, "_axis", axis)
+        object.__setattr__(self, "_axis", _axis_map(self.qubit_order, len(self.amplitudes)))
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubit_order)
 
     def index_of(self, q: QubitRef) -> int:
-        try:
-            return self._axis[q]
-        except KeyError:
-            raise KeyError(f"qubit {q!r} not in state") from None
+        return _axes(self._axis, (q,))[0]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -72,53 +85,72 @@ def product_state(qubits: list[QubitRef], kets: list[np.ndarray]) -> PureState:
     return PureState(amps, tuple(qubits))
 
 
+# --- kernels ----------------------------------------------------------------
+# Each kernel works on a stack of n-qubit states, one per row of an array of
+# shape (k, 2**n).  For n >= 2 each row gets the bits it gets on its own: a
+# stack only widens the matrix that each BLAS call already multiplies.
+
 @functools.cache
 def _axes_1q(q: int, n: int):
-    """The shape of an n-qubit state, the axis order that brings qubit q to
-    the front, and the order that puts it back."""
-    rest = tuple(i for i in range(n) if i != q)
-    return (2,) * n, (q,) + rest, tuple(range(1, q + 1)) + (0,) + tuple(range(q + 1, n))
+    """The shape that splits a stack of n-qubit states into qubit axes, the
+    axis order that brings qubit q to the front (then the rows), the shape
+    after that move and the order that puts q back."""
+    front = (q + 1, 0) + tuple(i + 1 for i in range(n) if i != q)
+    back = tuple(front.index(i) for i in range(n + 1))
+    return (-1,) + (2,) * n, front, (2, -1) + (2,) * (n - 1), back
 
 
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    # np.tensordot(mat, psi, axes=([1], [q])) then np.moveaxis(psi, 0, q),
-    # without their Python-side axis handling: the same transposes and the
-    # same np.dot call on identically laid-out operands
-    shape, front, back = _axes_1q(q, n)
-    psi = amps.reshape(shape).transpose(front).reshape(2, -1)
-    return np.dot(mat, psi).reshape(shape).transpose(back).reshape(-1)
+    # per row, np.tensordot(mat, psi, axes=([1], [q])) then np.moveaxis(psi,
+    # 0, q), without their Python-side axis handling: the same transposes and
+    # one np.dot over the columns of every row
+    split, front, moved, back = _axes_1q(q, n)
+    psi = amps.reshape(split).transpose(front).reshape(2, -1)
+    return np.dot(mat, psi).reshape(moved).transpose(back).reshape(len(amps), -1)
+
+
+@functools.cache
+def _blocks_2q(q0: int, q1: int, n: int):
+    """The shape that splits a stack of n-qubit states into qubit axes, and
+    the indices of its |11>, |01> and |10> blocks on qubits (q0, q1)."""
+    def block(v0, v1):
+        i: list = [slice(None)] * (n + 1)
+        i[q0 + 1], i[q1 + 1] = v0, v1
+        return tuple(i)
+    return (-1,) + (2,) * n, block(1, 1), block(0, 1), block(1, 0)
 
 
 def _apply_2q(amps: np.ndarray, gate: GateKind, q0: int, q1: int, n: int) -> np.ndarray:
-    psi = amps.reshape([2] * n).copy()
-
-    def idx(v0, v1):
-        i: list = [slice(None)] * n
-        i[q0], i[q1] = v0, v1
-        return tuple(i)
-
+    split, b11, b01, b10 = _blocks_2q(q0, q1, n)
+    psi = amps.reshape(split).copy()
     if gate is GateKind.CZ:
-        psi[idx(1, 1)] = -psi[idx(1, 1)]
+        psi[b11] = -psi[b11]
     elif gate is GateKind.SWAP:
-        a, b = psi[idx(0, 1)].copy(), psi[idx(1, 0)].copy()
-        psi[idx(0, 1)], psi[idx(1, 0)] = b, a
+        b = psi[b10].copy()
+        psi[b10] = psi[b01]
+        psi[b01] = b
     else:
         raise ValueError(f"not a two-qubit gate: {gate}")
-    return psi.reshape(-1)
+    return psi.reshape(len(amps), -1)
 
 
-def _unitary(amps: np.ndarray, gate: GateKind, axes: list[int], n: int) -> np.ndarray:
-    """`amps` after the unitary `gate` on the qubits at `axes`; raises when
-    the norm drifts by more than NORM_ABORT."""
+def _unitary(amps: np.ndarray, gate: GateKind, axes, n: int,
+             checked: np.ndarray | None = None) -> np.ndarray:
+    """Each row of `amps` after the unitary `gate` on the qubits at `axes`;
+    raises when the norm of a row drifts by more than NORM_ABORT.  The
+    boolean mask `checked`, if given, picks the rows that are checked."""
     if gate.is_two_qubit:
         if axes[0] == axes[1]:
             raise ValueError("two-qubit gate operands must be distinct")
         amps = _apply_2q(amps, gate, axes[0], axes[1], n)
     else:
         amps = _apply_1q(amps, _1Q_MATRICES[gate], axes[0], n)
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_ABORT:
-        raise NumericalInstabilityError(f"norm drifted to {norm}")
+    norms = np.linalg.norm(amps, axis=1)
+    drift = np.abs(norms - 1.0) > NORM_ABORT
+    if checked is not None:
+        drift &= checked
+    if drift.any():
+        raise NumericalInstabilityError(f"norm drifted to {norms[drift.argmax()]}")
     return amps
 
 
@@ -126,8 +158,46 @@ def apply_gate(state: PureState, gate: GateKind, operands: tuple[QubitRef, ...])
     """Apply a unitary gate; measurement/conditional gates are rejected here."""
     if gate is GateKind.MEASURE_X or gate.reads_bit:
         raise ValueError(f"{gate.value} is handled by branch_execute, not apply_gate")
-    axes = [state.index_of(q) for q in operands]
-    return PureState(_unitary(state.amplitudes, gate, axes, state.n_qubits), state.qubit_order)
+    amps = _unitary(state.amplitudes[None], gate, _axes(state._axis, operands), state.n_qubits)
+    return PureState(amps[0], state.qubit_order)
+
+
+def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
+    """Run `steps` on each row of `amps` (k, 2**n), the register `axis`,
+    enumerating all measurement branches.
+
+    Returns the outcomes of each branch, its probability for each input row
+    and its amplitudes, branch-major: input row j of branch b is row
+    b * k + j.  A row of probability 0 is carried along unchecked.
+    """
+    k, n = len(amps), len(axis)
+    outcomes = [{}]       # per branch: classical bit id -> 0 (+) or 1 (-)
+    probs = np.ones(k)
+    for step in steps:
+        axes = _axes(axis, step.operands)
+        if step.gate is GateKind.MEASURE_X:
+            x_amps = _apply_1q(amps, _X, axes[0], n)
+            split = (len(outcomes), 1, k, -1)
+            proj = np.concatenate([(0.5 * (amps + sign * x_amps)).reshape(split)
+                                   for sign in (1.0, -1.0)], axis=1).reshape(2 * len(amps), -1)
+            p = np.array([np.vdot(row, row).real for row in proj])
+            amps = proj / np.sqrt(np.where(p > 0, p, 1.0))[:, None]
+            probs = (probs.reshape(-1, 1, k) * p.reshape(-1, 2, k)).reshape(-1)
+            outcomes = [{**o, step.bit: v} for o in outcomes for v in (0, 1)]
+        elif step.gate.reads_bit:
+            if step.bit not in outcomes[0]:
+                raise ValueError(f"conditional reads unwritten bit {step.bit}")
+            base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
+            fired = np.repeat([o[step.bit] == 1 for o in outcomes], k)
+            amps = np.where(fired[:, None],
+                            _unitary(amps, base, axes, n, fired & (probs > 0)), amps)
+        else:
+            amps = _unitary(amps, step.gate, axes, n, probs > 0)
+    totals = probs.reshape(-1, k).sum(axis=0)
+    drift = np.abs(totals - 1.0) > 1e-10
+    if drift.any():
+        raise NumericalInstabilityError(f"branch probabilities sum to {totals[drift.argmax()]}")
+    return outcomes, probs, amps
 
 
 @dataclass
@@ -146,58 +216,38 @@ def branch_execute(steps: list[GateStep], initial: PureState) -> list[Branch]:
     protocol bug that breaks outcome symmetry shows up as an asymmetric
     branch set rather than being silently dropped.
     """
-    n = initial.n_qubits
-    branches = [[{}, 1.0, initial.amplitudes]]   # [outcomes, probability, amplitudes]
-    for step in steps:
-        axes = [initial.index_of(q) for q in step.operands]
-        if step.gate is GateKind.MEASURE_X:
-            new_branches = []
-            for outcomes, prob, amps in branches:
-                x_amps = _apply_1q(amps, _X, axes[0], n)
-                for outcome, sign in ((0, 1.0), (1, -1.0)):
-                    proj = 0.5 * (amps + sign * x_amps)
-                    p = float(np.vdot(proj, proj).real)
-                    if p > 0:
-                        proj = proj / np.sqrt(p)
-                    new_branches.append([{**outcomes, step.bit: outcome}, prob * p, proj])
-            branches = new_branches
-        elif step.gate.reads_bit:
-            base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
-            for br in branches:
-                if br[0].get(step.bit) is None:
-                    raise ValueError(f"conditional reads unwritten bit {step.bit}")
-                if br[0][step.bit] == 1 and br[1] > 0:
-                    br[2] = _unitary(br[2], base, axes, n)
-        else:
-            for br in branches:
-                if br[1] > 0:
-                    br[2] = _unitary(br[2], step.gate, axes, n)
-    total = sum(prob for _, prob, _ in branches)
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalInstabilityError(f"branch probabilities sum to {total}")
-    return [Branch(outcomes, prob, PureState(amps, initial.qubit_order))
-            for outcomes, prob, amps in branches if prob > 1e-12]
+    outcomes, probs, amps = _branches(steps, initial.amplitudes[None], initial._axis)
+    return [Branch(o, float(p), PureState(row, initial.qubit_order))
+            for o, p, row in zip(outcomes, probs, amps) if p > 1e-12]
 
 
 # --- reduced states ---------------------------------------------------------
 
 @functools.cache
 def _keep_first(keep: tuple[int, ...], n: int):
-    """The shape of an n-qubit state, the axis order that brings the qubits
-    `keep` to the front, and their dimension."""
+    """The shape that splits a stack of n-qubit states into qubit axes, the
+    axis order that brings the qubits `keep` to the front of each row, and
+    their dimension."""
     rest = tuple(i for i in range(n) if i not in keep)
-    return (2,) * n, keep + rest, 2 ** len(keep)
+    return (-1,) + (2,) * n, (0,) + tuple(i + 1 for i in keep + rest), 2 ** len(keep)
+
+
+def _reduced(amps: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
+    """The density matrix of each row of `amps` on the qubits at `keep` (in
+    that order), stacked: shape (k, d, d)."""
+    split, order, dim = _keep_first(keep, n)
+    psi = amps.reshape(split).transpose(order).reshape(len(amps), dim, -1)
+    return psi @ psi.conj().transpose(0, 2, 1)
 
 
 def reduced_density(state: PureState, keep: list[QubitRef]) -> np.ndarray:
     """Partial trace keeping `keep` (in the given order)."""
-    shape, order, dim = _keep_first(tuple(state.index_of(q) for q in keep), state.n_qubits)
-    psi = state.amplitudes.reshape(shape).transpose(order).reshape(dim, -1)
-    return psi @ psi.conj().T
+    return _reduced(state.amplitudes[None], _axes(state._axis, keep), state.n_qubits)[0]
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
+def purity(rho: np.ndarray):
+    """tr(rho^2) of a density matrix, or of each in a stack (k, d, d)."""
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def fidelity_with(rho: np.ndarray, target: np.ndarray) -> float:
@@ -230,17 +280,23 @@ class VerificationRecord:
     min_messenger_purity: float
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "pair": list(map(list, self.pair)),
-            "input": self.input_label,
-            "outcomes": list(self.outcomes),
-            "probability": self.probability,
-            "fidelity": self.fidelity,
-            "purity": self.min_messenger_purity,
-            "ok": self.ok,
-        }
+
+def records_to_jsonl(records: list[VerificationRecord]) -> str:
+    """One JSON object per record and line, in the bytes `json.dumps(obj,
+    sort_keys=True)` would give for {variant, pair, input, outcomes,
+    probability, fidelity, purity, ok}.  Numbers are written with `repr`,
+    as `json` writes ints and finite floats, and strings as it escapes them.
+    """
+    lines = []
+    for r in records:
+        (r1, c1), (r2, c2) = r.pair
+        outcomes = ", ".join(f"[{bit!r}, {v!r}]" for bit, v in r.outcomes)
+        lines.append(f'{{"fidelity": {r.fidelity!r}, "input": {_json_str(r.input_label)}, '
+                     f'"ok": {"true" if r.ok else "false"}, "outcomes": [{outcomes}], '
+                     f'"pair": [[{r1!r}, {c1!r}], [{r2!r}, {c2!r}]], '
+                     f'"probability": {r.probability!r}, "purity": {r.min_messenger_purity!r}, '
+                     f'"variant": {_json_str(r.variant)}}}\n')
+    return "".join(lines)
 
 
 @dataclass
@@ -268,50 +324,66 @@ def verify_sequence(
 
     Messengers start in |+>.  Every measurement branch must map each input
     to CZ|input> on (A, B) up to a global phase, and each messenger must
-    be disentangled (reduced-state purity ~ 1) at the end.
+    be disentangled (reduced-state purity ~ 1) at the end.  The inputs run
+    together, STACK_INPUTS at a time, one row each; records come per input,
+    in input order, then per branch.
     """
     qa, qb = QubitRef.comp(*a), QubitRef.comp(*b)
     mess = [QubitRef.mess(s) for s in messengers]
-    inputs = two_qubit_inputs if two_qubit_inputs is not None else STANDARD_INPUTS
+    inputs = list((two_qubit_inputs if two_qubit_inputs is not None
+                   else STANDARD_INPUTS).items())
     report = VerificationReport()
-    for label, ab_vec in inputs.items():
-        target = CZ_2Q @ ab_vec
+    for start in range(0, len(inputs), STACK_INPUTS):
+        chunk = inputs[start:start + STACK_INPUTS]
+        k = len(chunk)
         # np.kron of two vectors is their outer product, flattened
-        amps = ab_vec
+        amps = np.array([ab_vec for _, ab_vec in chunk])
         for _ in mess:
-            amps = np.multiply.outer(amps, KET_PLUS).reshape(-1)
-        initial = PureState(amps, (qa, qb, *mess))
-        for br in branch_execute(steps, initial):
-            purities = [purity(reduced_density(br.state, [m])) for m in mess]
-            min_pur = min(purities) if purities else 1.0
-            rho_ab = reduced_density(br.state, [qa, qb])
-            fid = fidelity_with(rho_ab, target)
-            ok = fid >= FIDELITY_THRESHOLD and min_pur >= PURITY_THRESHOLD
-            outcomes = tuple(sorted(br.outcomes.items()))
-            report.records.append(
-                VerificationRecord(variant, (a, b), label, outcomes,
-                                   br.probability, fid, min_pur, ok)
-            )
+            amps = np.multiply.outer(amps, KET_PLUS).reshape(k, -1)
+        axis = _axis_map((qa, qb, *mess), amps.shape[1])
+        outcomes, probs, amps = _branches(steps, amps, axis)
+        n = len(axis)
+        purities = [purity(_reduced(amps, (axis[m],), n)) for m in mess]
+        min_pur = np.min(purities, axis=0) if purities else np.ones(len(amps))
+        rho_ab = _reduced(amps, (axis[qa], axis[qb]), n)
+        outcome_items = [tuple(sorted(o.items())) for o in outcomes]
+        for j, (label, ab_vec) in enumerate(chunk):
+            target = CZ_2Q @ ab_vec
+            for row in range(j, len(amps), k):
+                p = float(probs[row])
+                if p > 1e-12:
+                    fid = fidelity_with(rho_ab[row], target)
+                    pur = float(min_pur[row])
+                    ok = fid >= FIDELITY_THRESHOLD and pur >= PURITY_THRESHOLD
+                    report.records.append(VerificationRecord(
+                        variant, (a, b), label, outcome_items[row // k], p, fid, pur, ok))
     return report
 
 
+class NothingToDropError(ValueError):
+    """`drop_final_correction` on a protocol without a conditional gate."""
+
+
 def verify_logical_cz(arch, a: tuple[int, int], b: tuple[int, int],
-                      drop_final_correction: bool = False) -> VerificationReport:
-    """Oracle-verify the compiled protocol of `arch` for the pair (a, b).
+                      drop_final_correction: bool = False,
+                      two_qubit_inputs: dict | None = None) -> VerificationReport:
+    """Oracle-verify the compiled protocol of `arch` for the pair (a, b), on
+    `two_qubit_inputs` (default STANDARD_INPUTS).
 
     `drop_final_correction` mutates the sequence by removing its last
     conditional gate; used to confirm the oracle actually catches broken
-    protocols.
+    protocols.  A protocol with no conditional gate raises
+    NothingToDropError.
     """
     d = decompose_cz(arch, a, b)
     steps = list(d.gates)
     if drop_final_correction:
-        for i in range(len(steps) - 1, -1, -1):
-            if steps[i].gate.reads_bit:
-                del steps[i]
-                break
+        conditional = [i for i, s in enumerate(steps) if s.gate.reads_bit]
+        if not conditional:
+            raise NothingToDropError(f"{arch.variant.value}: no conditional gate to drop")
+        del steps[conditional[-1]]
     return verify_sequence(steps, a, b, list(d.messengers),
-                           variant=arch.variant.value)
+                           variant=arch.variant.value, two_qubit_inputs=two_qubit_inputs)
 
 
 def haar_random_two_qubit_inputs(n: int, seed: int = 0) -> dict:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from atomshuttle import scheduler
+from atomshuttle import oracle, scheduler
 from atomshuttle.cli import build_parser, main
 from atomshuttle.ir import events_from_jsonl
 
@@ -99,6 +99,29 @@ def test_verify_mutation_exits_4(workdir, capsys):
     records = [json.loads(l) for l in (out / "verify.jsonl").read_text().splitlines()
                if not l.startswith("#")]
     assert any(not r["ok"] for r in records)
+
+
+def test_verify_mutant_drops_the_correction_for_haar_inputs_too(workdir, monkeypatch):
+    # one decomposition per pair serves the standard and the Haar inputs
+    calls, decompose = [], oracle.decompose_cz
+
+    def counting_decompose(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(oracle, "decompose_cz", counting_decompose)
+    out = workdir / "out"
+    assert run("verify", "--arch", str(workdir / "a.arch"), "--pair", "0,0,7,7",
+               "--variant", "throw-and-measure", "--drop-final-correction",
+               "--haar", "3", "--seed", "1", "--out", str(out)) == 4
+    assert len(calls) == 1
+    records = [json.loads(l) for l in (out / "verify.jsonl").read_text().splitlines()
+               if not l.startswith("#")]
+    assert [r["input"] for r in records] == [
+        label for label in ("00", "01", "10", "11", "++", "haar0", "haar1", "haar2")
+        for _ in range(2)]
+    assert all(any(not r["ok"] for r in records if r["input"] == f"haar{i}")
+               for i in range(3))
 
 
 @pytest.mark.parametrize("extra", [(), ("--drop-final-correction",)],
@@ -393,6 +416,32 @@ def test_config_numbers_are_ascii(workdir, capsys, monkeypatch, name, good, bad,
     (workdir / name).write_text(text.replace(good, bad))
     argv = (("cost", "--cost", name) if name.endswith(".cost") else
             ("schedule", "--arch", name, "--program", "p.program"))
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+# Whitespace and line breaks are ASCII too: U+3000 is the ideographic
+# space, U+2028 the line separator; `\s`, `str.strip()` and
+# `str.splitlines()` take both.
+
+@pytest.mark.parametrize("name, good, bad, message", [
+    ("p.program", "cz (0,0) (7,7)", "cz\u3000(0,0) (7,7)",
+     "line 2: cannot parse statement: 'cz\\u3000(0,0) (7,7)'"),
+    ("p.program", "h (3,3)", "h (3,3)\u3000", "line 4: cannot parse statement: "),
+    ("p.program", "lattice 8\n", "lattice 8\u2028", "line 1: expected 'lattice <L>' header"),
+    ("a.arch", "L = 8", "L = 8\u3000", "a.arch:2: L: '8\\u3000' is not an ASCII number"),
+    ("a.arch", "L = 8", "L\u3000= 8", "a.arch:2: unknown key 'L\\u3000'"),
+    ("c.cost", "f1 = 0.9995", "f1 = 0.9995\u3000", "c.cost:1: f1: '0.9995\\u3000' is not"),
+], ids=["program-space", "program-trailing-space", "program-line-separator",
+        "arch-value", "arch-key", "cost-value"])
+def test_whitespace_is_ascii(workdir, capsys, monkeypatch, name, good, bad, message):
+    monkeypatch.chdir(workdir)
+    text = (workdir / name).read_text()
+    assert good in text
+    (workdir / name).write_text(text.replace(good, bad), encoding="utf-8")
+    argv = (("cost", "--cost", name) if name.endswith(".cost") else
+            ("schedule", "--arch", "a.arch", "--program", "p.program"))
     assert run(*argv, "--out", "out") == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (workdir / "out").exists()

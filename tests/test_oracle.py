@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomshuttle.architectures import ArchitectureSpec, Variant
 from atomshuttle.ir import GateKind, GateStep, QubitRef
-from atomshuttle.oracle import (CZ_2Q, KET_0, KET_PLUS, PureState, _1Q_MATRICES,
-                                _apply_1q, branch_execute, fidelity_with,
+from atomshuttle.oracle import (CZ_2Q, KET_0, KET_PLUS, STANDARD_INPUTS,
+                                NothingToDropError, NumericalInstabilityError,
+                                PureState, _1Q_MATRICES, _apply_1q, _unitary,
+                                branch_execute, fidelity_with,
                                 haar_random_two_qubit_inputs, product_state,
-                                purity, reduced_density, apply_gate,
-                                verify_logical_cz, verify_sequence)
+                                purity, records_to_jsonl, reduced_density,
+                                apply_gate, verify_logical_cz, verify_sequence)
 
 A = QubitRef.comp(0, 0)
 B = QubitRef.comp(0, 1)
@@ -155,16 +159,95 @@ def test_state_rejects_a_repeated_qubit():
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
        st.sampled_from([GateKind.H, GateKind.Z, GateKind.X]),
-       st.integers(0, 2 ** 31 - 1))
-def test_1q_kernel_has_the_bits_of_tensordot(nq, gate, seed):
-    # the kernel is np.tensordot + np.moveaxis minus their axis handling
+       st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
+def test_1q_kernel_has_the_bits_of_tensordot(nq, gate, seed, k):
+    # the kernel is np.tensordot + np.moveaxis minus their axis handling, on
+    # k rows at once; each row gets the bits tensordot gives it alone.  A
+    # one-qubit row alone is a matrix-vector product, which BLAS may round
+    # unlike the matrix product of a stack, so one-qubit stacks are not
+    # claimed (every register the oracle verifies has at least two qubits).
     n, q = nq
+    k = 1 if n == 1 else k
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps = rng.normal(size=(k, 2 ** n)) + 1j * rng.normal(size=(k, 2 ** n))
     mat = _1Q_MATRICES[gate]
-    reference = np.moveaxis(np.tensordot(mat, amps.reshape([2] * n), axes=([1], [q])),
-                            0, q).reshape(-1)
-    assert _apply_1q(amps, mat, q, n).tobytes() == reference.tobytes()
+    out = _apply_1q(amps, mat, q, n)
+    assert out.shape == amps.shape
+    for row, psi in zip(out, amps):
+        reference = np.moveaxis(np.tensordot(mat, psi.reshape([2] * n), axes=([1], [q])),
+                                0, q).reshape(-1)
+        assert row.tobytes() == reference.tobytes()
+
+
+def test_norm_drift_in_one_row_of_a_stack_raises():
+    rows = np.tile(np.array([1, 0, 0, 0], dtype=complex), (3, 1))
+    rows[1] *= 1 + 1e-6
+    with pytest.raises(NumericalInstabilityError):
+        _unitary(rows, GateKind.H, (0,), 2)
+    with pytest.raises(NumericalInstabilityError):
+        _unitary(rows, GateKind.CZ, (0, 1), 2, np.array([False, True, False]))
+    # a row of probability 0 rides along unchecked
+    out = _unitary(rows, GateKind.H, (1,), 2, np.array([True, False, True]))
+    assert out.shape == rows.shape
+
+
+def _record_json(r):
+    """A record as `json.dumps` writes it: the reference of `records_to_jsonl`."""
+    return json.dumps({"variant": r.variant, "pair": list(map(list, r.pair)),
+                       "input": r.input_label, "outcomes": list(r.outcomes),
+                       "probability": r.probability, "fidelity": r.fidelity,
+                       "purity": r.min_messenger_purity, "ok": r.ok}, sort_keys=True) + "\n"
+
+
+def test_records_to_jsonl_has_the_bytes_of_json_dumps():
+    standard = verify_logical_cz(ArchitectureSpec(Variant.ONE_WAY_BELT, 5), (0, 4), (4, 0))
+    haar = verify_logical_cz(ArchitectureSpec(Variant.TWO_WAY_BELT, 4), (1, 2), (3, 0),
+                             two_qubit_inputs=haar_random_two_qubit_inputs(4, seed=2))
+    mutant = verify_logical_cz(ArchitectureSpec(Variant.THROW_AND_MEASURE, 4), (0, 0), (3, 3),
+                               drop_final_correction=True)
+    records = standard.records + haar.records + mutant.records
+    assert mutant.failures() and any(r.outcomes for r in records)
+    assert records_to_jsonl(records) == "".join(_record_json(r) for r in records)
+    assert records_to_jsonl([]) == ""
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(list(Variant)), st.integers(4, 6), st.data(),
+       st.integers(0, 40), st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_stacked_inputs_give_the_records_of_one_input_at_a_time(variant, L, data, n_haar,
+                                                                 seed, drop):
+    # 5 standard inputs plus up to 40 Haar ones span two STACK_INPUTS chunks
+    cells = [(r, c) for r in range(L) for c in range(L)]
+    a, b = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    arch = ArchitectureSpec(variant, L)
+    drop = drop and variant in (Variant.ONE_WAY_BELT, Variant.THROW_AND_MEASURE)
+    inputs = {**STANDARD_INPUTS, **haar_random_two_qubit_inputs(n_haar, seed)}
+    stacked = verify_logical_cz(arch, a, b, drop_final_correction=drop,
+                                two_qubit_inputs=inputs).records
+    alone = [r for label, vec in inputs.items()
+             for r in verify_logical_cz(arch, a, b, drop_final_correction=drop,
+                                        two_qubit_inputs={label: vec}).records]
+    assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+
+
+def test_a_branch_impossible_for_one_input_is_dropped_for_that_input_only():
+    # measuring A in the X basis: "++" never gives outcome 1, whose row of
+    # zeros then rides through the later gates without a norm check
+    steps = [GateStep(GateKind.MEASURE_X, (A,), bit=0), GateStep(GateKind.H, (M,)),
+             GateStep(GateKind.COND_Z, (B,), bit=0), GateStep(GateKind.H, (M,))]
+    stacked = verify_sequence(steps, (0, 0), (0, 1), [0]).records
+    alone = [r for label, vec in STANDARD_INPUTS.items()
+             for r in verify_sequence(steps, (0, 0), (0, 1), [0],
+                                      two_qubit_inputs={label: vec}).records]
+    assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+    assert [r.outcomes for r in stacked if r.input_label == "++"] == [((0, 0),)]
+    assert len(stacked) == 9
+
+
+def test_dropping_a_correction_that_is_not_there_raises():
+    with pytest.raises(NothingToDropError):
+        verify_logical_cz(ArchitectureSpec(Variant.TWO_WAY_BELT, 4), (0, 0), (3, 3),
+                          drop_final_correction=True)
 
 
 @settings(deadline=None, max_examples=30)
