@@ -7,6 +7,10 @@ configuration.
 
 Exit codes: 0 success, 2 parse error, 3 infeasible schedule,
 4 verification failure, 5 I/O error.
+
+Only the commands that run them import the oracle (`verify`) and the
+cost model (`cost`, `sweep`, `compare`), and with them numpy: `compile`
+and `schedule` load neither.
 """
 from __future__ import annotations
 
@@ -20,11 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .architectures import ArchitectureSpec, Variant, ascii_int, load_arch_config
-from .cost import (CostParams, architecture_comparison, contour_to_csv,
-                   error_budget_sweep, load_cost_config, sweep_to_csv)
 from .ir import INT_RE, LogicalCZ, ParseError, events_to_jsonl, parse_program
-from .oracle import (STANDARD_INPUTS, NothingToDropError, haar_random_two_qubit_inputs,
-                     records_to_jsonl, verify_logical_cz)
 from .scheduler import InfeasibleError, schedule, trajectories_to_csv
 
 EXIT_OK = 0
@@ -98,7 +98,8 @@ def _load_arch(args) -> tuple[ArchitectureSpec, str]:
     return arch, text
 
 
-def _load_cost(args) -> tuple[CostParams, str]:
+def _load_cost(args):
+    from .cost import load_cost_config
     if args.cost is None:
         raise _CliError(EXIT_PARSE, "--cost is required for this command")
     text = _read_text(args.cost)
@@ -174,6 +175,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import (STANDARD_INPUTS, NothingToDropError, haar_random_two_qubit_inputs,
+                         records_to_jsonl, verify_logical_cz)
     if args.haar < 0:
         raise _CliError(EXIT_PARSE, f"--haar {args.haar}: number of inputs must be at least 0")
     seed = args.seed or 0
@@ -208,6 +211,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from .cost import architecture_comparison
     L = _lattice_size(args)
     params, cost_text = _load_cost(args)
     rows = architecture_comparison(params, L)
@@ -224,6 +228,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .cost import contour_to_csv, error_budget_sweep, sweep_to_csv
     if args.variant is None:
         raise _CliError(EXIT_PARSE, "--variant is required for sweep")
     variant = _variant(args.variant)
@@ -241,6 +246,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .cost import architecture_comparison
     L = _lattice_size(args)
     params, cost_text = _load_cost(args)
     rows = architecture_comparison(params, L)

@@ -9,7 +9,6 @@ times in seconds.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -351,6 +350,7 @@ def events_to_jsonl(events: list[PhysicalEvent]) -> str:
 
 
 def events_from_jsonl(text: str) -> list[PhysicalEvent]:
+    import json   # only readers of artifacts pay for it; no command reads one
     out = []
     for line in text.splitlines():
         line = line.strip()

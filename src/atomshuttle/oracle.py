@@ -137,7 +137,7 @@ def _apply_2q(amps: np.ndarray, gate: GateKind, q0: int, q1: int, n: int) -> np.
 def _unitary(amps: np.ndarray, gate: GateKind, axes, n: int,
              checked: np.ndarray | None = None) -> np.ndarray:
     """Each row of `amps` after the unitary `gate` on the qubits at `axes`;
-    raises when the norm of a row drifts by more than NORM_ABORT.  The
+    raises when the norm of a row drifts by more than NORM_ABORT or is NaN.  The
     boolean mask `checked`, if given, picks the rows that are checked."""
     if gate.is_two_qubit:
         if axes[0] == axes[1]:
@@ -146,7 +146,7 @@ def _unitary(amps: np.ndarray, gate: GateKind, axes, n: int,
     else:
         amps = _apply_1q(amps, _1Q_MATRICES[gate], axes[0], n)
     norms = np.linalg.norm(amps, axis=1)
-    drift = np.abs(norms - 1.0) > NORM_ABORT
+    drift = ~(np.abs(norms - 1.0) <= NORM_ABORT)
     if checked is not None:
         drift &= checked
     if drift.any():
@@ -194,7 +194,7 @@ def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
         else:
             amps = _unitary(amps, step.gate, axes, n, probs > 0)
     totals = probs.reshape(-1, k).sum(axis=0)
-    drift = np.abs(totals - 1.0) > 1e-10
+    drift = ~(np.abs(totals - 1.0) <= 1e-10)
     if drift.any():
         raise NumericalInstabilityError(f"branch probabilities sum to {totals[drift.argmax()]}")
     return outcomes, probs, amps

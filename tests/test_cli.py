@@ -486,7 +486,8 @@ def test_write_error_exits_5_naming_the_artifact(workdir, capsys, monkeypatch):
     (workdir / "out" / "trajectories.csv").mkdir()   # a directory where a file goes
     assert run("schedule", "--arch", "a.arch", "--program", "p.program", "--out", "out") == 5
     assert "error: cannot write trajectories.csv: " in capsys.readouterr().err
-    (workdir / "file").write_text("")
+    (workdir / "file").write_text("kept\n")
     assert run("schedule", "--arch", "a.arch", "--program", "p.program",
                "--out", "file/out") == 5
     assert "error: cannot write file/out: " in capsys.readouterr().err
+    assert (workdir / "file").read_text() == "kept\n"

@@ -1,15 +1,25 @@
-"""Every name a package module imports is read somewhere in that module.
+"""What the package imports.
 
+Every name a package module imports is read somewhere in that module.
 No linter runs on this repository, so this test is the unused-import
 check.  `__init__.py` is left out: its imports are the package's
 re-exports.
+
+`compile` and `schedule` import neither numpy nor the oracle or the cost
+model, and every exported name still resolves, most of them lazily.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "atomshuttle"
+import atomshuttle
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "atomshuttle"
 
 
 def unread_imports(source: str) -> list[str]:
@@ -37,3 +47,43 @@ def test_module_reads_every_name_it_imports(module):
 def test_unread_import_is_reported():
     source = "import json\nfrom math import hypot, sqrt\nprint(sqrt(json.dumps(1)))\n"
     assert unread_imports(source) == ["line 2: hypot"]
+
+
+# A fresh interpreter: the test process itself has numpy loaded already.
+_COMPILE_PATH = """\
+import sys
+from atomshuttle import cli
+for command in ("schedule", "compile"):
+    code = cli.main([command, "--arch", "configs/two-way-belt.arch",
+                     "--program", "configs/sample.program", "--out", sys.argv[1]])
+    assert code == 0, (command, code)
+print(" ".join(m for m in ("numpy", "atomshuttle.oracle", "atomshuttle.cost")
+               if m in sys.modules))
+"""
+
+
+def test_compile_and_schedule_load_no_numpy_oracle_or_cost(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", _COMPILE_PATH, str(tmp_path / "out")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "compile.jsonl", "events.jsonl", "makespan.txt", "trajectories.csv"]
+
+
+@pytest.mark.parametrize("name", atomshuttle.__all__)
+def test_every_exported_name_resolves_and_is_listed(name):
+    assert getattr(atomshuttle, name) is not None
+    assert name in dir(atomshuttle)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'verify'"):
+        atomshuttle.verify
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from atomshuttle import *", namespace)
+    assert set(atomshuttle.__all__) <= set(namespace)

@@ -191,6 +191,15 @@ def test_norm_drift_in_one_row_of_a_stack_raises():
     assert out.shape == rows.shape
 
 
+def test_nan_amplitude_raises():
+    nan_state = PureState(np.array([np.nan, 0, 0, 0], dtype=complex), (A, B))
+    with pytest.raises(NumericalInstabilityError, match="nan"):
+        apply_gate(nan_state, GateKind.H, (A,))
+    # no unitary runs before the branch probabilities are summed
+    with pytest.raises(NumericalInstabilityError, match="nan"):
+        branch_execute([GateStep(GateKind.MEASURE_X, (A,), bit=0)], nan_state)
+
+
 def _record_json(r):
     """A record as `json.dumps` writes it: the reference of `records_to_jsonl`."""
     return json.dumps({"variant": r.variant, "pair": list(map(list, r.pair)),
