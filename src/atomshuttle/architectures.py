@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .ir import ASCII_SPACE, GateKind, GateStep, QubitRef, content_lines, in_lattice
+from .ir import ASCII_SPACE, GateKind, GateStep, LogicalCZ, QubitRef, check_op, content_lines
 
 
 class Variant(Enum):
@@ -93,18 +92,13 @@ _CONFIG_KEYS = {
 }
 
 
-def read_key_values(path: str | Path, keys: dict, text: str | None = None) -> dict:
-    """Read a key=value config file into {field name: converted value}.
+def read_key_values(path: str, keys: dict, text: str) -> dict:
+    """Read the `text` of the key=value config file `path` into {field name:
+    converted value}.
 
     `keys` maps each accepted key to (field name, converter).  `#` starts
     a comment.  Every error names `path:line`, and a key may be set once.
-    `text`, if given, is the file's content, already read.
     """
-    if text is None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: not UTF-8 text") from e
     kwargs, first_line = {}, {}
     for lineno, line in content_lines(text):
         if "=" not in line:
@@ -124,7 +118,7 @@ def read_key_values(path: str | Path, keys: dict, text: str | None = None) -> di
     return kwargs
 
 
-def build_from_config(cls, path: str | Path, keys: dict, kwargs: dict):
+def build_from_config(cls, path: str, keys: dict, kwargs: dict):
     """`cls(**kwargs)`; a `FieldError` is re-raised naming `path` and the config key."""
     try:
         return cls(**kwargs)
@@ -133,8 +127,8 @@ def build_from_config(cls, path: str | Path, keys: dict, kwargs: dict):
         raise ValueError(f"{path}: {key}={e.value} {e.requirement}") from e
 
 
-def load_arch_config(path: str | Path, text: str | None = None) -> ArchitectureSpec:
-    """Read a key=value architecture config file (or its `text`, already read)."""
+def load_arch_config(path: str, text: str) -> ArchitectureSpec:
+    """The architecture that the `text` of the key=value config file `path` sets."""
     kwargs = read_key_values(path, _CONFIG_KEYS, text)
     if "variant" not in kwargs or "L" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'variant' and 'L'")
@@ -194,14 +188,6 @@ def _counts_from_gates(gates) -> GateCounts:
     return GateCounts(n1, n2_cz, n2_swap, nr)
 
 
-def _check_targets(L: int, a: tuple[int, int], b: tuple[int, int]) -> None:
-    if a == b:
-        raise ValueError("target qubits must be distinct")
-    for c in (a, b):
-        if not in_lattice(c, L):
-            raise ValueError(f"coordinate {c} out of range for L={L}")
-
-
 def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
                  serial_start: int = 0, bit_start: int = 0) -> Decomposition:
     """Physical protocol realizing a logical CZ between `a` and `b`.
@@ -210,7 +196,7 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
     bits from `bit_start` so that compiling several logical gates never
     shares a messenger or a bit.
     """
-    _check_targets(arch.L, a, b)
+    check_op(LogicalCZ(a, b), arch.L)
 
     A, B = QubitRef.comp(*a), QubitRef.comp(*b)
     v = arch.variant
@@ -330,7 +316,7 @@ def neighbor_chain_decompose(L: int, a: tuple[int, int], b: tuple[int, int]) -> 
     For Manhattan distance d this costs n2 = 2(d-1)+1 two-qubit gates,
     growing with separation (unlike every messenger variant).
     """
-    _check_targets(L, a, b)
+    check_op(LogicalCZ(a, b), L)
     path = manhattan_path(a, b)
     refs = [QubitRef.comp(*c) for c in path]
     gates = []

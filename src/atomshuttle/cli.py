@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .architectures import ArchitectureSpec, Variant, ascii_int, load_arch_config
-from .ir import INT_RE, LogicalCZ, ParseError, events_to_jsonl, parse_program
+from .ir import INT_RE, LogicalCZ, check_circuit, events_to_jsonl, parse_program
 from .scheduler import InfeasibleError, schedule, trajectories_to_csv
 
 EXIT_OK = 0
@@ -75,33 +75,22 @@ def _write(out_dir: str, header: str, artifacts: dict[str, str]) -> None:
         raise _CliError(EXIT_IO, f"cannot write {name}: {e}") from e
 
 
-def _variant(name: str) -> Variant:
-    try:
-        return Variant(name)
-    except ValueError as e:
-        raise _CliError(EXIT_PARSE, f"unknown variant {name!r}") from e
-
-
 # Each loader reads its file once and returns the parsed value with the
 # text it came from, so an artifact header hashes the bytes that were parsed.
 
 def _load_arch(args) -> tuple[ArchitectureSpec, str]:
-    if args.arch is None:
-        raise _CliError(EXIT_PARSE, "--arch is required for this command")
     text = _read_text(args.arch)
     try:
         arch = load_arch_config(args.arch, text)
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
     if args.variant is not None:
-        arch = dataclasses.replace(arch, variant=_variant(args.variant))
+        arch = dataclasses.replace(arch, variant=Variant(args.variant))
     return arch, text
 
 
 def _load_cost(args):
     from .cost import load_cost_config
-    if args.cost is None:
-        raise _CliError(EXIT_PARSE, "--cost is required for this command")
     text = _read_text(args.cost)
     try:
         return load_cost_config(args.cost, text), text
@@ -113,11 +102,9 @@ def _load_circuit(args, arch: ArchitectureSpec):
     text = _read_text(args.program)
     try:
         circuit = parse_program(text)
-    except ParseError as e:
+        check_circuit(circuit, arch.L)
+    except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
-    if circuit.lattice_size != arch.L:
-        raise _CliError(EXIT_PARSE,
-                        f"program lattice {circuit.lattice_size} != arch L={arch.L}")
     return circuit, text
 
 
@@ -138,13 +125,11 @@ def _pairs_for(args, arch: ArchitectureSpec):
     """The target pairs, and the program text they came from ('' for --pair)."""
     if args.pair is not None:
         return [_parse_pair(args.pair)], ""
-    if args.program is not None:
-        circuit, text = _load_circuit(args, arch)
-        pairs = [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)]
-        if not pairs:
-            raise _CliError(EXIT_PARSE, f"{args.program}: no cz statement to verify")
-        return pairs, text
-    raise _CliError(EXIT_PARSE, "either --pair or --program is required")
+    circuit, text = _load_circuit(args, arch)
+    pairs = [(op.a, op.b) for op in circuit.ops if isinstance(op, LogicalCZ)]
+    if not pairs:
+        raise _CliError(EXIT_PARSE, f"{args.program}: no cz statement to verify")
+    return pairs, text
 
 
 def _schedule_or_fail(circuit, arch):
@@ -229,9 +214,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .cost import contour_to_csv, error_budget_sweep, sweep_to_csv
-    if args.variant is None:
-        raise _CliError(EXIT_PARSE, "--variant is required for sweep")
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     case = args.case
     if variant is Variant.ONE_WAY_BELT:
         case = case or 1
@@ -277,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="compile, verify, schedule and cost long-range CZ gates "
                     "on messenger-qubit atom arrays")
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = [v.value for v in Variant]
     for name, help_text in (
         ("compile", "decompose and schedule a program; emit physical events"),
         ("verify", "state-vector check that compiled protocols implement CZ"),
@@ -286,14 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "rank all variants by logical error, then makespan"),
     ):
         p = sub.add_parser(name, help=help_text)
-        # each command takes only the flags it reads; any other exits 2
+        # each command takes only the flags it reads, and argparse enforces
+        # which are required; any other flag, or a missing one, exits 2
         p.add_argument("--out", default=".", help="output directory")
         if name in ("compile", "schedule", "verify"):
-            p.add_argument("--arch", help="architecture config (key=value file)")
-            p.add_argument("--variant", help="override the config's variant")
-            p.add_argument("--program", help="logical program file")
+            p.add_argument("--arch", required=True, help="architecture config (key=value file)")
+            p.add_argument("--variant", choices=variants, help="override the config's variant")
+        if name in ("compile", "schedule"):
+            p.add_argument("--program", required=True, help="logical program file")
         if name == "verify":
-            p.add_argument("--pair", help="single-gate target pair: r1,c1,r2,c2")
+            target = p.add_mutually_exclusive_group(required=True)
+            target.add_argument("--pair", help="single-gate target pair: r1,c1,r2,c2")
+            target.add_argument("--program", help="logical program file; verify each cz")
             p.add_argument("--seed", type=ascii_int,
                            help="seed of the --haar inputs (default 0)")
             p.add_argument("--haar", type=ascii_int, default=0,
@@ -301,11 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--drop-final-correction", action="store_true",
                            help="mutation check: remove the last conditional gate")
         if name == "sweep":
-            p.add_argument("--variant", help="the variant to sweep (required)")
+            p.add_argument("--variant", required=True, choices=variants,
+                           help="the variant to sweep")
             p.add_argument("--axis", choices=("p1", "pr"), default="p1")
             p.add_argument("--case", type=ascii_int, choices=(1, 2))
         if name in ("cost", "compare"):
-            p.add_argument("--cost", help="cost-model config (key=value file)")
+            p.add_argument("--cost", required=True, help="cost-model config (key=value file)")
             p.add_argument("-L", type=ascii_int, default=8, help="lattice size")
     return parser
 

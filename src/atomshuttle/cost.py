@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -54,8 +53,8 @@ _COST_KEYS = {key: (key, ascii_float) for key in
               ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle")}
 
 
-def load_cost_config(path: str | Path, text: str | None = None) -> CostParams:
-    """Read a key=value cost config file (or its `text`, already read)."""
+def load_cost_config(path: str, text: str) -> CostParams:
+    """The cost parameters that the `text` of the key=value config file `path` sets."""
     return build_from_config(CostParams, path, _COST_KEYS,
                              read_key_values(path, _COST_KEYS, text))
 

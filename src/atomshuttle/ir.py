@@ -137,39 +137,36 @@ class LogicalCircuit:
     ops: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    index: int | None
-    message: str
-
-
 def in_lattice(c: tuple[int, int], L: int) -> bool:
     """True when the (row, col) coordinate `c` lies on the L x L lattice."""
     return 0 <= c[0] < L and 0 <= c[1] < L
 
 
-def validate(circuit: LogicalCircuit) -> list[ValidationIssue]:
-    """Check LogicalCircuit invariants; empty list means well formed."""
-    issues = []
-    L = circuit.lattice_size
-    if L < 1:
-        issues.append(ValidationIssue(None, f"lattice size {L} must be >= 1"))
+def check_op(op, L: int) -> None:
+    """Raise `ValueError` unless `op` is a CZ between two distinct sites, or
+    an H, Z or X on one site, of the L x L lattice."""
+    if isinstance(op, LogicalCZ):
+        sites = (op.a, op.b)
+    elif isinstance(op, Logical1Q):
+        if op.gate not in (GateKind.H, GateKind.Z, GateKind.X):
+            raise ValueError(f"unsupported single-qubit gate {op.gate}")
+        sites = (op.q,)
+    else:
+        raise ValueError(f"unknown op {op!r}")
+    for c in sites:
+        if not in_lattice(c, L):
+            raise ValueError(f"coordinate {c} out of range for L={L}")
+    if len(sites) == 2 and sites[0] == sites[1]:
+        raise ValueError(f"cz operands identical: {op.a}")
 
-    for i, op in enumerate(circuit.ops):
-        if isinstance(op, LogicalCZ):
-            for c in (op.a, op.b):
-                if not in_lattice(c, L):
-                    issues.append(ValidationIssue(i, f"coordinate {c} out of range for L={L}"))
-            if op.a == op.b:
-                issues.append(ValidationIssue(i, f"cz operands identical: {op.a}"))
-        elif isinstance(op, Logical1Q):
-            if op.gate not in (GateKind.H, GateKind.Z, GateKind.X):
-                issues.append(ValidationIssue(i, f"unsupported single-qubit gate {op.gate}"))
-            if not in_lattice(op.q, L):
-                issues.append(ValidationIssue(i, f"coordinate {op.q} out of range for L={L}"))
-        else:
-            issues.append(ValidationIssue(i, f"unknown op {op!r}"))
-    return issues
+
+def check_circuit(circuit: LogicalCircuit, L: int) -> None:
+    """Raise `ValueError` unless `circuit` is written for the L x L lattice
+    and `check_op` accepts each of its ops."""
+    if circuit.lattice_size != L:
+        raise ValueError(f"program lattice {circuit.lattice_size} != arch L={L}")
+    for op in circuit.ops:
+        check_op(op, L)
 
 
 INT_RE = r"-?[0-9]+"   # not `\d`, which matches every Unicode digit
@@ -211,26 +208,18 @@ def parse_program(text: str) -> LogicalCircuit:
             if L < 1:
                 raise ParseError(lineno, f"lattice size {L} must be >= 1")
             continue
-        m = _CZ_RE.match(line)
-        if m:
-            a = (int(m.group(1)), int(m.group(2)))
-            b = (int(m.group(3)), int(m.group(4)))
-            for c in (a, b):
-                if not in_lattice(c, L):
-                    raise ParseError(lineno, f"coordinate {c} out of range for L={L}")
-            if a == b:
-                raise ParseError(lineno, f"cz operands identical: {a}")
-            ops.append(LogicalCZ(a, b))
-            continue
-        m = _1Q_RE.match(line)
-        if m:
-            gate = GateKind(m.group(1))
-            q = (int(m.group(2)), int(m.group(3)))
-            if not in_lattice(q, L):
-                raise ParseError(lineno, f"coordinate {q} out of range for L={L}")
-            ops.append(Logical1Q(gate, q))
-            continue
-        raise ParseError(lineno, f"cannot parse statement: {line!r}")
+        if m := _CZ_RE.match(line):
+            op = LogicalCZ((int(m.group(1)), int(m.group(2))),
+                           (int(m.group(3)), int(m.group(4))))
+        elif m := _1Q_RE.match(line):
+            op = Logical1Q(GateKind(m.group(1)), (int(m.group(2)), int(m.group(3))))
+        else:
+            raise ParseError(lineno, f"cannot parse statement: {line!r}")
+        try:
+            check_op(op, L)
+        except ValueError as e:
+            raise ParseError(lineno, str(e)) from e
+        ops.append(op)
     if L is None:
         raise ParseError(1, "missing 'lattice <L>' header")
     return LogicalCircuit(lattice_size=L, ops=tuple(ops))

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
 from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCircuit,
-                 PhysicalEvent, QubitRef, sort_events, validate)
+                 PhysicalEvent, QubitRef, check_circuit, sort_events)
 
 EXCLUSION_CELLS = 2.0       # min separation of concurrently firing 2q gates
 DIST_TOL = 1e-9
@@ -695,10 +695,9 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     Gates run concurrently when their planned events violate no pairwise
     exclusion or qubit-dependency constraint; otherwise later gates are
     delayed by the minimal feasible offset.  Deterministic in circuit order.
+    Raises `ValueError` unless the circuit is written for the `arch.L` array.
     """
-    issues = validate(circuit)
-    if issues:
-        raise ValueError(f"invalid circuit: {issues[0].message}")
+    check_circuit(circuit, arch.L)
     eps = 1e-6 * arch.t2
     # (sort key, event) in commit order; one stable sort at the end gives
     # the order of `sort_events`

@@ -130,18 +130,18 @@ def test_spec_validation():
 def test_load_arch_config(tmp_path):
     p = tmp_path / "a.arch"
     p.write_text("variant = throw-and-measure\nL = 16\nv_mps = 2.5  # fast\n")
-    arch = load_arch_config(p)
+    arch = load_arch_config(str(p), p.read_text())
     assert arch.variant is Variant.THROW_AND_MEASURE
     assert arch.L == 16 and arch.v == 2.5
     p.write_text("variant = throw-and-measure\nL = 16\nbogus = 1\n")
     with pytest.raises(ValueError):
-        load_arch_config(p)
+        load_arch_config(str(p), p.read_text())
     p.write_text("L = 16\n")
     with pytest.raises(ValueError):
-        load_arch_config(p)
+        load_arch_config(str(p), p.read_text())
     p.write_text("variant = throw-and-measure\nL = 16\nR_m = 4e-6\n")
     with pytest.raises(ValueError, match=r"a\.arch: R_m=4e-06 exceeds the lattice spacing"):
-        load_arch_config(p)
+        load_arch_config(str(p), p.read_text())
 
 
 def test_read_key_values_rejects_a_repeated_key(tmp_path):
@@ -149,13 +149,7 @@ def test_read_key_values_rejects_a_repeated_key(tmp_path):
     p.write_text("L = 8  # first\n\nL = 4\n")
     with pytest.raises(ValueError,
                        match=r"a\.cfg:3: duplicate key 'L' \(first set on line 1\)$"):
-        read_key_values(p, {"L": ("L", int)})
+        read_key_values(str(p), {"L": ("L", int)}, p.read_text())
     p.write_text("L = 8\nM = 4\n")
-    assert read_key_values(p, {"L": ("L", int), "M": ("m", int)}) == {"L": 8, "m": 4}
-
-
-def test_read_key_values_rejects_non_utf8(tmp_path):
-    p = tmp_path / "a.cfg"
-    p.write_bytes(b"L = 8\n\xff\xfe\n")
-    with pytest.raises(ValueError, match=r"a\.cfg: not UTF-8 text$"):
-        read_key_values(p, {"L": ("L", int)})
+    assert read_key_values(str(p), {"L": ("L", int), "M": ("m", int)},
+                           p.read_text()) == {"L": 8, "m": 4}

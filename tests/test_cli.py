@@ -327,6 +327,53 @@ def test_flag_a_command_does_not_read_exits_2(workdir, capsys, monkeypatch, argv
     assert not (workdir / "out").exists()
 
 
+# one complete command line per command
+COMPLETE_ARGV = {
+    "compile": ("--arch", "a.arch", "--program", "p.program"),
+    "schedule": ("--arch", "a.arch", "--program", "p.program"),
+    "verify": ("--arch", "a.arch", "--pair", "0,0,3,3"),
+    "cost": ("--cost", "c.cost"),
+    "compare": ("--cost", "c.cost"),
+    "sweep": ("--variant", "throw-catch-throw"),
+}
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    *((command, flag, f"the following arguments are required: {flag}")
+      for command, flag in (("compile", "--arch"), ("compile", "--program"),
+                            ("schedule", "--arch"), ("schedule", "--program"),
+                            ("verify", "--arch"), ("cost", "--cost"),
+                            ("compare", "--cost"), ("sweep", "--variant"))),
+    ("verify", "--pair", "one of the arguments --pair --program is required"),
+])
+def test_a_missing_required_flag_exits_2(workdir, capsys, monkeypatch, command, flag, message):
+    monkeypatch.chdir(workdir)
+    argv = list(COMPLETE_ARGV[command])
+    i = argv.index(flag)
+    del argv[i:i + 2]
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, *argv, "--out", "out")
+    assert exit_info.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--program", "nonexistent.program"),
+     "argument --program: not allowed with argument --pair"),
+    (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--variant", "warp-drive"),
+     "argument --variant: invalid choice: 'warp-drive'"),
+    (("sweep", "--variant", "warp-drive"), "argument --variant: invalid choice: 'warp-drive'"),
+], ids=["pair-and-program", "verify-variant", "sweep-variant"])
+def test_conflicting_or_unknown_flag_values_exit_2(workdir, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, "--out", "out")
+    assert exit_info.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_parser_is_built_once_and_keeps_no_argument_values(workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     assert build_parser() is build_parser()

@@ -188,9 +188,9 @@ def test_params_validation_and_config(tmp_path):
             CostParams(f_shuttle=bad)
     p = tmp_path / "c.cost"
     p.write_text("f1 = 0.9995\nf2_cz = 0.999\nf2_swap = 0.999\nfr = 0.997\n")
-    params = load_cost_config(p)
+    params = load_cost_config(str(p), p.read_text())
     assert params.f1 == 0.9995 and params.fr == 0.997
     for key in ("nope", "kappa", "p2_baseline"):
         p.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
-            load_cost_config(p)
+            load_cost_config(str(p), p.read_text())

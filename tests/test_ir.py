@@ -1,14 +1,17 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, GateStep, Logical1Q,
                             LogicalCZ, LogicalCircuit, ParseError,
-                            PhysicalEvent, QubitKind, QubitRef, classical_bits,
-                            events_from_jsonl, events_to_jsonl, parse_program,
-                            render_program, sort_events, validate)
+                            PhysicalEvent, QubitKind, QubitRef, check_op,
+                            classical_bits, events_from_jsonl, events_to_jsonl,
+                            parse_program, render_program, sort_events)
+from atomshuttle.scheduler import schedule
 
 
 def test_parse_minimal():
@@ -58,14 +61,40 @@ def test_render_parse_round_trip(circuit):
 
 
 @given(circuits())
-def test_generated_circuits_validate(circuit):
-    assert validate(circuit) == []
+def test_check_op_accepts_generated_ops(circuit):
+    for op in circuit.ops:
+        check_op(op, circuit.lattice_size)
 
 
-def test_validate_reports_out_of_range():
-    bad = LogicalCircuit(2, (LogicalCZ((0, 0), (5, 5)),))
-    issues = validate(bad)
-    assert issues and issues[0].index == 0
+# (op, its program statement or None, the message) on the 4x4 lattice
+BAD_OPS = [
+    (LogicalCZ((0, 0), (4, 0)), "cz (0,0) (4,0)", "coordinate (4, 0) out of range for L=4"),
+    (LogicalCZ((1, 1), (0, -1)), "cz (1,1) (0,-1)", "coordinate (0, -1) out of range for L=4"),
+    (Logical1Q(GateKind.H, (2, 4)), "h (2,4)", "coordinate (2, 4) out of range for L=4"),
+    (Logical1Q(GateKind.Z, (-1, 0)), "z (-1,0)", "coordinate (-1, 0) out of range for L=4"),
+    (LogicalCZ((1, 1), (1, 1)), "cz (1,1) (1,1)", "cz operands identical: (1, 1)"),
+    (Logical1Q(GateKind.MEASURE_X, (0, 0)), None,
+     "unsupported single-qubit gate GateKind.MEASURE_X"),
+    (((0, 0), (1, 1)), None, "unknown op ((0, 0), (1, 1))"),
+]
+
+
+@pytest.mark.parametrize("op, statement, message", BAD_OPS,
+                         ids=["cz-out-of-range", "cz-negative", "h-out-of-range",
+                              "z-negative", "cz-identical", "measure-x", "unknown-type"])
+def test_a_bad_op_gets_one_message_at_every_entry_point(op, statement, message):
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact):
+        check_op(op, 4)
+    arch = ArchitectureSpec(Variant.TWO_WAY_BELT, 4)
+    with pytest.raises(ValueError, match=exact):
+        schedule(LogicalCircuit(4, (op,)), arch)
+    if isinstance(op, LogicalCZ):
+        with pytest.raises(ValueError, match=exact):
+            decompose_cz(arch, op.a, op.b)
+    if statement is not None:
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse_program(f"lattice 4\n{statement}\n")
 
 
 def _sample_events():

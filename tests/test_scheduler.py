@@ -411,3 +411,12 @@ def test_trajectory_csv_shape():
     lines = csv.strip().splitlines()
     assert lines[0] == "messenger,t_start,t_end,x0,y0,x1,y1,kind"
     assert len(lines) == 1 + sum(len(s) for s in prog.trajectories.values())
+
+
+def test_schedule_rejects_a_circuit_off_the_array():
+    arch = ArchitectureSpec(Variant.TWO_WAY_BELT, 8)
+    h = Logical1Q(GateKind.H, (12, 12))
+    with pytest.raises(ValueError, match=r"^program lattice 16 != arch L=8$"):
+        schedule(LogicalCircuit(16, (h,)), arch)
+    with pytest.raises(ValueError, match=r"^coordinate \(12, 12\) out of range for L=8$"):
+        schedule(LogicalCircuit(8, (h,)), arch)
