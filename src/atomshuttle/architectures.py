@@ -9,10 +9,11 @@ The nearest-neighbor SWAP-chain baseline is also provided for contrast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .ir import ASCII_SPACE, GateKind, GateStep, LogicalCZ, QubitRef, check_op, content_lines
+from .ir import (ASCII_SPACE, GateKind, GateStep, LogicalCZ, QubitRef, check_op, content_lines,
+                 immutable)
 
 
 class Variant(Enum):
@@ -24,14 +25,13 @@ class Variant(Enum):
 
 
 class FieldError(ValueError):
-    """A spec field outside its domain; `field` names the dataclass field."""
+    """A spec field outside its domain; `field` names the field."""
 
     def __init__(self, field: str, value, requirement: str):
         super().__init__(f"{field}={value} {requirement}")
         self.field, self.value, self.requirement = field, value, requirement
 
 
-@dataclass(frozen=True)
 class ArchitectureSpec:
     """Variant plus geometry and timing parameters.
 
@@ -41,29 +41,48 @@ class ArchitectureSpec:
     full two-qubit gate).
     """
 
-    variant: Variant
-    L: int
-    a: float = 3e-6
-    R: float = 2.7e-6           # 0.9 a
-    v: float = 1.5              # a / (2 t2) with the defaults below
-    t2: float = 1e-6
-    t1: float = 1e-7
-    tr: float = 1e-5
-    t_route: float = 2e-6
-    t_turnaround: float = 2e-6
+    __slots__ = ("variant", "L", "a", "R", "v", "t2", "t1", "tr", "t_route", "t_turnaround")
 
-    def __post_init__(self):
-        if self.L < 2:
-            raise FieldError("L", self.L, "must be at least 2")
-        for name in ("a", "R", "v", "t2", "t1", "tr", "t_route", "t_turnaround"):
-            value = getattr(self, name)
+    def __init__(self, variant: Variant, L: int, a: float = 3e-6,
+                 R: float = 2.7e-6,           # 0.9 a
+                 v: float = 1.5,              # a / (2 t2) with the defaults below
+                 t2: float = 1e-6, t1: float = 1e-7, tr: float = 1e-5,
+                 t_route: float = 2e-6, t_turnaround: float = 2e-6):
+        if L < 2:
+            raise FieldError("L", L, "must be at least 2")
+        for name, value in (("a", a), ("R", R), ("v", v), ("t2", t2), ("t1", t1), ("tr", tr),
+                            ("t_route", t_route), ("t_turnaround", t_turnaround)):
             if not (math.isfinite(value) and value > 0):
                 raise FieldError(name, value, "must be finite and strictly positive")
-        if self.R > self.a * (1 + 1e-12):
-            raise FieldError("R", self.R, f"exceeds the lattice spacing {self.a}")
-        if self.v > self.a / self.t2 * (1 + 1e-12):
-            raise FieldError("v", self.v, f"exceeds the lattice spacing per two-qubit "
-                                          f"gate time {self.a / self.t2}")
+        if R > a * (1 + 1e-12):
+            raise FieldError("R", R, f"exceeds the lattice spacing {a}")
+        if v > a / t2 * (1 + 1e-12):
+            raise FieldError("v", v, f"exceeds the lattice spacing per two-qubit "
+                                     f"gate time {a / t2}")
+        for name, value in zip(self.__slots__, (variant, L, a, R, v, t2, t1, tr, t_route,
+                                                t_turnaround)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = immutable
+
+    def _values(self) -> tuple:
+        return (self.variant, self.L, self.a, self.R, self.v, self.t2, self.t1, self.tr,
+                self.t_route, self.t_turnaround)
+
+    def __eq__(self, other):
+        if other.__class__ is not ArchitectureSpec:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return ArchitectureSpec, self._values()
+
+    def __repr__(self):
+        return "ArchitectureSpec(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
 
 
 def _ascii(conv):
@@ -135,8 +154,7 @@ def load_arch_config(path: str, text: str) -> ArchitectureSpec:
     return build_from_config(ArchitectureSpec, path, _CONFIG_KEYS, kwargs)
 
 
-@dataclass(frozen=True)
-class GateCounts:
+class GateCounts(NamedTuple):
     n1: int
     n2_cz: int
     n2_swap: int
@@ -163,8 +181,7 @@ def one_way_case(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 2
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     variant: Variant | None  # None for the neighbor-chain baseline
     case: int | None
     a: tuple[int, int]

@@ -15,7 +15,6 @@ and `schedule` load neither.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import re
@@ -85,7 +84,8 @@ def _load_arch(args) -> tuple[ArchitectureSpec, str]:
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
     if args.variant is not None:
-        arch = dataclasses.replace(arch, variant=Variant(args.variant))
+        arch = ArchitectureSpec(Variant(args.variant), arch.L, arch.a, arch.R, arch.v, arch.t2,
+                                arch.t1, arch.tr, arch.t_route, arch.t_turnaround)
     return arch, text
 
 

@@ -9,13 +9,14 @@ everywhere, so sweep axes and reports are error probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
                             ascii_float, build_from_config, decompose_cz,
                             gate_counts, neighbor_chain_decompose, read_key_values)
+from .ir import immutable
 from .scheduler import plan_trajectories
 
 CONTOUR_LEVEL = 1e-2
@@ -24,7 +25,6 @@ PINNED_READOUT_ERROR = 3e-3       # fixed pr for the p1-p2 sweep
 PINNED_SINGLE_QUBIT_ERROR = 5e-4  # fixed p1 for the pr-p2 sweep
 
 
-@dataclass(frozen=True)
 class CostParams:
     """Per-operation fidelities, each in (0, 1].
 
@@ -32,17 +32,34 @@ class CostParams:
     fidelity of some variant's compiled CZ.
     """
 
-    f1: float = 1.0
-    f2_cz: float = 1.0
-    f2_swap: float = 1.0
-    fr: float = 1.0
-    f_shuttle: float = 1.0
+    __slots__ = ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle")
 
-    def __post_init__(self):
-        for name in ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle"):
-            v = getattr(self, name)
+    def __init__(self, f1: float = 1.0, f2_cz: float = 1.0, f2_swap: float = 1.0,
+                 fr: float = 1.0, f_shuttle: float = 1.0):
+        for name, v in zip(self.__slots__, (f1, f2_cz, f2_swap, fr, f_shuttle)):
             if not 0.0 < v <= 1.0:
                 raise FieldError(name, v, "outside (0, 1]")
+            object.__setattr__(self, name, v)
+
+    __setattr__ = __delattr__ = immutable
+
+    def _values(self) -> tuple:
+        return (self.f1, self.f2_cz, self.f2_swap, self.fr, self.f_shuttle)
+
+    def __eq__(self, other):
+        if other.__class__ is not CostParams:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return CostParams, self._values()
+
+    def __repr__(self):
+        return "CostParams(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
 
     @classmethod
     def from_errors(cls, p1=0.0, p2=0.0, pr=0.0) -> "CostParams":
@@ -59,8 +76,7 @@ def load_cost_config(path: str, text: str) -> CostParams:
                              read_key_values(path, _COST_KEYS, text))
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(NamedTuple):
     counts: GateCounts
     F: float
     error: float
@@ -101,8 +117,7 @@ def neighbor_chain_exact(L: int, a: tuple[int, int], b: tuple[int, int],
 
 # --- parameter sweeps -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     axis1_name: str          # "p1" or "pr"
     axis1: np.ndarray        # rows
     p2: np.ndarray           # columns
@@ -178,8 +193,7 @@ def contour_to_csv(result: SweepResult) -> str:
 
 # --- cross-variant comparison -----------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     variant: Variant
     case: int | None
     report: FidelityReport
@@ -200,7 +214,7 @@ def architecture_comparison(params: CostParams, L: int) -> list[ComparisonRow]:
         for pair in (corner, anti) if variant is Variant.ONE_WAY_BELT else (corner,):
             d = decompose_cz(arch, *pair)
             rep = logical_gate_fidelity(d.counts, params)
-            rows.append(ComparisonRow(variant, d.case, replace(
-                rep, makespan=plan_trajectories(arch, d).makespan)))
+            rows.append(ComparisonRow(variant, d.case, rep._replace(
+                makespan=plan_trajectories(arch, d).makespan)))
     rows.sort(key=lambda r: (r.report.error, r.report.makespan, r.variant.value))
     return rows

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -26,7 +26,14 @@ class QubitKind(Enum):
     MESSENGER = "mess"
 
 
-@dataclass(frozen=True)
+def immutable(self, name: str, *value):
+    """`__setattr__` and `__delattr__` of the immutable slotted classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+_set = object.__setattr__   # how their `__init__` fills a slot
+
+
 class QubitRef:
     """A computational qubit (grid coordinate) or a messenger qubit (serial).
 
@@ -34,20 +41,30 @@ class QubitRef:
     construction.
     """
 
-    kind: QubitKind
-    coord: tuple[int, int] | None = None  # (row, col) when computational
-    serial: int | None = None             # unique id when messenger
+    __slots__ = ("kind", "coord", "serial", "is_messenger", "_hash", "_sort_key", "_json")
 
-    def __post_init__(self):
-        is_messenger = self.kind is QubitKind.MESSENGER
-        object.__setattr__(self, "is_messenger", is_messenger)
-        object.__setattr__(self, "_hash", hash((is_messenger, self.coord, self.serial)))
-        object.__setattr__(self, "_sort_key", (0, self.serial, 0) if is_messenger
-                           else (1, self.coord[0], self.coord[1]))
+    def __init__(self, kind: QubitKind, coord: tuple[int, int] | None = None,
+                 serial: int | None = None):
+        is_messenger = kind is QubitKind.MESSENGER
+        _set(self, "kind", kind)
+        _set(self, "coord", coord)       # (row, col) when computational
+        _set(self, "serial", serial)     # unique id when messenger
+        _set(self, "is_messenger", is_messenger)
+        _set(self, "_hash", hash((is_messenger, coord, serial)))
+        _set(self, "_sort_key", (0, serial, 0) if is_messenger else (1, coord[0], coord[1]))
         # its operand object in `events_to_jsonl`, as `json.dumps(obj, sort_keys=True)` writes it
-        object.__setattr__(self, "_json", f'{{"kind": "mess", "serial": {self.serial!r}}}'
-                           if is_messenger else f'{{"col": {self.coord[1]!r}, "kind": "comp", '
-                                                f'"row": {self.coord[0]!r}}}')
+        _set(self, "_json", f'{{"kind": "mess", "serial": {serial!r}}}' if is_messenger
+             else f'{{"col": {coord[1]!r}, "kind": "comp", "row": {coord[0]!r}}}')
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not QubitRef:
+            return NotImplemented
+        return (self.kind, self.coord, self.serial) == (other.kind, other.coord, other.serial)
+
+    def __reduce__(self):
+        return QubitRef, (self.kind, self.coord, self.serial)
 
     def __hash__(self):
         return self._hash
@@ -98,41 +115,54 @@ class GateKind(Enum):
         self.reads_bit = value in ("cond_z", "cond_x")
 
 
-@dataclass(frozen=True)
 class GateStep:
     """One gate in a decomposition, before space-time placement."""
 
-    gate: GateKind
-    operands: tuple[QubitRef, ...]
-    bit: int | None = None
+    __slots__ = ("gate", "operands", "bit")
 
-    def __post_init__(self):
-        if len(self.operands) != self.gate.n_operands:
-            raise ValueError(f"{self.gate.value} takes {self.gate.n_operands} operands")
-        if self.gate.is_two_qubit and self.operands[0] == self.operands[1]:
-            raise ValueError(f"{self.gate.value} operands must be distinct")
-        if (self.gate.writes_bit or self.gate.reads_bit) and self.bit is None:
-            raise ValueError(f"{self.gate.value} requires a classical bit")
-        if self.bit is not None and not (self.gate.writes_bit or self.gate.reads_bit):
-            raise ValueError(f"{self.gate.value} carries no classical bit")
+    def __init__(self, gate: GateKind, operands: tuple[QubitRef, ...], bit: int | None = None):
+        if len(operands) != gate.n_operands:
+            raise ValueError(f"{gate.value} takes {gate.n_operands} operands")
+        if gate.is_two_qubit and operands[0] == operands[1]:
+            raise ValueError(f"{gate.value} operands must be distinct")
+        if (gate.writes_bit or gate.reads_bit) and bit is None:
+            raise ValueError(f"{gate.value} requires a classical bit")
+        if bit is not None and not (gate.writes_bit or gate.reads_bit):
+            raise ValueError(f"{gate.value} carries no classical bit")
+        _set(self, "gate", gate)
+        _set(self, "operands", operands)
+        _set(self, "bit", bit)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not GateStep:
+            return NotImplemented
+        return (self.gate, self.operands, self.bit) == (other.gate, other.operands, other.bit)
+
+    def __hash__(self):
+        return hash((self.gate, self.operands, self.bit))
+
+    def __reduce__(self):
+        return GateStep, (self.gate, self.operands, self.bit)
+
+    def __repr__(self):
+        return f"GateStep(gate={self.gate!r}, operands={self.operands!r}, bit={self.bit!r})"
 
 
 # --- logical circuits -------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogicalCZ:
+class LogicalCZ(NamedTuple):
     a: tuple[int, int]
     b: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Logical1Q:
+class Logical1Q(NamedTuple):
     gate: GateKind  # H, Z or X
     q: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LogicalCircuit:
+class LogicalCircuit(NamedTuple):
     lattice_size: int
     ops: tuple = ()
 
@@ -253,8 +283,7 @@ for _rank, _kind in enumerate(ActionKind):
 del _rank, _kind
 
 
-@dataclass(frozen=True)
-class PhysicalEvent:
+class _EventFields(NamedTuple):
     t: float
     pos: tuple[float, float]
     action: ActionKind
@@ -265,6 +294,14 @@ class PhysicalEvent:
     belt: int | None = None
     to_belt: int | None = None
     velocity: tuple[float, float] | None = None
+
+
+class PhysicalEvent(_EventFields):
+    """One timed physical action: a named tuple of `_EventFields`.
+
+    It declares no `__slots__`, so that each event has a `__dict__` to keep
+    its order tail in.
+    """
 
     @property
     def t_end(self) -> float:
@@ -349,8 +386,7 @@ def events_from_jsonl(text: str) -> list[PhysicalEvent]:
     return out
 
 
-@dataclass(frozen=True)
-class BitUsage:
+class BitUsage(NamedTuple):
     """Writer/reader indices per classical bit, plus ordering violations."""
 
     usage: dict  # bit -> (writer_index, tuple of reader indices)

@@ -8,13 +8,14 @@ and leaves every messenger disentangled before disposal.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .architectures import decompose_cz
-from .ir import GateKind, GateStep, QubitRef
+from .ir import GateKind, GateStep, QubitRef, immutable
 
 MAX_QUBITS = 8
 NORM_ABORT = 1e-9
@@ -59,13 +60,29 @@ def _axes(axis: dict, qubits) -> tuple[int, ...]:
         raise KeyError(f"qubit {e.args[0]!r} not in state") from None
 
 
-@dataclass(frozen=True)
 class PureState:
-    amplitudes: np.ndarray
-    qubit_order: tuple[QubitRef, ...]
+    __slots__ = ("amplitudes", "qubit_order", "_axis")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_axis", _axis_map(self.qubit_order, len(self.amplitudes)))
+    def __init__(self, amplitudes: np.ndarray, qubit_order: tuple[QubitRef, ...]):
+        object.__setattr__(self, "_axis", _axis_map(qubit_order, len(amplitudes)))
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "qubit_order", qubit_order)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not PureState:
+            return NotImplemented
+        return (self.amplitudes, self.qubit_order) == (other.amplitudes, other.qubit_order)
+
+    def __hash__(self):
+        return hash((self.amplitudes, self.qubit_order))
+
+    def __reduce__(self):
+        return PureState, (self.amplitudes, self.qubit_order)
+
+    def __repr__(self):
+        return f"PureState(amplitudes={self.amplitudes!r}, qubit_order={self.qubit_order!r})"
 
     @property
     def n_qubits(self) -> int:
@@ -200,8 +217,7 @@ def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
     return outcomes, probs, amps
 
 
-@dataclass
-class Branch:
+class Branch(NamedTuple):
     outcomes: dict  # classical bit id -> 0 (+) or 1 (-)
     probability: float
     state: PureState
@@ -269,8 +285,7 @@ FIDELITY_THRESHOLD = 1 - 1e-10
 PURITY_THRESHOLD = 1 - 1e-10
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     variant: str
     pair: tuple
     input_label: str
@@ -299,9 +314,19 @@ def records_to_jsonl(records: list[VerificationRecord]) -> str:
     return "".join(lines)
 
 
-@dataclass
 class VerificationReport:
-    records: list[VerificationRecord] = field(default_factory=list)
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[VerificationRecord] | None = None):
+        self.records = [] if records is None else records
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return self.records == other.records
+
+    def __repr__(self):
+        return f"VerificationReport(records={self.records!r})"
 
     @property
     def ok(self) -> bool:

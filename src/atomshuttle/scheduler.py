@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
 from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCircuit,
@@ -46,8 +46,7 @@ class SegmentKind(Enum):
     STATIONARY = "stationary"
 
 
-@dataclass(frozen=True)
-class TrajectorySegment:
+class TrajectorySegment(NamedTuple):
     messenger: int
     kind: SegmentKind
     t_start: float
@@ -56,15 +55,15 @@ class TrajectorySegment:
     end_pos: tuple[float, float]
 
     def position(self, t: float) -> tuple[float, float]:
-        if self.t_end <= self.t_start:
-            return self.start_pos
-        f = min(max((t - self.t_start) / (self.t_end - self.t_start), 0.0), 1.0)
-        return (self.start_pos[0] + f * (self.end_pos[0] - self.start_pos[0]),
-                self.start_pos[1] + f * (self.end_pos[1] - self.start_pos[1]))
+        _, _, t_start, t_end, start_pos, (x1, y1) = self   # one unpack, not six field reads
+        if t_end <= t_start:
+            return start_pos
+        f = min(max((t - t_start) / (t_end - t_start), 0.0), 1.0)
+        x0, y0 = start_pos
+        return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
 
 
-@dataclass
-class ScheduledProgram:
+class ScheduledProgram(NamedTuple):
     events: list[PhysicalEvent]
     trajectories: dict[int, list[TrajectorySegment]]
     makespan: float
@@ -257,20 +256,27 @@ class _Committed:
 LANE_OFFSET = 0.5           # cells between a belt lane or flight line and a qubit
 
 
-@dataclass
 class _Anchor:
-    step: GateStep
-    lo: float                 # earliest feasible firing *center*
-    hi: float                 # latest feasible firing center (inf if flexible)
-    center: float = math.nan
+    __slots__ = ("step", "lo", "hi", "center")
+
+    def __init__(self, step: GateStep, lo: float, hi: float):
+        self.step = step
+        self.lo = lo              # earliest feasible firing *center*
+        self.hi = hi              # latest feasible firing center (inf if flexible)
+        self.center = math.nan
 
 
-@dataclass
 class _Draft:
-    rides: dict = field(default_factory=dict)        # serial -> [TrajectorySegment]
-    anchors: list = field(default_factory=list)
-    aux_events: list = field(default_factory=list)   # PhysicalEvent (loads etc.)
-    hold: dict = field(default_factory=dict)         # serial -> (arrival t, pos)
+    __slots__ = ("rides", "anchors", "aux_events", "hold")
+
+    def __init__(self, rides=None, anchors=None, aux_events=None, hold=None):
+        # serial -> [TrajectorySegment]
+        self.rides = {} if rides is None else rides
+        self.anchors = [] if anchors is None else anchors
+        # PhysicalEvent (loads etc.)
+        self.aux_events = [] if aux_events is None else aux_events
+        # serial -> (arrival t, pos)
+        self.hold = {} if hold is None else hold
 
 
 class _Itinerary:
@@ -725,15 +731,23 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                  None]
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
+        # the delta at which each candidate last passed every committed gate:
+        # neither those gates nor its boxes change in this loop, so it passes
+        # again at that delta
+        passed = [None] * len(cand)
         for _ in range(MAX_BUMP_PASSES):
             bumped = False
-            for c in cand:
+            for i, c in enumerate(cand):
+                if passed[i] == delta:
+                    continue
                 # a bump raises delta; later committed gates are tested at the new value
-                k = -1
+                k, whole = -1, True
                 while (k := committed.first_conflict(c, delta, k)) is not None:
                     conflict = committed.gates[k]
                     delta = conflict[1] - c[0] + eps
-                    bumped = True
+                    bumped, whole = True, False
+                if whole:
+                    passed[i] = delta
             if not bumped:
                 break
         else:
@@ -765,8 +779,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
 
 # --- conflict checking ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str     # "blockade" | "exclusion" | "lifecycle"
     events: tuple[int, ...]
     distance: float | None

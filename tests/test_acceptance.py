@@ -7,7 +7,6 @@ under test.
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,7 +148,7 @@ def test_criterion_6_makespan_scaling():
                 makespans.append(prog.makespan)
                 # same geometry with negligible measurement times isolates
                 # the readout contribution to the intercept
-                arch0 = replace(arch, tr=1e-12, t1=1e-13)
+                arch0 = ArchitectureSpec(variant, L, v=3.0, t1=1e-13, tr=1e-12)
                 prog0 = plan_trajectories(arch0, decompose_cz(arch0, *pair))
                 baseline.append(prog0.makespan)
             slope, intercept = np.polyfit(Ls, makespans, 1)

@@ -6,7 +6,9 @@ check.  `__init__.py` is left out: its imports are the package's
 re-exports.
 
 `compile` and `schedule` import neither numpy nor the oracle or the cost
-model, and every exported name still resolves, most of them lazily.
+model, nor `dataclasses` or `inspect`: no module declares a value type
+with `dataclasses`.  Every exported name still resolves, most of them
+lazily.
 """
 import ast
 import os
@@ -44,6 +46,19 @@ def test_module_reads_every_name_it_imports(module):
     assert unread_imports((SRC / module).read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module})
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    assert "dataclasses" not in imported_modules((SRC / module).read_text())
+
+
 def test_unread_import_is_reported():
     source = "import json\nfrom math import hypot, sqrt\nprint(sqrt(json.dumps(1)))\n"
     assert unread_imports(source) == ["line 2: hypot"]
@@ -57,8 +72,8 @@ for command in ("schedule", "compile"):
     code = cli.main([command, "--arch", "configs/two-way-belt.arch",
                      "--program", "configs/sample.program", "--out", sys.argv[1]])
     assert code == 0, (command, code)
-print(" ".join(m for m in ("numpy", "atomshuttle.oracle", "atomshuttle.cost")
-               if m in sys.modules))
+print(" ".join(m for m in ("numpy", "atomshuttle.oracle", "atomshuttle.cost",
+                           "dataclasses", "inspect") if m in sys.modules))
 """
 
 

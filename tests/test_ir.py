@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,7 +155,7 @@ def test_events_jsonl_lines_are_sorted_key_json(events):
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
     read = events_from_jsonl(text)
     assert read == events
-    assert repr(read) == repr([replace(e, duration=e.duration or 0.0) for e in events])
+    assert repr(read) == repr([e._replace(duration=e.duration or 0.0) for e in events])
 
 
 def test_sort_events_idempotent_and_stable():

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -337,9 +336,9 @@ def test_check_conflicts_flags_use_after_dispose():
     prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
     events = list(prog.events)
     dispose = next(e for e in events if e.action is ActionKind.DISPOSE)
-    events.append(replace(dispose, t=dispose.t + 1.0, action=ActionKind.GATE,
-                          gate=GateKind.H, duration=arch.t1))
-    bad = replace(prog, events=events)
+    events.append(dispose._replace(t=dispose.t + 1.0, action=ActionKind.GATE,
+                                    gate=GateKind.H, duration=arch.t1))
+    bad = prog._replace(events=events)
     assert any(v.kind == "lifecycle" for v in check_conflicts(bad, arch))
 
 
