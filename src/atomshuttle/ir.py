@@ -59,8 +59,13 @@ class QubitRef:
     __setattr__ = __delattr__ = immutable
 
     def __eq__(self, other):
+        # shared refs meet themselves; unequal hashes settle most of the rest
+        if self is other:
+            return True
         if other.__class__ is not QubitRef:
             return NotImplemented
+        if self._hash != other._hash:
+            return False
         return (self.kind, self.coord, self.serial) == (other.kind, other.coord, other.serial)
 
     def __reduce__(self):

@@ -167,6 +167,18 @@ def min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     return best
 
 
+def too_close(ta: _Track, tb: _Track, t0: float, t1: float) -> bool:
+    """`min_distance(ta, tb, t0, t1) < EXCLUSION_CELLS - DIST_TOL`, for t0 < t1.
+
+    Settled first at t0, the first cut of `min_distance`, by the same
+    arithmetic: the exact minimum runs only when the atoms start apart.
+    """
+    pa, pb = ta.position(t0), tb.position(t0)
+    dx, dy = pa[0] - pb[0], pa[1] - pb[1]
+    limit = EXCLUSION_CELLS - DIST_TOL
+    return math.hypot(dx, dy) < limit or min_distance(ta, tb, t0, t1) < limit
+
+
 def box_gap(a, b) -> float:
     """Distance between two boxes (x0, y0, x1, y1): a lower bound on `min_distance`."""
     return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0),
@@ -192,7 +204,10 @@ class _Committed:
     their start times, sorted, and `order` the placement index of each.  No
     gate lasts longer than `reach`, so one that overlaps [c0, c1] in time
     starts in [c0 - reach, c1).  `boxes` (`gate_boxes` over the gate's
-    window) are filled in on its first overlap.
+    window) are those its candidate was tested with, inherited at commit: a
+    shift moves the atoms with the window, so they still hold.  A gate
+    never tested is boxed on its first overlap.  Each atom pair left by the
+    boxes is decided at the start of the overlap first (`too_close`).
     """
 
     def __init__(self, eps: float):
@@ -202,11 +217,11 @@ class _Committed:
         self.order: list[int] = []
         self.reach = 0.0
 
-    def add(self, t0: float, t1: float, tracks) -> None:
+    def add(self, t0: float, t1: float, tracks, boxes) -> None:
         i = bisect_right(self.starts, t0)
         self.starts.insert(i, t0)
         self.order.insert(i, len(self.gates))
-        self.gates.append([t0, t1, tracks, None])
+        self.gates.append([t0, t1, tracks, boxes])
         self.reach = max(self.reach, t1 - t0 + self.eps)
 
     def first_conflict(self, c, delta: float, after: int):
@@ -215,8 +230,12 @@ class _Committed:
         while both fire; None if there is none."""
         c0, c1 = c[0] + delta, c[1] + delta
         starts = self.starts
-        near = self.order[bisect_left(starts, c0 - self.reach):bisect_left(starts, c1)]
+        lo, hi = bisect_left(starts, c0 - self.reach), bisect_left(starts, c1)
+        if lo == hi:
+            return None
+        near = self.order[lo:hi]
         near.sort()
+        far = EXCLUSION_CELLS + BOX_MARGIN
         shifted = None
         for k in near:
             if k <= after:
@@ -235,12 +254,11 @@ class _Committed:
             (ounion, oatoms), (cunion, catoms) = oboxes, c[3]
             # a box gap is a lower bound on the exact distance, so only gates,
             # then atom pairs, that may come too close are measured
-            if box_gap(ounion, cunion) >= EXCLUSION_CELLS + BOX_MARGIN:
+            if box_gap(ounion, cunion) >= far:
                 continue
             if shifted is None:
                 shifted = [t.shifted(delta) for t in c[2]]
-            if any(box_gap(ob, cb) < EXCLUSION_CELLS + BOX_MARGIN
-                   and min_distance(ot, ct, t0, t1) < EXCLUSION_CELLS - DIST_TOL
+            if any(box_gap(ob, cb) < far and too_close(ot, ct, t0, t1)
                    for ot, ob in zip(otracks, oatoms) for ct, cb in zip(shifted, catoms)):
                 return k
         return None
@@ -610,7 +628,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
                 # each new center is a new, unshifted candidate
                 moved, k = False, -1
                 while (k := placed.first_conflict(
-                        [center - dur / 2, center + dur / 2, an_tracks, None],
+                        c := [center - dur / 2, center + dur / 2, an_tracks, None],
                         0.0, k)) is not None:
                     center = placed.gates[k][1] + dur / 2 + eps
                     moved = True
@@ -624,7 +642,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
         if step.gate.writes_bit:
             bit_end[step.bit] = center + dur / 2
         if step.gate.is_two_qubit:
-            placed.add(center - dur / 2, center + dur / 2, an_tracks)
+            placed.add(*c)
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
@@ -761,13 +779,16 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                          else _shifted(plan.events, plan.trajectories, delta))
         trajectories.update(trajs)
         ends: dict[tuple[int, int], float] = {}
+        tested = iter(cand)
         for p, e in zip(plan.events, placed):
             keyed.append(((e.t,) + p.order_tail, e))
             for q in e.operands:
                 if q.coord == op.a or q.coord == op.b:
                     ends[q.coord] = max(ends.get(q.coord, e.t_end), e.t_end)
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
-                committed.add(e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands])
+                # the candidate's boxes: a shift moves the atoms with the window
+                committed.add(e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands],
+                              next(tested)[3])
         for coord, end in ends.items():
             ready[coord] = end + eps
 

@@ -9,9 +9,12 @@ plan is moved with `shift_program` and the program is ordered with
 makespan, so a faster search or a cheaper commit in `schedule` is
 checked beyond the fixed golden corpora.
 """
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atomshuttle import scheduler
 from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, Logical1Q, LogicalCZ,
                             LogicalCircuit, PhysicalEvent, QubitRef, events_to_jsonl,
@@ -91,15 +94,59 @@ def circuits(draw):
     return LogicalCircuit(L, tuple(ops))
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-@settings(max_examples=40, deadline=None)
-@given(circuit=circuits())
-def test_schedule_matches_reference_model(variant, circuit):
-    arch = ArchitectureSpec(variant, circuit.lattice_size)
-    fast, plain = schedule(circuit, arch), reference_schedule(circuit, arch)
+def assert_same_schedule(fast: ScheduledProgram, plain: ScheduledProgram) -> None:
     assert fast.events == plain.events
     assert fast.trajectories == plain.trajectories
     assert repr(fast.makespan) == repr(plain.makespan)
     # and the artifacts written from them, down to the sign of a zero
     assert events_to_jsonl(fast.events) == events_to_jsonl(plain.events)
     assert trajectories_to_csv(fast.trajectories) == trajectories_to_csv(plain.trajectories)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@settings(max_examples=40, deadline=None)
+@given(circuit=circuits())
+def test_schedule_matches_reference_model(variant, circuit):
+    arch = ArchitectureSpec(variant, circuit.lattice_size)
+    assert_same_schedule(schedule(circuit, arch), reference_schedule(circuit, arch))
+
+
+def dense_circuit(L: int = 6, n: int = 60, seed: int = 1) -> LogicalCircuit:
+    rng = random.Random(seed)
+    cells = [(r, c) for r in range(L) for c in range(L)]
+    return LogicalCircuit(L, tuple(LogicalCZ(*rng.sample(cells, 2)) for _ in range(n)))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_dense_schedule_matches_reference_model(monkeypatch, variant):
+    # 60 CZs on 6x6 crowd the array, so schedule() itself moves gates off
+    # committed ones: atom pairs found too close at the start of an overlap,
+    # and pairs that start apart and close in later (the exact minimum)
+    circuit, arch = dense_circuit(), ArchitectureSpec(variant, 6)
+    plain = reference_schedule(circuit, arch)
+    plan, too_close_, min_distance_ = (scheduler.plan_trajectories, scheduler.too_close,
+                                       scheduler.min_distance)
+    in_plan, conflicts = [False], {"pair": 0, "exact": 0}
+
+    def counting_plan(*args):
+        in_plan[0] = True
+        try:
+            return plan(*args)
+        finally:
+            in_plan[0] = False
+
+    def counting_too_close(*args):
+        close = too_close_(*args)
+        conflicts["pair"] += close and not in_plan[0]
+        return close
+
+    def counting_min_distance(*args):
+        d = min_distance_(*args)
+        conflicts["exact"] += d < EXCLUSION_CELLS - DIST_TOL and not in_plan[0]
+        return d
+
+    monkeypatch.setattr(scheduler, "plan_trajectories", counting_plan)
+    monkeypatch.setattr(scheduler, "too_close", counting_too_close)
+    monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
+    assert_same_schedule(schedule(circuit, arch), plain)
+    assert conflicts["pair"] > conflicts["exact"] > 0

@@ -10,11 +10,11 @@ from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, LogicalCZ, Logical1Q,
                             LogicalCircuit, QubitRef, classical_bits, gate_steps)
 from atomshuttle.oracle import verify_sequence
-from atomshuttle.scheduler import (BOX_MARGIN, InfeasibleError, ScheduledProgram,
-                                   SegmentKind, TrajectorySegment, _Track, box_gap,
-                                   check_conflicts, gate_boxes, max_distance,
+from atomshuttle.scheduler import (BOX_MARGIN, DIST_TOL, EXCLUSION_CELLS, InfeasibleError,
+                                   ScheduledProgram, SegmentKind, TrajectorySegment, _Track,
+                                   box_gap, check_conflicts, gate_boxes, max_distance,
                                    min_distance, plan_trajectories, schedule,
-                                   shift_program, trajectories_to_csv)
+                                   shift_program, too_close, trajectories_to_csv)
 
 PAIRS = [((0, 0), (3, 3)), ((0, 0), (0, 5)), ((2, 1), (6, 1)),
          ((0, 5), (5, 0)), ((1, 2), (2, 1)), ((0, 0), (7, 7)),
@@ -222,16 +222,20 @@ points = st.tuples(coords, coords)
 
 
 @st.composite
-def tracks(draw):
-    """A static atom, or piecewise-linear motion that may dwell, pause or jump."""
+def tracks(draw, continuous=False):
+    """A static atom, or piecewise-linear motion that may dwell, pause or jump.
+
+    `continuous` motion, like every planner's, never jumps: it moves at
+    most about 3000 cells per unit of time.
+    """
     if draw(st.booleans()):
         return _Track(static_pos=draw(points))
     t, p, segs = draw(st.floats(-5.0, 5.0)), draw(points), []
     for _ in range(draw(st.integers(1, 5))):
         t0 = t + draw(st.sampled_from([0.0, 0.0, draw(st.floats(0.0, 2.0))]))
-        if draw(st.integers(0, 3)) == 0:
+        if not continuous and draw(st.integers(0, 3)) == 0:
             p = draw(points)
-        t = t0 + draw(st.floats(0.0, 3.0))
+        t = t0 + draw(st.floats(0.01 if continuous else 0.0, 3.0))
         end = draw(st.sampled_from([p, draw(points)]))
         segs.append(TrajectorySegment(0, SegmentKind.BELT_RIDE, t0, t, p, end))
         p = end
@@ -262,6 +266,58 @@ def test_box_gap_is_a_lower_bound_on_min_distance(others, cands, o0, o_width,
     assert box_gap(ounion, cunion) <= min(gaps.values())
     for (i, j), gap in gaps.items():
         assert gap <= min_distance(others[i], cands[j].shifted(delta), lo, hi) + BOX_MARGIN
+
+
+def moved(track: _Track, delta: float) -> _Track:
+    """`track` `delta` later, rebuilt as `schedule` commits a plan: the
+    segments' times move, and the track has no offset."""
+    if track.static is not None:
+        return track
+    d = track.offset + delta
+    return _Track(segments=[s._replace(t_start=s.t_start + d, t_end=s.t_end + d)
+                            for s in track.segments])
+
+
+@given(st.lists(tracks(continuous=True), min_size=1, max_size=3), gate_tracks,
+       st.floats(-10.0, 15.0), st.floats(0.01, 4.0), st.floats(-5.0, 5.0),
+       st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_inherited_boxes_are_a_lower_bound_on_min_distance(others, cands, o0, o_width, o_delta,
+                                                           c0, c_width, where):
+    # a placed gate keeps the boxes it was tested with as a candidate, over
+    # its unshifted window [o0, o1]; it was committed `o_delta` later, and
+    # the exact test measures its rebuilt tracks over the overlap with a
+    # candidate shifted by `delta`.  The placed side moves continuously, as
+    # every planner's atoms do: rounding moves a shifted window's ends, and
+    # a jump there would move an atom off its box by the jump
+    o1, c1 = o0 + o_width, c0 + c_width
+    p0, p1 = o0 + o_delta, o1 + o_delta
+    delta = (p0 - c1) + where * ((p1 - c0) - (p0 - c1))
+    lo, hi = max(c0 + delta, p0), min(c1 + delta, p1)
+    assume(lo < hi)
+    ounion, oboxes = gate_boxes(others, o0, o1)
+    cunion, cboxes = gate_boxes(cands, c0, c1)
+    gaps = {(i, j): box_gap(ob, cb)
+            for i, ob in enumerate(oboxes) for j, cb in enumerate(cboxes)}
+    assert box_gap(ounion, cunion) <= min(gaps.values())
+    for (i, j), gap in gaps.items():
+        assert gap <= min_distance(moved(others[i], o_delta), cands[j].shifted(delta),
+                                   lo, hi) + BOX_MARGIN
+
+
+@given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0, exclude_min=True),
+       st.booleans(), st.data())
+def test_too_close_decides_as_min_distance(ta, tb, t0, width, on_breakpoint, data):
+    # the exclusion search decides an atom pair at the overlap's start when
+    # the atoms are already too close there, else by the exact minimum; the
+    # verdict must be the exact minimum's, also from a segment breakpoint
+    breakpoints = ta.breakpoints(-math.inf, math.inf) + tb.breakpoints(-math.inf, math.inf)
+    if on_breakpoint and breakpoints:
+        t0 = data.draw(st.sampled_from(breakpoints))
+    t1 = t0 + width
+    assume(t0 < t1)
+    assert too_close(ta, tb, t0, t1) == \
+        (min_distance(ta, tb, t0, t1) < EXCLUSION_CELLS - DIST_TOL)
 
 
 def merge_programs(a: ScheduledProgram, b: ScheduledProgram) -> ScheduledProgram:

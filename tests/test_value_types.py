@@ -130,6 +130,22 @@ def test_value_type_contract(cls, names, values, required, defaults, frozen, oth
         assert type(duplicate) is cls and repr(duplicate) == repr(x)
 
 
+def test_qubit_refs_built_apart_compare_by_fields():
+    # `comp` and `mess` share instances, and `__eq__` answers a ref met by
+    # itself or by an unequal hash at once; refs built apart still compare
+    # (and clash in a two-qubit step) by their fields
+    for shared, apart in ((A, QubitRef(QubitKind.COMPUTATIONAL, coord=(0, 0))),
+                          (A, QubitRef(QubitKind.COMPUTATIONAL, coord=(0, 0.0))),
+                          (M, QubitRef(QubitKind.MESSENGER, serial=3))):
+        assert apart is not shared
+        assert apart == shared and shared == apart and not apart != shared
+        assert hash(apart) == hash(shared) and {apart: 1}[shared] == 1
+        with pytest.raises(ValueError):
+            GateStep(GateKind.CZ, (shared, apart))
+    assert A != B and A != M and M != QubitRef(QubitKind.MESSENGER, serial=4)
+    assert GateStep(GateKind.CZ, (A, QubitRef(QubitKind.MESSENGER, serial=3))) == STEP
+
+
 def _changed_copies(x, changes):
     """Every way the type offers to build a copy of `x` with `changes`."""
     cls = type(x)
