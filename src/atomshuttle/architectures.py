@@ -12,8 +12,8 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .ir import (ASCII_SPACE, GateKind, GateStep, LogicalCZ, QubitRef, check_op, content_lines,
-                 immutable)
+from .ir import (ASCII_SPACE, GateKind, GateStep, LogicalCZ, QubitRef, check_op, checked_make,
+                 content_lines)
 
 
 class Variant(Enum):
@@ -32,8 +32,21 @@ class FieldError(ValueError):
         self.field, self.value, self.requirement = field, value, requirement
 
 
-class ArchitectureSpec:
-    """Variant plus geometry and timing parameters.
+class _SpecFields(NamedTuple):
+    variant: Variant
+    L: int
+    a: float = 3e-6
+    R: float = 2.7e-6             # 0.9 a
+    v: float = 1.5                # a / (2 t2) with the defaults below
+    t2: float = 1e-6
+    t1: float = 1e-7
+    tr: float = 1e-5
+    t_route: float = 2e-6
+    t_turnaround: float = 2e-6
+
+
+class ArchitectureSpec(_SpecFields):
+    """Variant plus geometry and timing parameters, checked by every constructor.
 
     Lengths in meters, times in seconds.  `a` is the lattice spacing,
     `R` the blockade radius (R <= a), `v` the messenger speed
@@ -41,48 +54,23 @@ class ArchitectureSpec:
     full two-qubit gate).
     """
 
-    __slots__ = ("variant", "L", "a", "R", "v", "t2", "t1", "tr", "t_route", "t_turnaround")
+    __slots__ = ()
 
-    def __init__(self, variant: Variant, L: int, a: float = 3e-6,
-                 R: float = 2.7e-6,           # 0.9 a
-                 v: float = 1.5,              # a / (2 t2) with the defaults below
-                 t2: float = 1e-6, t1: float = 1e-7, tr: float = 1e-5,
-                 t_route: float = 2e-6, t_turnaround: float = 2e-6):
-        if L < 2:
-            raise FieldError("L", L, "must be at least 2")
-        for name, value in (("a", a), ("R", R), ("v", v), ("t2", t2), ("t1", t1), ("tr", tr),
-                            ("t_route", t_route), ("t_turnaround", t_turnaround)):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.L < 2:
+            raise FieldError("L", self.L, "must be at least 2")
+        for name, value in zip(self._fields[2:], self[2:]):
             if not (math.isfinite(value) and value > 0):
                 raise FieldError(name, value, "must be finite and strictly positive")
-        if R > a * (1 + 1e-12):
-            raise FieldError("R", R, f"exceeds the lattice spacing {a}")
-        if v > a / t2 * (1 + 1e-12):
-            raise FieldError("v", v, f"exceeds the lattice spacing per two-qubit "
-                                     f"gate time {a / t2}")
-        for name, value in zip(self.__slots__, (variant, L, a, R, v, t2, t1, tr, t_route,
-                                                t_turnaround)):
-            object.__setattr__(self, name, value)
+        if self.R > self.a * (1 + 1e-12):
+            raise FieldError("R", self.R, f"exceeds the lattice spacing {self.a}")
+        if self.v > self.a / self.t2 * (1 + 1e-12):
+            raise FieldError("v", self.v, f"exceeds the lattice spacing per two-qubit "
+                                          f"gate time {self.a / self.t2}")
+        return self
 
-    __setattr__ = __delattr__ = immutable
-
-    def _values(self) -> tuple:
-        return (self.variant, self.L, self.a, self.R, self.v, self.t2, self.t1, self.tr,
-                self.t_route, self.t_turnaround)
-
-    def __eq__(self, other):
-        if other.__class__ is not ArchitectureSpec:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return ArchitectureSpec, self._values()
-
-    def __repr__(self):
-        return "ArchitectureSpec(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
+    _make = classmethod(checked_make)
 
 
 def _ascii(conv):

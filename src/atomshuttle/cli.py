@@ -84,8 +84,7 @@ def _load_arch(args) -> tuple[ArchitectureSpec, str]:
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
     if args.variant is not None:
-        arch = ArchitectureSpec(Variant(args.variant), arch.L, arch.a, arch.R, arch.v, arch.t2,
-                                arch.t1, arch.tr, arch.t_route, arch.t_turnaround)
+        arch = arch._replace(variant=Variant(args.variant))
     return arch, text
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
                             ascii_float, build_from_config, decompose_cz,
                             gate_counts, neighbor_chain_decompose, read_key_values)
-from .ir import immutable
+from .ir import checked_make
 from .scheduler import plan_trajectories
 
 CONTOUR_LEVEL = 1e-2
@@ -25,49 +25,38 @@ PINNED_READOUT_ERROR = 3e-3       # fixed pr for the p1-p2 sweep
 PINNED_SINGLE_QUBIT_ERROR = 5e-4  # fixed p1 for the pr-p2 sweep
 
 
-class CostParams:
-    """Per-operation fidelities, each in (0, 1].
+class _CostFields(NamedTuple):
+    f1: float = 1.0
+    f2_cz: float = 1.0
+    f2_swap: float = 1.0
+    fr: float = 1.0
+    f_shuttle: float = 1.0
+
+
+class CostParams(_CostFields):
+    """Per-operation fidelities, each in (0, 1], checked by every constructor.
 
     `f_shuttle` is one factor per logical gate; every field changes the
     fidelity of some variant's compiled CZ.
     """
 
-    __slots__ = ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle")
+    __slots__ = ()
 
-    def __init__(self, f1: float = 1.0, f2_cz: float = 1.0, f2_swap: float = 1.0,
-                 fr: float = 1.0, f_shuttle: float = 1.0):
-        for name, v in zip(self.__slots__, (f1, f2_cz, f2_swap, fr, f_shuttle)):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             if not 0.0 < v <= 1.0:
                 raise FieldError(name, v, "outside (0, 1]")
-            object.__setattr__(self, name, v)
+        return self
 
-    __setattr__ = __delattr__ = immutable
-
-    def _values(self) -> tuple:
-        return (self.f1, self.f2_cz, self.f2_swap, self.fr, self.f_shuttle)
-
-    def __eq__(self, other):
-        if other.__class__ is not CostParams:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return CostParams, self._values()
-
-    def __repr__(self):
-        return "CostParams(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
+    _make = classmethod(checked_make)
 
     @classmethod
     def from_errors(cls, p1=0.0, p2=0.0, pr=0.0) -> "CostParams":
         return cls(f1=1.0 - p1, f2_cz=1.0 - p2, f2_swap=1.0 - p2, fr=1.0 - pr)
 
 
-_COST_KEYS = {key: (key, ascii_float) for key in
-              ("f1", "f2_cz", "f2_swap", "fr", "f_shuttle")}
+_COST_KEYS = {key: (key, ascii_float) for key in CostParams._fields}
 
 
 def load_cost_config(path: str, text: str) -> CostParams:

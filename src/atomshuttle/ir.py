@@ -26,12 +26,7 @@ class QubitKind(Enum):
     MESSENGER = "mess"
 
 
-def immutable(self, name: str, *value):
-    """`__setattr__` and `__delattr__` of the immutable slotted classes."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-
-_set = object.__setattr__   # how their `__init__` fills a slot
+_set = object.__setattr__   # how `QubitRef.__init__` fills a slot
 
 
 class QubitRef:
@@ -56,7 +51,10 @@ class QubitRef:
         _set(self, "_json", f'{{"kind": "mess", "serial": {serial!r}}}' if is_messenger
              else f'{{"col": {coord[1]!r}, "kind": "comp", "row": {coord[0]!r}}}')
 
-    __setattr__ = __delattr__ = immutable
+    def __setattr__(self, name: str, *value):
+        raise AttributeError(f"QubitRef is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         # shared refs meet themselves; unequal hashes settle most of the rest
@@ -120,12 +118,26 @@ class GateKind(Enum):
         self.reads_bit = value in ("cond_z", "cond_x")
 
 
-class GateStep:
-    """One gate in a decomposition, before space-time placement."""
+class _StepFields(NamedTuple):
+    gate: GateKind
+    operands: tuple[QubitRef, ...]
+    bit: int | None = None
 
-    __slots__ = ("gate", "operands", "bit")
 
-    def __init__(self, gate: GateKind, operands: tuple[QubitRef, ...], bit: int | None = None):
+def checked_make(cls, iterable):
+    """`_make` of a named tuple whose `__new__` checks its fields: it goes
+    through `__new__`, so `_replace` and `copy.replace` check too."""
+    return cls(*iterable)
+
+
+class GateStep(_StepFields):
+    """One gate in a decomposition, before space-time placement, checked by
+    every constructor."""
+
+    __slots__ = ()
+
+    # the fields by name, not `*args`: a compiled CZ builds about eight steps
+    def __new__(cls, gate: GateKind, operands: tuple[QubitRef, ...], bit: int | None = None):
         if len(operands) != gate.n_operands:
             raise ValueError(f"{gate.value} takes {gate.n_operands} operands")
         if gate.is_two_qubit and operands[0] == operands[1]:
@@ -134,25 +146,9 @@ class GateStep:
             raise ValueError(f"{gate.value} requires a classical bit")
         if bit is not None and not (gate.writes_bit or gate.reads_bit):
             raise ValueError(f"{gate.value} carries no classical bit")
-        _set(self, "gate", gate)
-        _set(self, "operands", operands)
-        _set(self, "bit", bit)
+        return tuple.__new__(cls, (gate, operands, bit))
 
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not GateStep:
-            return NotImplemented
-        return (self.gate, self.operands, self.bit) == (other.gate, other.operands, other.bit)
-
-    def __hash__(self):
-        return hash((self.gate, self.operands, self.bit))
-
-    def __reduce__(self):
-        return GateStep, (self.gate, self.operands, self.bit)
-
-    def __repr__(self):
-        return f"GateStep(gate={self.gate!r}, operands={self.operands!r}, bit={self.bit!r})"
+    _make = classmethod(checked_make)
 
 
 # --- logical circuits -------------------------------------------------------
@@ -430,9 +426,3 @@ def classical_bits(events: list[PhysicalEvent]) -> BitUsage:
             usage[b] = (-1, tuple(readers[b]))
     return BitUsage(usage=usage, violations=tuple(violations))
 
-
-def gate_steps(events: list[PhysicalEvent]) -> list[GateStep]:
-    """Extract the gate-level sequence (time order) from a physical program."""
-    evs = [e for e in events if e.action is ActionKind.GATE]
-    evs.sort(key=PhysicalEvent.sort_key)
-    return [GateStep(e.gate, e.operands, e.bit) for e in evs]

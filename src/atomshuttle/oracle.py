@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .architectures import decompose_cz
-from .ir import GateKind, GateStep, QubitRef, immutable
+from .ir import GateKind, GateStep, QubitRef, checked_make
 
 MAX_QUBITS = 8
 NORM_ABORT = 1e-9
@@ -60,46 +60,23 @@ def _axes(axis: dict, qubits) -> tuple[int, ...]:
         raise KeyError(f"qubit {e.args[0]!r} not in state") from None
 
 
-class PureState:
-    __slots__ = ("amplitudes", "qubit_order", "_axis")
-
-    def __init__(self, amplitudes: np.ndarray, qubit_order: tuple[QubitRef, ...]):
-        object.__setattr__(self, "_axis", _axis_map(qubit_order, len(amplitudes)))
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "qubit_order", qubit_order)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not PureState:
-            return NotImplemented
-        return (self.amplitudes, self.qubit_order) == (other.amplitudes, other.qubit_order)
-
-    def __hash__(self):
-        return hash((self.amplitudes, self.qubit_order))
-
-    def __reduce__(self):
-        return PureState, (self.amplitudes, self.qubit_order)
-
-    def __repr__(self):
-        return f"PureState(amplitudes={self.amplitudes!r}, qubit_order={self.qubit_order!r})"
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_order)
-
-    def index_of(self, q: QubitRef) -> int:
-        return _axes(self._axis, (q,))[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+class _StateFields(NamedTuple):
+    amplitudes: np.ndarray
+    qubit_order: tuple[QubitRef, ...]
 
 
-def product_state(qubits: list[QubitRef], kets: list[np.ndarray]) -> PureState:
-    amps = np.array([1.0 + 0j])
-    for k in kets:
-        amps = np.kron(amps, k)
-    return PureState(amps, tuple(qubits))
+class PureState(_StateFields):
+    """The amplitudes of the register `qubit_order`; every constructor checks
+    that the oracle takes that register."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _axis_map(self.qubit_order, len(self.amplitudes))
+        return self
+
+    _make = classmethod(checked_make)
 
 
 # --- kernels ----------------------------------------------------------------
@@ -142,41 +119,27 @@ def _apply_2q(amps: np.ndarray, gate: GateKind, q0: int, q1: int, n: int) -> np.
     psi = amps.reshape(split).copy()
     if gate is GateKind.CZ:
         psi[b11] = -psi[b11]
-    elif gate is GateKind.SWAP:
+    else:   # SWAP, the other two-qubit gate
         b = psi[b10].copy()
         psi[b10] = psi[b01]
         psi[b01] = b
-    else:
-        raise ValueError(f"not a two-qubit gate: {gate}")
     return psi.reshape(len(amps), -1)
 
 
 def _unitary(amps: np.ndarray, gate: GateKind, axes, n: int,
-             checked: np.ndarray | None = None) -> np.ndarray:
+             checked: np.ndarray) -> np.ndarray:
     """Each row of `amps` after the unitary `gate` on the qubits at `axes`;
-    raises when the norm of a row drifts by more than NORM_ABORT or is NaN.  The
-    boolean mask `checked`, if given, picks the rows that are checked."""
+    raises when the norm of a row that the boolean mask `checked` picks
+    drifts by more than NORM_ABORT or is NaN."""
     if gate.is_two_qubit:
-        if axes[0] == axes[1]:
-            raise ValueError("two-qubit gate operands must be distinct")
         amps = _apply_2q(amps, gate, axes[0], axes[1], n)
     else:
         amps = _apply_1q(amps, _1Q_MATRICES[gate], axes[0], n)
     norms = np.linalg.norm(amps, axis=1)
-    drift = ~(np.abs(norms - 1.0) <= NORM_ABORT)
-    if checked is not None:
-        drift &= checked
+    drift = ~(np.abs(norms - 1.0) <= NORM_ABORT) & checked
     if drift.any():
         raise NumericalInstabilityError(f"norm drifted to {norms[drift.argmax()]}")
     return amps
-
-
-def apply_gate(state: PureState, gate: GateKind, operands: tuple[QubitRef, ...]) -> PureState:
-    """Apply a unitary gate; measurement/conditional gates are rejected here."""
-    if gate is GateKind.MEASURE_X or gate.reads_bit:
-        raise ValueError(f"{gate.value} is handled by branch_execute, not apply_gate")
-    amps = _unitary(state.amplitudes[None], gate, _axes(state._axis, operands), state.n_qubits)
-    return PureState(amps[0], state.qubit_order)
 
 
 def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
@@ -232,7 +195,8 @@ def branch_execute(steps: list[GateStep], initial: PureState) -> list[Branch]:
     protocol bug that breaks outcome symmetry shows up as an asymmetric
     branch set rather than being silently dropped.
     """
-    outcomes, probs, amps = _branches(steps, initial.amplitudes[None], initial._axis)
+    axis = _axis_map(initial.qubit_order, len(initial.amplitudes))
+    outcomes, probs, amps = _branches(steps, initial.amplitudes[None], axis)
     return [Branch(o, float(p), PureState(row, initial.qubit_order))
             for o, p, row in zip(outcomes, probs, amps) if p > 1e-12]
 
@@ -258,7 +222,8 @@ def _reduced(amps: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
 
 def reduced_density(state: PureState, keep: list[QubitRef]) -> np.ndarray:
     """Partial trace keeping `keep` (in the given order)."""
-    return _reduced(state.amplitudes[None], _axes(state._axis, keep), state.n_qubits)[0]
+    axis = _axis_map(state.qubit_order, len(state.amplitudes))
+    return _reduced(state.amplitudes[None], _axes(axis, keep), len(axis))[0]
 
 
 def purity(rho: np.ndarray):

@@ -12,6 +12,7 @@ One cell of travel takes `a / v` seconds.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
@@ -135,6 +136,11 @@ class _Track:
         return segs[-1].end_pos
 
 
+def _track_memo(trajectories):
+    """`_Track.for_qubit` over `trajectories`, built once per qubit."""
+    return functools.cache(lambda q: _Track.for_qubit(q, trajectories))
+
+
 def _cuts(ta: _Track, tb: _Track, t0: float, t1: float) -> list[float]:
     """t0, t1 and the breakpoints of either track between them, sorted."""
     return sorted(set([t0, t1] + ta.breakpoints(t0, t1) + tb.breakpoints(t0, t1)))
@@ -204,14 +210,16 @@ class _Committed:
     their start times, sorted, and `order` the placement index of each.  No
     gate lasts longer than `reach`, so one that overlaps [c0, c1] in time
     starts in [c0 - reach, c1).  `boxes` (`gate_boxes` over the gate's
-    window) are those its candidate was tested with, inherited at commit: a
-    shift moves the atoms with the window, so they still hold.  A gate
-    never tested is boxed on its first overlap.  Each atom pair left by the
+    window, widened by `eps` on each side) are those its candidate was
+    tested with, inherited at commit: a shift moves the atoms with the
+    window, and the widening covers a shifted time that rounds past a
+    window end, so they still hold for any motion.  A gate never tested is
+    boxed on its first overlap.  Each atom pair left by the
     boxes is decided at the start of the overlap first (`too_close`).
     """
 
-    def __init__(self, eps: float):
-        self.eps = eps            # slack over float rounding in t1 - t0
+    def __init__(self, arch: ArchitectureSpec):
+        self.eps = 1e-6 * arch.t2   # gap after a gate waited on; slack over rounding
         self.gates: list[list] = []
         self.starts: list[float] = []
         self.order: list[int] = []
@@ -248,9 +256,8 @@ class _Committed:
             if oboxes is None:
                 oboxes = other[3] = gate_boxes(otracks, o0, o1)
             if c[3] is None:
-                # a shift moves the atoms with the window, so boxes over the
-                # candidate's own window hold for every delta
-                c[3] = gate_boxes(c[2], c[0], c[1])
+                # boxes over the candidate's own (widened) window hold for every delta
+                c[3] = gate_boxes(c[2], c[0] - self.eps, c[1] + self.eps)
             (ounion, oatoms), (cunion, catoms) = oboxes, c[3]
             # a box gap is a lower bound on the exact distance, so only gates,
             # then atom pairs, that may come too close are measured
@@ -600,17 +607,11 @@ _PLANNERS = {
 
 def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
     """Assign firing centers: dependency order plus pairwise exclusion."""
-    eps = 1e-6 * arch.t2
+    placed = _Committed(arch)
+    eps = placed.eps
     last_end: dict = {}    # QubitRef -> end time of its last gate
     bit_end: dict = {}
-    placed = _Committed(eps)
-    tracks: dict = {}
-
-    def track(q):
-        if q not in tracks:
-            tracks[q] = _Track.for_qubit(q, draft.rides)
-        return tracks[q]
-
+    track = _track_memo(draft.rides)
     for an in draft.anchors:
         step = an.step
         dur = _gate_duration(arch, step.gate)
@@ -722,23 +723,23 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     Raises `ValueError` unless the circuit is written for the `arch.L` array.
     """
     check_circuit(circuit, arch.L)
-    eps = 1e-6 * arch.t2
     # (sort key, event) in commit order; one stable sort at the end gives
     # the order of `sort_events`
     keyed: list[tuple[tuple, PhysicalEvent]] = []
     trajectories: dict[int, list[TrajectorySegment]] = {}
     ready: dict[tuple[int, int], float] = {}
-    committed = _Committed(eps)
+    committed = _Committed(arch)
+    eps = committed.eps
     serial = bit = 0
 
     for op in circuit.ops:
         if isinstance(op, Logical1Q):
             t = ready.get(op.q, 0.0)
-            q = QubitRef.comp(*op.q)
-            e = PhysicalEvent(t, _xy(op.q), ActionKind.GATE, (q,), gate=op.gate,
-                              duration=arch.t1)
+            dur = _gate_duration(arch, op.gate)
+            e = PhysicalEvent(t, _xy(op.q), ActionKind.GATE, (QubitRef.comp(*op.q),),
+                              gate=op.gate, duration=dur)
             keyed.append(((t,) + e.order_tail, e))
-            ready[op.q] = t + arch.t1 + eps
+            ready[op.q] = t + dur + eps
             continue
         d = decompose_cz(arch, op.a, op.b, serial_start=serial, bit_start=bit)
         serial += len(d.messengers)
@@ -812,12 +813,7 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
     """Independent re-validation of all ScheduledProgram invariants."""
     violations: list[Violation] = []
     R_c = arch.R / arch.a
-    tracks: dict = {}
-
-    def track(q):
-        if q not in tracks:
-            tracks[q] = _Track.for_qubit(q, program.trajectories)
-        return tracks[q]
+    track = _track_memo(program.trajectories)
 
     gates_2q = []
     for i, e in enumerate(program.events):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from atomshuttle import oracle, scheduler
+from atomshuttle.architectures import ArchitectureSpec, Variant
 from atomshuttle.cli import build_parser, main
 from atomshuttle.ir import events_from_jsonl
 
@@ -99,6 +100,21 @@ def test_verify_mutation_exits_4(workdir, capsys):
     records = [json.loads(l) for l in (out / "verify.jsonl").read_text().splitlines()
                if not l.startswith("#")]
     assert any(not r["ok"] for r in records)
+
+
+def test_variant_override_keeps_every_other_arch_field(workdir, monkeypatch):
+    seen, verify = [], oracle.verify_logical_cz
+
+    def recording_verify(arch, *args, **kwargs):
+        seen.append(arch)
+        return verify(arch, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "verify_logical_cz", recording_verify)
+    (workdir / "slow.arch").write_text(ARCH_TEMPLATE.format(variant="two-way-belt").replace(
+        "v_mps = 1.5", "v_mps = 1.2").replace("L = 8", "L = 9"))
+    assert run("verify", "--arch", str(workdir / "slow.arch"), "--pair", "0,0,8,8",
+               "--variant", "throw-and-measure", "--out", str(workdir / "out")) == 0
+    assert seen == [ArchitectureSpec(Variant.THROW_AND_MEASURE, 9, v=1.2)]
 
 
 def test_verify_mutant_drops_the_correction_for_haar_inputs_too(workdir, monkeypatch):

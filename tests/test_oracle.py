@@ -10,49 +10,49 @@ from atomshuttle.oracle import (CZ_2Q, KET_0, KET_PLUS, STANDARD_INPUTS,
                                 NothingToDropError, NumericalInstabilityError,
                                 PureState, _1Q_MATRICES, _apply_1q, _unitary,
                                 branch_execute, fidelity_with,
-                                haar_random_two_qubit_inputs, product_state,
-                                purity, records_to_jsonl, reduced_density,
-                                apply_gate, verify_logical_cz, verify_sequence)
+                                haar_random_two_qubit_inputs, purity, records_to_jsonl,
+                                reduced_density, verify_logical_cz, verify_sequence)
 
 A = QubitRef.comp(0, 0)
 B = QubitRef.comp(0, 1)
 M = QubitRef.mess(0)
 
 
-def test_product_state_and_indexing():
-    st_ = product_state([A, B], [KET_0, KET_PLUS])
-    assert st_.n_qubits == 2
-    np.testing.assert_allclose(st_.amplitudes,
-                               [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
+def product_state(qubits, kets) -> PureState:
+    amps = np.array([1.0 + 0j])
+    for k in kets:
+        amps = np.kron(amps, k)
+    return PureState(amps, tuple(qubits))
+
+
+def run_unitary(steps, state: PureState) -> PureState:
+    """`state` after `steps` with no measurement: their one branch."""
+    [branch] = branch_execute(steps, state)
+    assert branch.outcomes == {} and branch.probability == pytest.approx(1.0)
+    return branch.state
+
+
+def test_a_qubit_outside_the_state_raises():
+    state = product_state([A, B], [KET_0, KET_PLUS])
     with pytest.raises(KeyError):
-        st_.index_of(M)
+        reduced_density(state, [M])
+    with pytest.raises(KeyError):
+        branch_execute([GateStep(GateKind.H, (M,))], state)
 
 
-def test_apply_gate_matches_dense_matrices():
+def test_unitary_steps_match_dense_matrices():
     rng = np.random.default_rng(7)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     state = PureState(v.copy(), (A, B))
 
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    np.testing.assert_allclose(
-        apply_gate(state, GateKind.H, (A,)).amplitudes,
-        np.kron(h, np.eye(2)) @ v, atol=1e-12)
-    np.testing.assert_allclose(
-        apply_gate(state, GateKind.CZ, (A, B)).amplitudes,
-        CZ_2Q @ v, atol=1e-12)
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    np.testing.assert_allclose(
-        apply_gate(state, GateKind.SWAP, (A, B)).amplitudes,
-        swap @ v, atol=1e-12)
-
-
-def test_apply_gate_rejects_measurement_and_conditionals():
-    state = product_state([A], [KET_0])
-    with pytest.raises(ValueError):
-        apply_gate(state, GateKind.MEASURE_X, (A,))
-    with pytest.raises(ValueError):
-        apply_gate(state, GateKind.COND_Z, (A,))
+    for step, matrix in ((GateStep(GateKind.H, (A,)), np.kron(h, np.eye(2))),
+                         (GateStep(GateKind.CZ, (A, B)), CZ_2Q),
+                         (GateStep(GateKind.SWAP, (A, B)), swap)):
+        np.testing.assert_allclose(run_unitary([step], state).amplitudes, matrix @ v,
+                                   atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)
@@ -65,15 +65,10 @@ def test_random_gate_words_preserve_norm(word, seed):
     qs = (QubitRef.comp(0, 0), QubitRef.comp(0, 1), QubitRef.comp(0, 2))
     rng = np.random.default_rng(seed)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = PureState(v / np.linalg.norm(v), qs)
-    for gate, i, j in word:
-        if gate.is_two_qubit:
-            if i == j:
-                continue
-            state = apply_gate(state, gate, (qs[i], qs[j]))
-        else:
-            state = apply_gate(state, gate, (qs[i],))
-    assert abs(state.norm() - 1.0) < 1e-9
+    steps = [GateStep(gate, (qs[i], qs[j]) if gate.is_two_qubit else (qs[i],))
+             for gate, i, j in word if not (gate.is_two_qubit and i == j)]
+    state = run_unitary(steps, PureState(v / np.linalg.norm(v), qs))
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
 
 
 def test_branch_execute_enumerates_both_outcomes():
@@ -183,7 +178,7 @@ def test_norm_drift_in_one_row_of_a_stack_raises():
     rows = np.tile(np.array([1, 0, 0, 0], dtype=complex), (3, 1))
     rows[1] *= 1 + 1e-6
     with pytest.raises(NumericalInstabilityError):
-        _unitary(rows, GateKind.H, (0,), 2)
+        _unitary(rows, GateKind.H, (0,), 2, np.ones(3, dtype=bool))
     with pytest.raises(NumericalInstabilityError):
         _unitary(rows, GateKind.CZ, (0, 1), 2, np.array([False, True, False]))
     # a row of probability 0 rides along unchecked
@@ -194,7 +189,7 @@ def test_norm_drift_in_one_row_of_a_stack_raises():
 def test_nan_amplitude_raises():
     nan_state = PureState(np.array([np.nan, 0, 0, 0], dtype=complex), (A, B))
     with pytest.raises(NumericalInstabilityError, match="nan"):
-        apply_gate(nan_state, GateKind.H, (A,))
+        branch_execute([GateStep(GateKind.H, (A,))], nan_state)
     # no unitary runs before the branch probabilities are summed
     with pytest.raises(NumericalInstabilityError, match="nan"):
         branch_execute([GateStep(GateKind.MEASURE_X, (A,), bit=0)], nan_state)

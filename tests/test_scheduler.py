@@ -3,12 +3,12 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from atomshuttle import scheduler
 from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
-from atomshuttle.ir import (ActionKind, GateKind, LogicalCZ, Logical1Q,
-                            LogicalCircuit, QubitRef, classical_bits, gate_steps)
+from atomshuttle.ir import (ActionKind, GateKind, GateStep, LogicalCZ, Logical1Q,
+                            LogicalCircuit, QubitRef, classical_bits)
 from atomshuttle.oracle import verify_sequence
 from atomshuttle.scheduler import (BOX_MARGIN, DIST_TOL, EXCLUSION_CELLS, InfeasibleError,
                                    ScheduledProgram, SegmentKind, TrajectorySegment, _Track,
@@ -23,6 +23,12 @@ PAIRS = [((0, 0), (3, 3)), ((0, 0), (0, 5)), ((2, 1), (6, 1)),
 
 def arch_for(variant, L=8, **kw):
     return ArchitectureSpec(variant, L, **kw)
+
+
+def gate_steps(prog: ScheduledProgram) -> list[GateStep]:
+    """The gate sequence of a (time-sorted) planned program."""
+    return [GateStep(e.gate, e.operands, e.bit) for e in prog.events
+            if e.action is ActionKind.GATE]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -53,7 +59,7 @@ def test_planned_gate_order_matches_protocol_dependencies(variant):
     arch = arch_for(variant)
     d = decompose_cz(arch, (1, 1), (6, 4))
     prog = plan_trajectories(arch, d)
-    steps = gate_steps(prog.events)
+    steps = gate_steps(prog)
     # same multiset of gates, and dependent gates keep their order
     assert sorted(s.gate.value for s in steps) == \
         sorted(g.gate.value for g in d.gates)
@@ -73,7 +79,7 @@ def test_planned_sequence_still_verifies(variant):
     arch = arch_for(variant)
     d = decompose_cz(arch, (0, 2), (5, 6))
     prog = plan_trajectories(arch, d)
-    report = verify_sequence(gate_steps(prog.events), (0, 2), (5, 6),
+    report = verify_sequence(gate_steps(prog), (0, 2), (5, 6),
                              list(d.messengers))
     assert report.ok
 
@@ -222,20 +228,16 @@ points = st.tuples(coords, coords)
 
 
 @st.composite
-def tracks(draw, continuous=False):
-    """A static atom, or piecewise-linear motion that may dwell, pause or jump.
-
-    `continuous` motion, like every planner's, never jumps: it moves at
-    most about 3000 cells per unit of time.
-    """
+def tracks(draw):
+    """A static atom, or piecewise-linear motion that may dwell, pause or jump."""
     if draw(st.booleans()):
         return _Track(static_pos=draw(points))
     t, p, segs = draw(st.floats(-5.0, 5.0)), draw(points), []
     for _ in range(draw(st.integers(1, 5))):
         t0 = t + draw(st.sampled_from([0.0, 0.0, draw(st.floats(0.0, 2.0))]))
-        if not continuous and draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 3)) == 0:
             p = draw(points)
-        t = t0 + draw(st.floats(0.01 if continuous else 0.0, 3.0))
+        t = t0 + draw(st.floats(0.0, 3.0))
         end = draw(st.sampled_from([p, draw(points)]))
         segs.append(TrajectorySegment(0, SegmentKind.BELT_RIDE, t0, t, p, end))
         p = end
@@ -244,23 +246,42 @@ def tracks(draw, continuous=False):
 
 gate_tracks = st.lists(tracks(), min_size=1, max_size=3)
 
+# the slack on each side of a window whose boxes a shift reuses, as
+# `_Committed.eps` is in the scheduler: far more than the rounding of a time
+WIDEN = 1e-9
+
+
+def jump(x: float) -> _Track:
+    """At rest at (x, 0) until t = 0, then at (0, 0) until t = 1: a window
+    from just after the jump, shifted by 1.0, starts at 1.0 and rounds back
+    onto the jump."""
+    return _Track(segments=[
+        TrajectorySegment(0, SegmentKind.BELT_RIDE, -1.0, 0.0, (x, 0.0), (x, 0.0)),
+        TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 1.0, (0.0, 0.0), (0.0, 0.0))])
+
+
+STATIC, JUMP = _Track(static_pos=(1.0, 0.0)), jump(1.0)
+
 
 @given(gate_tracks, gate_tracks, st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
        st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(others=[STATIC], cands=[JUMP], o0=1.0, o_width=1.0, c0=1e-18, c_width=1.0,
+         where=0.5)
 def test_box_gap_is_a_lower_bound_on_min_distance(others, cands, o0, o_width,
                                                   c0, c_width, where):
     # the exclusion search compares a committed gate's boxes over its window
-    # [o0, o1] with the candidate's boxes over its own window [c0, c1]: a
-    # shift moves the candidate's atoms with its window, so for every shift
-    # that makes the windows overlap, both hold the overlap [lo, hi] that
-    # the exact test measures
+    # [o0, o1] with the candidate's boxes over its own window [c0, c1],
+    # widened by WIDEN: a shift moves the candidate's atoms with its window,
+    # so for every shift that makes the windows overlap, both hold the
+    # overlap [lo, hi] that the exact test measures, also where a shifted
+    # time rounds onto a jump
     o1, c1 = o0 + o_width, c0 + c_width
     delta = (o0 - c1) + where * ((o1 - c0) - (o0 - c1))
     lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
     assume(lo < hi)
     ounion, oboxes = gate_boxes(others, o0, o1)
-    cunion, cboxes = gate_boxes(cands, c0, c1)
+    cunion, cboxes = gate_boxes(cands, c0 - WIDEN, c1 + WIDEN)
     gaps = {(i, j): box_gap(ob, cb)
             for i, ob in enumerate(oboxes) for j, cb in enumerate(cboxes)}
     assert box_gap(ounion, cunion) <= min(gaps.values())
@@ -278,31 +299,41 @@ def moved(track: _Track, delta: float) -> _Track:
                             for s in track.segments])
 
 
-@given(st.lists(tracks(continuous=True), min_size=1, max_size=3), gate_tracks,
-       st.floats(-10.0, 15.0), st.floats(0.01, 4.0), st.floats(-5.0, 5.0),
-       st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
+@given(gate_tracks, gate_tracks, st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
+       st.floats(-5.0, 5.0), st.floats(-10.0, 15.0), st.floats(0.01, 4.0),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(others=[JUMP], cands=[STATIC], o0=1e-18, o_width=1.0, o_delta=1.0, c0=1.0,
+         c_width=1.0, where=0.5)
 def test_inherited_boxes_are_a_lower_bound_on_min_distance(others, cands, o0, o_width, o_delta,
                                                            c0, c_width, where):
     # a placed gate keeps the boxes it was tested with as a candidate, over
-    # its unshifted window [o0, o1]; it was committed `o_delta` later, and
-    # the exact test measures its rebuilt tracks over the overlap with a
-    # candidate shifted by `delta`.  The placed side moves continuously, as
-    # every planner's atoms do: rounding moves a shifted window's ends, and
-    # a jump there would move an atom off its box by the jump
+    # its unshifted window [o0, o1] widened by WIDEN; it was committed
+    # `o_delta` later, and the exact test measures its rebuilt tracks over
+    # the overlap with a candidate shifted by `delta`.  Rounding moves a
+    # shifted window's ends, and the widening keeps a jump there in the box
     o1, c1 = o0 + o_width, c0 + c_width
     p0, p1 = o0 + o_delta, o1 + o_delta
     delta = (p0 - c1) + where * ((p1 - c0) - (p0 - c1))
     lo, hi = max(c0 + delta, p0), min(c1 + delta, p1)
     assume(lo < hi)
-    ounion, oboxes = gate_boxes(others, o0, o1)
-    cunion, cboxes = gate_boxes(cands, c0, c1)
+    ounion, oboxes = gate_boxes(others, o0 - WIDEN, o1 + WIDEN)
+    cunion, cboxes = gate_boxes(cands, c0 - WIDEN, c1 + WIDEN)
     gaps = {(i, j): box_gap(ob, cb)
             for i, ob in enumerate(oboxes) for j, cb in enumerate(cboxes)}
     assert box_gap(ounion, cunion) <= min(gaps.values())
     for (i, j), gap in gaps.items():
         assert gap <= min_distance(moved(others[i], o_delta), cands[j].shifted(delta),
                                    lo, hi) + BOX_MARGIN
+
+
+def test_reused_boxes_cover_a_jump_where_a_shifted_window_starts():
+    # the candidate jumps 3 cells at t = 0, and its window starts just after
+    # the jump; shifted by 1.0, that start rounds back onto the jump, where
+    # the atom sits on the placed gate's.  Unwidened boxes would be 3 cells
+    # apart and prune the pair.
+    committed = scheduler._Committed(ArchitectureSpec(Variant.TWO_WAY_BELT, 8, t2=1.0, v=1e-6))
+    committed.add(1.0, 2.0, [_Track(static_pos=(3.0, 0.0))], None)
+    assert committed.first_conflict([1e-18, 1.0, [jump(3.0)], None], 1.0, -1) == 0
 
 
 @given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0, exclude_min=True),

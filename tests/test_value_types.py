@@ -174,3 +174,22 @@ def test_a_validated_type_cannot_be_copied_around_its_checks(x, changes):
     for make in _changed_copies(x, changes):
         with pytest.raises(ValueError):
             make()
+
+
+@pytest.mark.parametrize("x,changes", [
+    (ArchitectureSpec(Variant.TWO_WAY_BELT, 8), {"variant": Variant.ONE_WAY_BELT}),
+    (ArchitectureSpec(Variant.TWO_WAY_BELT, 8), {"v": 1.2}),
+    (GateStep(GateKind.CZ, (A, M)), {"operands": (B, M)}),
+    (GateStep(GateKind.MEASURE_X, (M,), 0), {"bit": 1}),
+    (CostParams(), {"fr": 0.99}),
+    (STATE, {"qubit_order": (B,)}),
+], ids=["spec-variant", "spec-v", "step-operands", "step-bit", "cost-fr", "state-order"])
+def test_a_validated_type_copies_with_a_valid_change(x, changes):
+    # `_replace`, `_make` and (from Python 3.13) `copy.replace` give the same
+    # type, with the changed fields and every other field as it was
+    makers = list(_changed_copies(x, changes))
+    assert len(makers) == (3 if hasattr(copy, "replace") else 2)
+    for make in makers:
+        y = make()
+        assert type(y) is type(x)
+        assert all(getattr(y, n) is changes.get(n, getattr(x, n)) for n in x._fields)
