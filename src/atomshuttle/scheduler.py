@@ -281,27 +281,23 @@ class _Committed:
 LANE_OFFSET = 0.5           # cells between a belt lane or flight line and a qubit
 
 
-class _Anchor:
-    __slots__ = ("step", "lo", "hi", "center")
-
-    def __init__(self, step: GateStep, lo: float, hi: float):
-        self.step = step
-        self.lo = lo              # earliest feasible firing *center*
-        self.hi = hi              # latest feasible firing center (inf if flexible)
-        self.center = math.nan
+class _Anchor(NamedTuple):
+    step: GateStep
+    lo: float                 # earliest feasible firing *center*
+    hi: float                 # latest feasible firing center (inf if flexible)
 
 
 class _Draft:
-    __slots__ = ("rides", "anchors", "aux_events", "hold")
+    __slots__ = ("rides", "anchors", "aux_events", "held")
 
-    def __init__(self, rides=None, anchors=None, aux_events=None, hold=None):
+    def __init__(self, rides=None, anchors=None, aux_events=None, held=None):
         # serial -> [TrajectorySegment]
         self.rides = {} if rides is None else rides
         self.anchors = [] if anchors is None else anchors
         # PhysicalEvent (loads etc.)
         self.aux_events = [] if aux_events is None else aux_events
-        # serial -> (arrival t, pos)
-        self.hold = {} if hold is None else hold
+        # serials of messengers that wait at their ride's end for their last gate
+        self.held = set() if held is None else held
 
 
 class _Itinerary:
@@ -459,8 +455,7 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE)
 
     draft = _Draft(rides={s1: m1.segs, s2: m2.segs},
-                   aux_events=[_load_event(m1, 0), _load_event(m2, 1)],
-                   hold={s2: (t_arr2, (x_v, L + 1.0))})
+                   aux_events=[_load_event(m1, 0), _load_event(m2, 1)], held={s2})
     if d.case == 1:
         draft.anchors = [
             _pass_window(arch, g[0], t_cz1, "CZ(S,m1)"),
@@ -471,7 +466,7 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
             _Anchor(g[5], 0.0, math.inf),
         ]
     else:
-        draft.hold[s1] = (t_arr1, (L + 1.0, y_h))
+        draft.held.add(s1)
         draft.anchors = [
             _pass_window(arch, g[0], t_cz1, "CZ(P,m1)"),
             _within(arch, g[1], m1.t_load, m1.t),
@@ -544,7 +539,7 @@ def _plan_throw_catch_throw(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
 
 def _plan_throw_and_measure(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     m, draft, _, _ = _throw_out(arch, d)
-    draft.hold[m.serial] = (m.t, m.p)
+    draft.held.add(m.serial)
     g = d.gates
     draft.anchors += [
         _within(arch, g[3], m.t, math.inf),
@@ -605,24 +600,25 @@ _PLANNERS = {
 }
 
 
-def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
-    """Assign firing centers: dependency order plus pairwise exclusion."""
+def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
+    """Fire each gate (dependency order plus pairwise exclusion) and append its
+    event to `events`; returns each qubit's last gate end (QubitRef -> time)."""
     placed = _Committed(arch)
     eps = placed.eps
-    last_end: dict = {}    # QubitRef -> end time of its last gate
+    last_end: dict = {}
     bit_end: dict = {}
     track = _track_memo(draft.rides)
-    for an in draft.anchors:
-        step = an.step
-        dur = _gate_duration(arch, step.gate)
-        center = an.lo
-        for q in step.operands:
+    for step, lo, hi in draft.anchors:
+        gate, operands, bit = step
+        dur = _gate_duration(arch, gate)
+        center = lo
+        for q in operands:
             if q in last_end:
                 center = max(center, last_end[q] + dur / 2 + eps)
-        if step.gate.reads_bit and step.bit in bit_end:
-            center = max(center, bit_end[step.bit] + dur / 2 + eps)
-        if step.gate.is_two_qubit:
-            an_tracks = [track(q) for q in step.operands]
+        if gate.reads_bit and bit in bit_end:
+            center = max(center, bit_end[bit] + dur / 2 + eps)
+        if gate.is_two_qubit:
+            an_tracks = [track(q) for q in operands]
             moved = True
             while moved:
                 # the atoms keep their rides while the firing time moves, so
@@ -633,59 +629,45 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft) -> None:
                         0.0, k)) is not None:
                     center = placed.gates[k][1] + dur / 2 + eps
                     moved = True
-        if center > an.hi + 1e-15:
+        if center > hi + 1e-15:
             raise InfeasibleError(
-                f"{step.gate.value} on {step.operands}: required firing time "
-                f"{center:.3e}s exceeds feasible window end {an.hi:.3e}s")
-        an.center = center
-        for q in step.operands:
+                f"{gate.value} on {operands}: required firing time "
+                f"{center:.3e}s exceeds feasible window end {hi:.3e}s")
+        comp = next((q for q in operands if not q.is_messenger), None)
+        pos = _xy(comp.coord) if comp is not None else track(operands[0]).position(center)
+        events.append(PhysicalEvent(center - dur / 2, pos, ActionKind.GATE, operands,
+                                    gate=gate, bit=bit, duration=dur))
+        for q in operands:
             last_end[q] = center + dur / 2
-        if step.gate.writes_bit:
-            bit_end[step.bit] = center + dur / 2
-        if step.gate.is_two_qubit:
+        if gate.writes_bit:
+            bit_end[bit] = center + dur / 2
+        if gate.is_two_qubit:
             placed.add(*c)
+    return last_end
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
-    """Plan the space-time realization of one decomposed logical gate."""
+    """Plan the space-time realization of one decomposed logical gate.
+
+    A messenger is disposed of where its ride ends; a held one waits there,
+    stationary, until its last gate ends.
+    """
     if d.variant is None:
         raise ValueError("the neighbor-chain baseline has no transport plan")
     if d.variant is not arch.variant:
         raise ValueError(f"decomposition for {d.variant} given to {arch.variant} planner")
     draft = _PLANNERS[arch.variant](arch, d)
-    _place_anchors(arch, draft)
-
     events = list(draft.aux_events)
-    tracks = {s: _Track(segments=segs) for s, segs in draft.rides.items()}
-    mess_last_gate_end: dict[int, float] = {}
-    for an in draft.anchors:
-        step = an.step
-        dur = _gate_duration(arch, step.gate)
-        comp = next((q for q in step.operands if not q.is_messenger), None)
-        pos = (_xy(comp.coord) if comp is not None
-               else tracks[step.operands[0].serial].position(an.center))
-        events.append(PhysicalEvent(an.center - dur / 2, pos, ActionKind.GATE, step.operands,
-                                    gate=step.gate, bit=step.bit, duration=dur))
-        for q in step.operands:
-            if q.is_messenger:
-                mess_last_gate_end[q.serial] = max(
-                    mess_last_gate_end.get(q.serial, 0.0), an.center + dur / 2)
-
-    trajectories: dict[int, list[TrajectorySegment]] = {}
+    last_end = _place_anchors(arch, draft, events)
     for s, segs in draft.rides.items():
-        segs = list(segs)
-        if s in draft.hold:
-            arr, pos = draft.hold[s]
-            t_disp = max(mess_last_gate_end.get(s, arr), arr)
-            if t_disp > arr:
-                segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arr, t_disp, pos, pos))
-            events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (QubitRef.mess(s),)))
-        else:
-            end = segs[-1]
-            events.append(PhysicalEvent(end.t_end, end.end_pos, ActionKind.DISPOSE,
-                                        (QubitRef.mess(s),)))
-        trajectories[s] = segs
+        mref = QubitRef.mess(s)
+        arrival, pos = segs[-1].t_end, segs[-1].end_pos
+        t_disp = max(last_end.get(mref, arrival), arrival) if s in draft.held else arrival
+        if t_disp > arrival:
+            segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
+        events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
 
+    trajectories = draft.rides
     t_min = min(e.t for e in events)
     if t_min:
         events, trajectories = _shifted(events, trajectories, -t_min)
@@ -720,7 +702,9 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     Gates run concurrently when their planned events violate no pairwise
     exclusion or qubit-dependency constraint; otherwise later gates are
     delayed by the minimal feasible offset.  Deterministic in circuit order.
-    Raises `ValueError` unless the circuit is written for the `arch.L` array.
+    Raises `ValueError` unless the circuit is written for the `arch.L` array,
+    and `InfeasibleError` when no placement is found or the gap after a gate
+    (`1e-6 t2`) is too fine for the program's times.
     """
     check_circuit(circuit, arch.L)
     # (sort key, event) in commit order; one stable sort at the end gives
@@ -779,23 +763,26 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         placed, trajs = ((plan.events, plan.trajectories) if delta == 0.0
                          else _shifted(plan.events, plan.trajectories, delta))
         trajectories.update(trajs)
-        ends: dict[tuple[int, int], float] = {}
         tested = iter(cand)
         for p, e in zip(plan.events, placed):
             keyed.append(((e.t,) + p.order_tail, e))
+            # a plan's gates on a computational qubit run in order, so its
+            # last event there sets when the qubit is free
             for q in e.operands:
-                if q.coord == op.a or q.coord == op.b:
-                    ends[q.coord] = max(ends.get(q.coord, e.t_end), e.t_end)
+                if not q.is_messenger:
+                    ready[q.coord] = e.t_end + eps
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
                 # the candidate's boxes: a shift moves the atoms with the window
                 committed.add(e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands],
                               next(tested)[3])
-        for coord, end in ends.items():
-            ready[coord] = end + eps
 
     keyed.sort(key=itemgetter(0))
     events = [e for _, e in keyed]
     makespan = max((e.t_end for e in events), default=0.0)
+    if eps < 4 * math.ulp(makespan):
+        raise InfeasibleError(
+            f"t2 {arch.t2:.3e}s too short: its gap {eps:.3e}s between dependent gates is "
+            f"under 4 ulps of the makespan {makespan:.6e}s")
     return ScheduledProgram(events, trajectories, makespan)
 
 

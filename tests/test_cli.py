@@ -227,6 +227,23 @@ def test_infeasible_exits_3(workdir):
     assert code == 3
 
 
+def test_gate_times_below_float_resolution_exit_3(workdir, capsys):
+    # with 1e-20 s gates the gap after a gate, 1e-6 t2, is under an ulp of
+    # the schedule's times: a readout's bit would be read before it is written
+    short = ARCH_TEMPLATE.format(variant="one-way-belt")
+    for line in ("t2_s = 1e-6", "t1_s = 1e-7", "tr_s = 1e-5"):
+        short = short.replace(line, line.split(" = ")[0] + " = 1e-20")
+    (workdir / "short.arch").write_text(short)
+    (workdir / "shared.program").write_text("lattice 8\ncz (0,0) (0,1)\ncz (0,0) (5,5)\n")
+    out = workdir / "out"
+    code = run("schedule", "--arch", str(workdir / "short.arch"),
+               "--program", str(workdir / "shared.program"), "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "t2 1.000e-20s too short" in err and "makespan" in err
+    assert not out.exists()
+
+
 def test_exhausted_exclusion_loop_exits_3_naming_the_gate(workdir, capsys, monkeypatch):
     # neighbouring parallel gates conflict, so the second one needs a bump
     monkeypatch.setattr(scheduler, "MAX_BUMP_PASSES", 1)

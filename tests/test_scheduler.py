@@ -43,9 +43,8 @@ def test_single_gate_plans_are_conflict_free(variant, pair):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("pair", PAIRS)
 def test_makespan_estimate_tracks_planner(variant, pair):
-    # A gate's makespan estimate is its planned single-gate makespan: the
-    # scheduler gives a lone CZ exactly that span, and no messenger crosses
-    # the distance between the two qubits faster than v.
+    # A lone CZ's schedule spans exactly its single-gate plan, and no
+    # messenger crosses the distance between the two qubits faster than v.
     arch = arch_for(variant)
     est = plan_trajectories(arch, decompose_cz(arch, *pair)).makespan
     prog = schedule(LogicalCircuit(arch.L, (LogicalCZ(*pair),)), arch)
@@ -170,14 +169,40 @@ def test_throw_catch_throw_event_shape():
     assert SegmentKind.TURNAROUND in kinds
 
 
-def test_measured_messengers_hold_at_readout():
-    arch = arch_for(Variant.THROW_AND_MEASURE)
-    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
-    mx = next(e for e in prog.events
-              if e.action is ActionKind.GATE and e.gate is GateKind.MEASURE_X)
-    dispose = next(e for e in prog.events if e.action is ActionKind.DISPOSE)
-    assert dispose.t >= mx.t_end - 1e-12
-    assert dispose.pos == mx.pos
+@st.composite
+def planned_pairs(draw):
+    """A default architecture of any variant on an L x L array, L in 2..10,
+    and two distinct qubits on it."""
+    L = draw(st.integers(2, 10))
+    cell = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    a = draw(cell)
+    return arch_for(draw(st.sampled_from(list(Variant))), L), a, draw(cell.filter(a.__ne__))
+
+
+@given(planned=planned_pairs())
+def test_measured_messengers_hold_at_readout(planned):
+    # Every messenger is disposed of where its ride ends.  A measured one
+    # (one-way belt, throw-and-measure) waits there, stationary, until its
+    # last gate ends, up to one ulp: the planner ends a gate at
+    # `center + dur / 2`, its event at `(center - dur / 2) + dur`.
+    arch, a, b = planned
+    prog = plan_trajectories(arch, decompose_cz(arch, a, b))
+    last_gate_end = {}
+    for e in prog.events:
+        if e.action is ActionKind.GATE:
+            for q in e.operands:
+                if q.is_messenger:
+                    last_gate_end[q.serial] = max(last_gate_end.get(q.serial, 0.0), e.t_end)
+    disposals = {e.operands[0].serial: e for e in prog.events
+                 if e.action is ActionKind.DISPOSE}
+    assert sorted(disposals) == sorted(prog.trajectories)
+    for s, e in disposals.items():
+        end = prog.trajectories[s][-1]
+        assert (e.t, e.pos) == (end.t_end, end.end_pos)
+        assert e.t >= last_gate_end[s] - math.ulp(last_gate_end[s])
+    if arch.variant not in (Variant.ONE_WAY_BELT, Variant.THROW_AND_MEASURE):
+        assert all(seg.kind is not SegmentKind.STATIONARY
+                   for segs in prog.trajectories.values() for seg in segs)
 
 
 def test_normalization_starts_at_zero():
@@ -429,18 +454,36 @@ def test_check_conflicts_flags_use_after_dispose():
     assert any(v.kind == "lifecycle" for v in check_conflicts(bad, arch))
 
 
-def test_schedule_serializes_gates_sharing_a_qubit():
-    arch = arch_for(Variant.THROW_CATCH_THROW)
-    circ = LogicalCircuit(8, (LogicalCZ((0, 0), (3, 3)),
-                              LogicalCZ((0, 0), (5, 1))))
-    prog = schedule(circ, arch)
+@st.composite
+def circuits(draw):
+    """Up to 12 CZs and single-qubit gates on an L x L array, L in 4..8."""
+    L = draw(st.integers(4, 8))
+    cell = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    cz = st.builds(LogicalCZ, cell, cell).filter(lambda op: op.a != op.b)
+    one_qubit = st.builds(Logical1Q, st.sampled_from((GateKind.H, GateKind.Z, GateKind.X)),
+                          cell)
+    return LogicalCircuit(L, tuple(draw(st.lists(cz | one_qubit, min_size=1, max_size=12))))
+
+
+@given(variant=st.sampled_from(list(Variant)), circuit=circuits())
+@example(variant=Variant.THROW_CATCH_THROW,
+         circuit=LogicalCircuit(8, (LogicalCZ((0, 0), (3, 3)), LogicalCZ((0, 0), (5, 1)))))
+def test_schedule_serializes_gates_sharing_a_qubit(variant, circuit):
+    # No qubit, computational or messenger, is an operand of two gates that
+    # fire at once; `check_conflicts` sees a shared atom only between two
+    # two-qubit gates (as an exclusion at distance 0).
+    arch = arch_for(variant, circuit.lattice_size)
+    prog = schedule(circuit, arch)
     assert check_conflicts(prog, arch) == []
-    shared = [e for e in prog.events
-              if e.action is ActionKind.GATE
-              and any(not q.is_messenger and q.coord == (0, 0) for q in e.operands)]
-    shared.sort(key=lambda e: e.t)
-    for e0, e1 in zip(shared, shared[1:]):
-        assert e1.t >= e0.t_end
+    windows = {}
+    for e in prog.events:
+        if e.action is ActionKind.GATE:
+            for q in e.operands:
+                windows.setdefault(q, []).append((e.t, e.t_end))
+    for spans in windows.values():
+        spans.sort()
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert start >= end
 
 
 def test_schedule_keeps_disjoint_gates_parallel():
