@@ -214,8 +214,14 @@ class _Committed:
     tested with, inherited at commit: a shift moves the atoms with the
     window, and the widening covers a shifted time that rounds past a
     window end, so they still hold for any motion.  A gate never tested is
-    boxed on its first overlap.  Each atom pair left by the
-    boxes is decided at the start of the overlap first (`too_close`).
+    boxed when it is first near a candidate in time.  A search builds the
+    candidate's boxes once, when the time index returns a gate after
+    `after`, and widens its union box by the exclusion distance (plus
+    `BOX_MARGIN`) once: a near gate whose union box lies outside that square
+    is passed by four comparisons, before its time overlap is computed.  The
+    union-box gap then passes a gate in a corner of the square but farther
+    than the exclusion distance, and each atom pair left by the atom boxes
+    is decided at the start of the overlap first (`too_close`).
     """
 
     def __init__(self, arch: ArchitectureSpec):
@@ -239,26 +245,32 @@ class _Committed:
         c0, c1 = c[0] + delta, c[1] + delta
         starts = self.starts
         lo, hi = bisect_left(starts, c0 - self.reach), bisect_left(starts, c1)
-        if lo == hi:
+        near = sorted(self.order[lo:hi])
+        near = near[bisect_right(near, after):]
+        if not near:
             return None
-        near = self.order[lo:hi]
-        near.sort()
+        if c[3] is None:
+            # boxes over the candidate's own (widened) window hold for every delta
+            c[3] = gate_boxes(c[2], c[0] - self.eps, c[1] + self.eps)
+        cunion, catoms = c[3]
         far = EXCLUSION_CELLS + BOX_MARGIN
+        # a box wholly outside this square is at least `far` from the candidate's
+        x0, y0, x1, y1 = cunion
+        x0, y0, x1, y1 = x0 - far, y0 - far, x1 + far, y1 + far
+        gates = self.gates
         shifted = None
         for k in near:
-            if k <= after:
-                continue
-            other = self.gates[k]
+            other = gates[k]
             o0, o1, otracks, oboxes = other
-            t0, t1 = max(c0, o0), min(c1, o1)
-            if t0 >= t1:
-                continue
             if oboxes is None:
                 oboxes = other[3] = gate_boxes(otracks, o0, o1)
-            if c[3] is None:
-                # boxes over the candidate's own (widened) window hold for every delta
-                c[3] = gate_boxes(c[2], c[0] - self.eps, c[1] + self.eps)
-            (ounion, oatoms), (cunion, catoms) = oboxes, c[3]
+            ounion, oatoms = oboxes
+            if ounion[0] >= x1 or ounion[2] <= x0 or ounion[1] >= y1 or ounion[3] <= y0:
+                continue
+            t0 = o0 if o0 > c0 else c0    # max(c0, o0) and min(c1, o1), ties included
+            t1 = o1 if o1 < c1 else c1
+            if t0 >= t1:
+                continue
             # a box gap is a lower bound on the exact distance, so only gates,
             # then atom pairs, that may come too close are measured
             if box_gap(ounion, cunion) >= far:
@@ -677,12 +689,12 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
 
 def _shifted(events, trajectories, delta: float):
     """New events and trajectory segments, each `delta` seconds later."""
-    events = [PhysicalEvent(e.t + delta, e.pos, e.action, e.operands, e.gate, e.bit,
-                            e.duration, e.belt, e.to_belt, e.velocity) for e in events]
+    # each record unpacked once: a named-tuple field read is slower than an unpack
+    event, segment = PhysicalEvent._make, TrajectorySegment._make
+    events = [event((t + delta, *rest)) for t, *rest in events]
     trajectories = {
-        s: [TrajectorySegment(seg.messenger, seg.kind, seg.t_start + delta,
-                              seg.t_end + delta, seg.start_pos, seg.end_pos)
-            for seg in segs]
+        s: [segment((m, kind, t0 + delta, t1 + delta, p0, p1))
+            for m, kind, t0, t1, p0, p1 in segs]
         for s, segs in trajectories.items()}
     return events, trajectories
 
@@ -695,6 +707,12 @@ def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
 
 
 # --- multi-gate scheduling --------------------------------------------------
+
+def _atom_tracks(e: PhysicalEvent, moving: dict, static) -> list:
+    """The tracks of gate `e`'s atoms: a messenger's from `moving` (serial ->
+    track), a computational qubit's from `static` (coord -> track)."""
+    return [moving[q.serial] if q.is_messenger else static(q.coord) for q in e.operands]
+
 
 def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgram:
     """Greedy list scheduler over the circuit's logical ops.
@@ -715,6 +733,9 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     committed = _Committed(arch)
     eps = committed.eps
     serial = bit = 0
+    # one track per computational qubit; one per messenger of each plan, and
+    # of each moved plan, in `moving` (serial -> track)
+    static = functools.cache(lambda coord: _Track(static_pos=_xy(coord)))
 
     for op in circuit.ops:
         if isinstance(op, Logical1Q):
@@ -730,8 +751,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         bit += d.counts.nr
         plan = plan_trajectories(arch, d)
         delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
-        cand = [[e.t, e.t_end, [_Track.for_qubit(q, plan.trajectories) for q in e.operands],
-                 None]
+        moving = {s: _Track(segments=segs) for s, segs in plan.trajectories.items()}
+        cand = [[e.t, e.t_end, _atom_tracks(e, moving, static), None]
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
         # the delta at which each candidate last passed every committed gate:
@@ -763,6 +784,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         placed, trajs = ((plan.events, plan.trajectories) if delta == 0.0
                          else _shifted(plan.events, plan.trajectories, delta))
         trajectories.update(trajs)
+        if delta != 0.0:
+            moving = {s: _Track(segments=segs) for s, segs in trajs.items()}
         tested = iter(cand)
         for p, e in zip(plan.events, placed):
             keyed.append(((e.t,) + p.order_tail, e))
@@ -773,8 +796,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                     ready[q.coord] = e.t_end + eps
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
                 # the candidate's boxes: a shift moves the atoms with the window
-                committed.add(e.t, e.t_end, [_Track.for_qubit(q, trajs) for q in e.operands],
-                              next(tested)[3])
+                committed.add(e.t, e.t_end, _atom_tracks(e, moving, static), next(tested)[3])
 
     keyed.sort(key=itemgetter(0))
     events = [e for _, e in keyed]

@@ -150,3 +150,12 @@ def test_dense_schedule_matches_reference_model(monkeypatch, variant):
     monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
     assert_same_schedule(schedule(circuit, arch), plain)
     assert conflicts["pair"] > conflicts["exact"] > 0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_wide_schedule_matches_reference_model(variant):
+    # 100 CZs on 12x12: unlike on 6x6, many gates that fire together are
+    # far apart, so the search passes them by the square around the
+    # candidate's box before it compares their times
+    circuit, arch = dense_circuit(L=12, n=100), ArchitectureSpec(variant, 12)
+    assert_same_schedule(schedule(circuit, arch), reference_schedule(circuit, arch))

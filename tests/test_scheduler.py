@@ -253,7 +253,7 @@ points = st.tuples(coords, coords)
 
 
 @st.composite
-def tracks(draw):
+def tracks(draw, points=points):
     """A static atom, or piecewise-linear motion that may dwell, pause or jump."""
     if draw(st.booleans()):
         return _Track(static_pos=draw(points))
@@ -359,6 +359,78 @@ def test_reused_boxes_cover_a_jump_where_a_shifted_window_starts():
     committed = scheduler._Committed(ArchitectureSpec(Variant.TWO_WAY_BELT, 8, t2=1.0, v=1e-6))
     committed.add(1.0, 2.0, [_Track(static_pos=(3.0, 0.0))], None)
     assert committed.first_conflict([1e-18, 1.0, [jump(3.0)], None], 1.0, -1) == 0
+
+
+# the exclusion search with a gap and rounding slack `eps` of 1e-6 s
+SEARCH_ARCH = ArchitectureSpec(Variant.TWO_WAY_BELT, 8, t2=1.0, v=1e-6)
+SEARCH_EPS = scheduler._Committed(SEARCH_ARCH).eps
+
+
+@st.composite
+def search_gates(draw, sites):
+    """(t0, t1, tracks, boxes) of a gate at a point of `sites`, its atoms
+    moving within a cell of it; planned over [b0, b1] and moved `delta`
+    later as `schedule` commits it.  `boxes` are None or those built over
+    the planned window widened by eps, as a candidate tested there keeps
+    them."""
+    x, y = draw(sites)
+    near = st.tuples(st.floats(x - 1.0, x + 1.0), st.floats(y - 1.0, y + 1.0))
+    atoms = draw(st.lists(tracks(near), min_size=1, max_size=2))
+    b0 = draw(st.floats(0.0, 2.0))
+    b1 = b0 + draw(st.floats(0.01, 3.0))
+    delta = draw(st.floats(-1.0, 1.0)) if draw(st.booleans()) else 0.0
+    boxes = gate_boxes(atoms, b0 - SEARCH_EPS, b1 + SEARCH_EPS) if draw(st.booleans()) else None
+    return (b0 + delta, b1 + delta, [moved(t, delta) for t in atoms], boxes)
+
+
+@st.composite
+def searches(draw):
+    """Placed gates, the index after which the search starts, and a
+    candidate, at sites over the whole array, where most gates that fire
+    together are far apart, or over a 6x6 part of it, where many are about
+    the exclusion distance apart."""
+    side = draw(st.sampled_from([16.0, 6.0]))
+    sites = st.tuples(st.floats(0.0, side), st.floats(0.0, side))
+    placed = draw(st.lists(search_gates(sites), max_size=12))
+    return placed, draw(search_gates(sites)), draw(st.integers(-1, len(placed) - 1))
+
+
+def plain_first_conflict(placed, cand, delta: float, after: int):
+    """The first placed gate after `after` with an atom pair too close to
+    the candidate shifted by `delta` while both fire: every gate in
+    placement order, every atom pair, no boxes."""
+    c0, c1, ctracks, _ = cand
+    shifted = [t.shifted(delta) for t in ctracks]
+    for k in range(after + 1, len(placed)):
+        o0, o1, otracks, _ = placed[k]
+        lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
+        if lo < hi and any(too_close(ot, ct, lo, hi) for ot in otracks for ct in shifted):
+            return k
+    return None
+
+
+ORIGIN = [_Track(static_pos=(0.0, 0.0))]
+
+
+@given(searches(), st.floats(-1.0, 1.0))
+# union boxes exactly the exclusion distance plus BOX_MARGIN apart along x:
+# on the edge of the square, and passed
+@example(search=([(0.0, 1.0, ORIGIN, None)],
+                 (0.0, 1.0, [_Track(static_pos=(EXCLUSION_CELLS + BOX_MARGIN, 0.0))], None),
+                 -1), delta=0.0)
+# a diagonal neighbour inside the square but outside the circle: the union
+# box gap, not the square, passes it
+@example(search=([(0.0, 1.0, ORIGIN, None)], (0.0, 1.0, [_Track(static_pos=(1.5, 1.5))], None),
+                 -1), delta=0.0)
+def test_first_conflict_matches_a_plain_scan(search, delta):
+    # the boxes, the square around the candidate and the time index only
+    # skip gates and atom pairs that cannot come too close
+    placed, cand, after = search
+    committed = scheduler._Committed(SEARCH_ARCH)
+    for gate in placed:
+        committed.add(*gate)
+    assert committed.first_conflict(list(cand), delta, after) == \
+        plain_first_conflict(placed, cand, delta, after)
 
 
 @given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0, exclude_min=True),
