@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import re
 from enum import Enum
+from itertools import compress
+from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
 
@@ -298,11 +300,9 @@ class _EventFields(NamedTuple):
 
 
 class PhysicalEvent(_EventFields):
-    """One timed physical action: a named tuple of `_EventFields`.
+    """One timed physical action: a named tuple of `_EventFields`."""
 
-    It declares no `__slots__`, so that each event has a `__dict__` to keep
-    its order tail in.
-    """
+    __slots__ = ()
 
     @property
     def t_end(self) -> float:
@@ -314,14 +314,9 @@ class PhysicalEvent(_EventFields):
 
     @property
     def order_tail(self) -> tuple:
-        """`sort_key` without the time, which a shift in time leaves unchanged.
-        Built on first use and kept on the event."""
-        tail = self.__dict__.get("_order_tail")
-        if tail is None:
-            tail = self.__dict__["_order_tail"] = (
-                self.action.rank, self.messenger_serial(),
+        """`sort_key` without the time, which a shift in time leaves unchanged."""
+        return (self.action.rank, self.messenger_serial(),
                 tuple(q._sort_key for q in self.operands))
-        return tail
 
     def sort_key(self) -> tuple:
         return (self.t,) + self.order_tail
@@ -348,9 +343,28 @@ class PhysicalEvent(_EventFields):
         )
 
 
+_time, _order_tail = itemgetter(0), attrgetter("order_tail")
+
+
 def sort_events(events: list[PhysicalEvent]) -> list[PhysicalEvent]:
-    """Canonical deterministic total order (idempotent)."""
-    return sorted(events, key=PhysicalEvent.sort_key)
+    """Canonical deterministic total order (idempotent): a stable sort by
+    `sort_key`.
+
+    Sorted by time, then each run of equal times by `order_tail`, so a
+    tail is built only for an event that shares its time.
+    """
+    out = sorted(events, key=_time)
+    times = list(map(_time, out))
+    end = 0
+    # i runs over the events whose time equals the next one's
+    for i in compress(range(len(out)), map(eq, times, times[1:])):
+        if i < end:
+            continue   # inside the run sorted last
+        t, end = times[i], i + 2
+        while end < len(out) and times[end] == t:
+            end += 1
+        out[i:end] = sorted(out[i:end], key=_order_tail)
+    return out
 
 
 def events_to_jsonl(events: list[PhysicalEvent]) -> str:

@@ -16,7 +16,6 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from operator import itemgetter
 from typing import NamedTuple
 
 from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
@@ -84,13 +83,6 @@ class _Track:
         self.segments = segments or []
         self.offset = offset
 
-    @classmethod
-    def for_qubit(cls, q: QubitRef, trajectories) -> "_Track":
-        if q.is_messenger:
-            return cls(segments=trajectories[q.serial])
-        r, c = q.coord
-        return cls(static_pos=(float(c), float(r)))
-
     def shifted(self, delta: float) -> "_Track":
         return _Track(self.static, self.segments, self.offset + delta)
 
@@ -136,9 +128,20 @@ class _Track:
         return segs[-1].end_pos
 
 
-def _track_memo(trajectories):
-    """`_Track.for_qubit` over `trajectories`, built once per qubit."""
-    return functools.cache(lambda q: _Track.for_qubit(q, trajectories))
+def _moving_tracks(trajectories) -> dict:
+    """serial -> the track of that messenger's segments."""
+    return {s: _Track(segments=segs) for s, segs in trajectories.items()}
+
+
+def _static_track(coord) -> _Track:
+    """The track of the computational qubit at `coord` (row, col)."""
+    return _Track(static_pos=_xy(coord))
+
+
+def _atom_tracks(operands, moving: dict, static) -> list:
+    """The tracks of `operands`: a messenger's from `moving` (serial ->
+    track), a computational qubit's from `static` (coord -> track)."""
+    return [moving[q.serial] if q.is_messenger else static(q.coord) for q in operands]
 
 
 def _cuts(ta: _Track, tb: _Track, t0: float, t1: float) -> list[float]:
@@ -203,8 +206,14 @@ def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
     return max(_dist(ta.position(t), tb.position(t)) for t in _cuts(ta, tb, t0, t1))
 
 
+def _gap(arch: ArchitectureSpec) -> float:
+    """The gap after a gate waited on, which is also the slack over rounding."""
+    return 1e-6 * arch.t2
+
+
 class _Committed:
-    """Two-qubit gates placed so far, and the exclusion search over them.
+    """The two-qubit gates `schedule()` has committed so far, and the
+    exclusion search over them.
 
     `gates` holds [t0, t1, tracks, boxes] in placement order; `starts` holds
     their start times, sorted, and `order` the placement index of each.  No
@@ -225,7 +234,7 @@ class _Committed:
     """
 
     def __init__(self, arch: ArchitectureSpec):
-        self.eps = 1e-6 * arch.t2   # gap after a gate waited on; slack over rounding
+        self.eps = _gap(arch)
         self.gates: list[list] = []
         self.starts: list[float] = []
         self.order: list[int] = []
@@ -614,12 +623,16 @@ _PLANNERS = {
 
 def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
     """Fire each gate (dependency order plus pairwise exclusion) and append its
-    event to `events`; returns each qubit's last gate end (QubitRef -> time)."""
-    placed = _Committed(arch)
-    eps = placed.eps
+    event to `events`; returns each qubit's last gate end (QubitRef -> time).
+
+    A plan has a few two-qubit gates, so each is tested against those placed
+    before it by a plain scan in placement order, with no index or boxes.
+    """
+    eps = _gap(arch)
     last_end: dict = {}
     bit_end: dict = {}
-    track = _track_memo(draft.rides)
+    moving = _moving_tracks(draft.rides)
+    placed = []   # (t0, t1, tracks) of each two-qubit gate
     for step, lo, hi in draft.anchors:
         gate, operands, bit = step
         dur = _gate_duration(arch, gate)
@@ -630,23 +643,29 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
         if gate.reads_bit and bit in bit_end:
             center = max(center, bit_end[bit] + dur / 2 + eps)
         if gate.is_two_qubit:
-            an_tracks = [track(q) for q in operands]
+            tracks = _atom_tracks(operands, moving, _static_track)
             moved = True
             while moved:
-                # the atoms keep their rides while the firing time moves, so
-                # each new center is a new, unshifted candidate
-                moved, k = False, -1
-                while (k := placed.first_conflict(
-                        c := [center - dur / 2, center + dur / 2, an_tracks, None],
-                        0.0, k)) is not None:
-                    center = placed.gates[k][1] + dur / 2 + eps
-                    moved = True
+                # the atoms keep their rides while the firing time moves; a
+                # gate too close while both fire moves this one to just after
+                # it, the later gates are tested at the new time, and a move
+                # starts another pass
+                moved = False
+                for o0, o1, otracks in placed:
+                    c0, c1 = center - dur / 2, center + dur / 2
+                    t0 = o0 if o0 > c0 else c0    # max(c0, o0) and min(c1, o1), ties included
+                    t1 = o1 if o1 < c1 else c1
+                    if t0 < t1 and any(too_close(ot, ct, t0, t1)
+                                       for ot in otracks for ct in tracks):
+                        center = o1 + dur / 2 + eps
+                        moved = True
         if center > hi + 1e-15:
             raise InfeasibleError(
                 f"{gate.value} on {operands}: required firing time "
                 f"{center:.3e}s exceeds feasible window end {hi:.3e}s")
         comp = next((q for q in operands if not q.is_messenger), None)
-        pos = _xy(comp.coord) if comp is not None else track(operands[0]).position(center)
+        pos = (_xy(comp.coord) if comp is not None
+               else moving[operands[0].serial].position(center))
         events.append(PhysicalEvent(center - dur / 2, pos, ActionKind.GATE, operands,
                                     gate=gate, bit=bit, duration=dur))
         for q in operands:
@@ -654,7 +673,7 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
         if gate.writes_bit:
             bit_end[bit] = center + dur / 2
         if gate.is_two_qubit:
-            placed.add(*c)
+            placed.append((center - dur / 2, center + dur / 2, tracks))
     return last_end
 
 
@@ -708,12 +727,6 @@ def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
 
 # --- multi-gate scheduling --------------------------------------------------
 
-def _atom_tracks(e: PhysicalEvent, moving: dict, static) -> list:
-    """The tracks of gate `e`'s atoms: a messenger's from `moving` (serial ->
-    track), a computational qubit's from `static` (coord -> track)."""
-    return [moving[q.serial] if q.is_messenger else static(q.coord) for q in e.operands]
-
-
 def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgram:
     """Greedy list scheduler over the circuit's logical ops.
 
@@ -725,25 +738,24 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     (`1e-6 t2`) is too fine for the program's times.
     """
     check_circuit(circuit, arch.L)
-    # (sort key, event) in commit order; one stable sort at the end gives
-    # the order of `sort_events`
-    keyed: list[tuple[tuple, PhysicalEvent]] = []
+    events: list[PhysicalEvent] = []   # in commit order, sorted once at the end
     trajectories: dict[int, list[TrajectorySegment]] = {}
     ready: dict[tuple[int, int], float] = {}
+    # the program-scale exclusion index; each plan's own gates were placed
+    # off each other by `plan_trajectories`
     committed = _Committed(arch)
     eps = committed.eps
     serial = bit = 0
     # one track per computational qubit; one per messenger of each plan, and
     # of each moved plan, in `moving` (serial -> track)
-    static = functools.cache(lambda coord: _Track(static_pos=_xy(coord)))
+    static = functools.cache(_static_track)
 
     for op in circuit.ops:
         if isinstance(op, Logical1Q):
             t = ready.get(op.q, 0.0)
             dur = _gate_duration(arch, op.gate)
-            e = PhysicalEvent(t, _xy(op.q), ActionKind.GATE, (QubitRef.comp(*op.q),),
-                              gate=op.gate, duration=dur)
-            keyed.append(((t,) + e.order_tail, e))
+            events.append(PhysicalEvent(t, _xy(op.q), ActionKind.GATE, (QubitRef.comp(*op.q),),
+                                        gate=op.gate, duration=dur))
             ready[op.q] = t + dur + eps
             continue
         d = decompose_cz(arch, op.a, op.b, serial_start=serial, bit_start=bit)
@@ -751,8 +763,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         bit += d.counts.nr
         plan = plan_trajectories(arch, d)
         delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
-        moving = {s: _Track(segments=segs) for s, segs in plan.trajectories.items()}
-        cand = [[e.t, e.t_end, _atom_tracks(e, moving, static), None]
+        moving = _moving_tracks(plan.trajectories)
+        cand = [[e.t, e.t_end, _atom_tracks(e.operands, moving, static), None]
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
         # the delta at which each candidate last passed every committed gate:
@@ -779,16 +791,15 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                 f"scheduler failed to resolve exclusion conflicts for cz {op.a} {op.b} "
                 f"on {arch.variant.value} after {MAX_BUMP_PASSES} passes; last conflict "
                 f"with a committed gate over [{conflict[0]:.6e}, {conflict[1]:.6e}] s")
-        # one copy of the plan at its final time; each event's order tail is
-        # the one plan_trajectories built when it sorted the plan
+        # one copy of the plan at its final time
         placed, trajs = ((plan.events, plan.trajectories) if delta == 0.0
                          else _shifted(plan.events, plan.trajectories, delta))
         trajectories.update(trajs)
         if delta != 0.0:
-            moving = {s: _Track(segments=segs) for s, segs in trajs.items()}
+            moving = _moving_tracks(trajs)
+        events += placed
         tested = iter(cand)
-        for p, e in zip(plan.events, placed):
-            keyed.append(((e.t,) + p.order_tail, e))
+        for e in placed:
             # a plan's gates on a computational qubit run in order, so its
             # last event there sets when the qubit is free
             for q in e.operands:
@@ -796,10 +807,10 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                     ready[q.coord] = e.t_end + eps
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
                 # the candidate's boxes: a shift moves the atoms with the window
-                committed.add(e.t, e.t_end, _atom_tracks(e, moving, static), next(tested)[3])
+                committed.add(e.t, e.t_end, _atom_tracks(e.operands, moving, static),
+                              next(tested)[3])
 
-    keyed.sort(key=itemgetter(0))
-    events = [e for _, e in keyed]
+    events = sort_events(events)
     makespan = max((e.t_end for e in events), default=0.0)
     if eps < 4 * math.ulp(makespan):
         raise InfeasibleError(
@@ -822,26 +833,25 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
     """Independent re-validation of all ScheduledProgram invariants."""
     violations: list[Violation] = []
     R_c = arch.R / arch.a
-    track = _track_memo(program.trajectories)
+    moving, static = _moving_tracks(program.trajectories), functools.cache(_static_track)
 
     gates_2q = []
     for i, e in enumerate(program.events):
         if e.action is ActionKind.GATE and e.gate is not None and e.gate.is_two_qubit:
-            gates_2q.append((i, e))
+            etracks = _atom_tracks(e.operands, moving, static)
+            gates_2q.append((i, e, etracks))
             if any(q.is_messenger for q in e.operands):
-                dmax = max_distance(track(e.operands[0]), track(e.operands[1]),
-                                    e.t, e.t_end)
+                dmax = max_distance(etracks[0], etracks[1], e.t, e.t_end)
                 if dmax > R_c + DIST_TOL:
                     violations.append(Violation(
                         "blockade", (i,), dmax, (e.t, e.t_end),
                         f"event {i}: partner at distance {dmax:.4f} cells > R={R_c:.4f} "
                         f"during {e.gate.value}"))
 
-    gates_2q.sort(key=lambda ie: ie[1].t)
+    gates_2q.sort(key=lambda g: g[1].t)
     active: list[tuple] = []
-    for i, e in gates_2q:
+    for i, e, etracks in gates_2q:
         active = [a for a in active if a[1].t_end > e.t]
-        etracks = [track(q) for q in e.operands]
         # boxes over the event's own window, which holds every [lo, hi] below
         eunion, eboxes = gate_boxes(etracks, e.t, e.t_end)
         for j, o, otracks, ounion, oboxes in active:

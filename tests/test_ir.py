@@ -126,14 +126,14 @@ _qubits = (st.builds(QubitRef.mess, st.integers(0, 10**6))
 
 
 @st.composite
-def physical_events(draw):
+def physical_events(draw, times=_finite | st.just(-0.0), qubits=_qubits):
     action = draw(st.sampled_from(ActionKind))
     gate = draw(st.sampled_from(GateKind)) if action is ActionKind.GATE else None
     return PhysicalEvent(
-        t=draw(_finite | st.just(-0.0)),
+        t=draw(times),
         pos=(draw(_finite), draw(_finite)),
         action=action,
-        operands=tuple(draw(st.lists(_qubits, max_size=2))),
+        operands=tuple(draw(st.lists(qubits, max_size=2))),
         gate=gate,
         bit=draw(_optional_int),
         duration=draw(st.sampled_from((0.0, -0.0)) | _finite),
@@ -247,3 +247,20 @@ def test_sort_events_orders_by_time_then_reference_tail(events):
     ordered = sort_events(events)
     assert len(ordered) == len(expected)
     assert all(a is b for a, b in zip(ordered, expected))
+
+
+@given(st.lists(physical_events(times=st.sampled_from((0.0, -0.0, 1e-6, 2e-6)),
+                                qubits=st.sampled_from((QubitRef.mess(0), QubitRef.mess(1),
+                                                        QubitRef.comp(0, 0)))),
+                max_size=24).flatmap(st.permutations))
+def test_sort_events_orders_runs_of_equal_times_by_reference_tail(events):
+    # times and operands from small pools: most events share their time
+    # (0.0 and -0.0 are one time), and many also their tail, so the order
+    # within each run comes from the tails and, where those tie, from the
+    # input order
+    expected = sorted(events, key=lambda e: (e.t,) + reference_order_tail(e))
+    ordered = sort_events(events)
+    assert len(ordered) == len(expected)
+    assert all(a is b for a, b in zip(ordered, expected))
+    again = sort_events(ordered)
+    assert all(a is b for a, b in zip(again, ordered))

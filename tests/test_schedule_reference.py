@@ -24,9 +24,18 @@ from atomshuttle.scheduler import (DIST_TOL, EXCLUSION_CELLS, ScheduledProgram, 
                                    shift_program, trajectories_to_csv)
 
 
+def qubit_track(q: QubitRef, trajectories) -> _Track:
+    """The track of `q`: a messenger's segments in `trajectories`, or a
+    computational qubit's site."""
+    if q.is_messenger:
+        return _Track(segments=trajectories[q.serial])
+    r, c = q.coord
+    return _Track(static_pos=(float(c), float(r)))
+
+
 def two_qubit_gates(prog: ScheduledProgram):
     """(start, end, atom tracks) of each two-qubit gate, in event order."""
-    return [(e.t, e.t_end, [_Track.for_qubit(q, prog.trajectories) for q in e.operands])
+    return [(e.t, e.t_end, [qubit_track(q, prog.trajectories) for q in e.operands])
             for e in prog.events if e.action is ActionKind.GATE and e.gate.is_two_qubit]
 
 

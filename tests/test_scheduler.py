@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from functools import partial
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from atomshuttle import scheduler
 from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, GateStep, LogicalCZ, Logical1Q,
-                            LogicalCircuit, QubitRef, classical_bits)
+                            LogicalCircuit, PhysicalEvent, QubitRef, classical_bits)
 from atomshuttle.oracle import verify_sequence
 from atomshuttle.scheduler import (BOX_MARGIN, DIST_TOL, EXCLUSION_CELLS, InfeasibleError,
                                    ScheduledProgram, SegmentKind, TrajectorySegment, _Track,
@@ -23,6 +24,15 @@ PAIRS = [((0, 0), (3, 3)), ((0, 0), (0, 5)), ((2, 1), (6, 1)),
 
 def arch_for(variant, L=8, **kw):
     return ArchitectureSpec(variant, L, **kw)
+
+
+def qubit_track(q: QubitRef, trajectories) -> _Track:
+    """The track of `q`: a messenger's segments in `trajectories`, or a
+    computational qubit's site."""
+    if q.is_messenger:
+        return _Track(segments=trajectories[q.serial])
+    r, c = q.coord
+    return _Track(static_pos=(float(c), float(r)))
 
 
 def gate_steps(prog: ScheduledProgram) -> list[GateStep]:
@@ -89,8 +99,8 @@ def test_gates_fire_inside_blockade_radius():
     R_c = arch.R / arch.a
     for e in prog.events:
         if e.action is ActionKind.GATE and e.gate.is_two_qubit:
-            ta = _Track.for_qubit(e.operands[0], prog.trajectories)
-            tb = _Track.for_qubit(e.operands[1], prog.trajectories)
+            ta = qubit_track(e.operands[0], prog.trajectories)
+            tb = qubit_track(e.operands[1], prog.trajectories)
             assert max_distance(ta, tb, e.t, e.t_end) <= R_c + 1e-9
 
 
@@ -115,7 +125,7 @@ def test_gate_duration_and_position_follow_from_the_gate(variant, pair):
             r, c = comp[0].coord
             assert e.pos == (float(c), float(r))
         else:
-            track = _Track.for_qubit(e.operands[0], prog.trajectories)
+            track = qubit_track(e.operands[0], prog.trajectories)
             assert e.pos == pytest.approx(track.position(e.t + e.duration / 2), abs=1e-9)
 
 
@@ -431,6 +441,92 @@ def test_first_conflict_matches_a_plain_scan(search, delta):
         committed.add(*gate)
     assert committed.first_conflict(list(cand), delta, after) == \
         plain_first_conflict(placed, cand, delta, after)
+
+
+def indexed_place_anchors(arch, draft, events: list):
+    """`_place_anchors` with each two-qubit gate placed through
+    `_Committed.first_conflict`, whose time index, square and boxes only
+    skip gates that cannot conflict.  Returns the last gate end of each
+    qubit and whether any gate was moved off another of its plan."""
+    placed = scheduler._Committed(arch)
+    eps = placed.eps
+    last_end, bit_end, bumped = {}, {}, False
+    for (gate, operands, bit), lo, hi in draft.anchors:
+        dur = scheduler._gate_duration(arch, gate)
+        center = lo
+        for q in operands:
+            if q in last_end:
+                center = max(center, last_end[q] + dur / 2 + eps)
+        if gate.reads_bit and bit in bit_end:
+            center = max(center, bit_end[bit] + dur / 2 + eps)
+        tracks = [qubit_track(q, draft.rides) for q in operands]
+        if gate.is_two_qubit:
+            moved = True
+            while moved:
+                moved, k = False, -1
+                while (k := placed.first_conflict(
+                        c := [center - dur / 2, center + dur / 2, tracks, None],
+                        0.0, k)) is not None:
+                    center = placed.gates[k][1] + dur / 2 + eps
+                    moved = bumped = True
+            placed.add(*c)
+        assert center <= hi + 1e-15
+        comp = [q for q in operands if not q.is_messenger]
+        pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
+            else tracks[0].position(center)
+        events.append(PhysicalEvent(center - dur / 2, pos, ActionKind.GATE, operands,
+                                    gate=gate, bit=bit, duration=dur))
+        for q in operands:
+            last_end[q] = center + dur / 2
+        if gate.writes_bit:
+            bit_end[bit] = center + dur / 2
+    return last_end, bumped
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_plan_scan_places_as_the_indexed_search(variant):
+    # every ordered pair of the L = 4 and 5 plans that PLAN_DIGEST pins: the
+    # planner's plain scan over a plan's placed gates fires each gate at
+    # the time the indexed search picks.  36 one-way-belt plans move a gate
+    # off another of their own plan, so the pins keep exercising that path.
+    bumped = 0
+    for L in (4, 5):
+        arch = arch_for(variant, L)
+        cells = [(r, c) for r in range(L) for c in range(L)]
+        for a, b in itertools.permutations(cells, 2):
+            d = decompose_cz(arch, a, b)
+            scanned, indexed = [], []
+            last_end = scheduler._place_anchors(
+                arch, scheduler._PLANNERS[variant](arch, d), scanned)
+            ref_last_end, moved = indexed_place_anchors(
+                arch, scheduler._PLANNERS[variant](arch, d), indexed)
+            assert scanned == indexed and last_end == ref_last_end
+            bumped += moved
+    assert bumped == (36 if variant is Variant.ONE_WAY_BELT else 0)
+
+
+@st.composite
+def static_drafts(draw):
+    """Up to 8 CZs between computational qubits of a 4 x 4 array, each to
+    fire from a center on a half-gate grid: placed gates touch, overlap and
+    push each other, also back onto gates placed before them."""
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    anchors = []
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(cells)
+        b = draw(cells.filter(a.__ne__))
+        step = GateStep(GateKind.CZ, (QubitRef.comp(*a), QubitRef.comp(*b)))
+        anchors.append(scheduler._Anchor(step, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+                                         math.inf))
+    return scheduler._Draft(anchors=anchors)
+
+
+@given(static_drafts())
+def test_plan_scan_places_random_drafts_as_the_indexed_search(draft):
+    scanned, indexed = [], []
+    last_end = scheduler._place_anchors(SEARCH_ARCH, draft, scanned)
+    assert (last_end, scanned) == (indexed_place_anchors(SEARCH_ARCH, draft, indexed)[0],
+                                   indexed)
 
 
 @given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0, exclude_min=True),
