@@ -126,20 +126,19 @@ def _apply_2q(amps: np.ndarray, gate: GateKind, q0: int, q1: int, n: int) -> np.
     return psi.reshape(len(amps), -1)
 
 
-def _unitary(amps: np.ndarray, gate: GateKind, axes, n: int,
-             checked: np.ndarray) -> np.ndarray:
-    """Each row of `amps` after the unitary `gate` on the qubits at `axes`;
-    raises when the norm of a row that the boolean mask `checked` picks
-    drifts by more than NORM_ABORT or is NaN."""
-    if gate.is_two_qubit:
-        amps = _apply_2q(amps, gate, axes[0], axes[1], n)
-    else:
-        amps = _apply_1q(amps, _1Q_MATRICES[gate], axes[0], n)
+def _check_norms(amps: np.ndarray, checked: np.ndarray) -> None:
+    """Raise when the norm of a row that the boolean mask `checked` picks
+    is more than NORM_ABORT from 1 or is NaN."""
     norms = np.linalg.norm(amps, axis=1)
     drift = ~(np.abs(norms - 1.0) <= NORM_ABORT) & checked
     if drift.any():
         raise NumericalInstabilityError(f"norm drifted to {norms[drift.argmax()]}")
-    return amps
+
+
+def _norms_squared(rows: np.ndarray) -> np.ndarray:
+    """<psi|psi> of each row of a stack (k, d), as one stacked product that
+    has the bits of np.vdot(row, row).real on each row."""
+    return (rows.conj()[:, None, :] @ rows[:, :, None]).real.reshape(-1)
 
 
 def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
@@ -148,7 +147,10 @@ def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
 
     Returns the outcomes of each branch, its probability for each input row
     and its amplitudes, branch-major: input row j of branch b is row
-    b * k + j.  A row of probability 0 is carried along unchecked.
+    b * k + j.  Norms are checked once per run of unitary steps, on every
+    row of nonzero probability: before each measurement (which
+    renormalizes each row) and after the last step.  A row of probability
+    0 is carried along unchecked.
     """
     k, n = len(amps), len(axis)
     outcomes = [{}]       # per branch: classical bit id -> 0 (+) or 1 (-)
@@ -156,11 +158,12 @@ def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
     for step in steps:
         axes = _axes(axis, step.operands)
         if step.gate is GateKind.MEASURE_X:
+            _check_norms(amps, probs > 0)
             x_amps = _apply_1q(amps, _X, axes[0], n)
             split = (len(outcomes), 1, k, -1)
             proj = np.concatenate([(0.5 * (amps + sign * x_amps)).reshape(split)
                                    for sign in (1.0, -1.0)], axis=1).reshape(2 * len(amps), -1)
-            p = np.array([np.vdot(row, row).real for row in proj])
+            p = _norms_squared(proj)
             amps = proj / np.sqrt(np.where(p > 0, p, 1.0))[:, None]
             probs = (probs.reshape(-1, 1, k) * p.reshape(-1, 2, k)).reshape(-1)
             outcomes = [{**o, step.bit: v} for o in outcomes for v in (0, 1)]
@@ -169,10 +172,13 @@ def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
                 raise ValueError(f"conditional reads unwritten bit {step.bit}")
             base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
             fired = np.repeat([o[step.bit] == 1 for o in outcomes], k)
-            amps = np.where(fired[:, None],
-                            _unitary(amps, base, axes, n, fired & (probs > 0)), amps)
+            amps = np.where(fired[:, None], _apply_1q(amps, _1Q_MATRICES[base], axes[0], n),
+                            amps)
+        elif step.gate.is_two_qubit:
+            amps = _apply_2q(amps, step.gate, axes[0], axes[1], n)
         else:
-            amps = _unitary(amps, step.gate, axes, n, probs > 0)
+            amps = _apply_1q(amps, _1Q_MATRICES[step.gate], axes[0], n)
+    _check_norms(amps, probs > 0)
     totals = probs.reshape(-1, k).sum(axis=0)
     drift = ~(np.abs(totals - 1.0) <= 1e-10)
     if drift.any():
@@ -212,11 +218,17 @@ def _keep_first(keep: tuple[int, ...], n: int):
     return (-1,) + (2,) * n, (0,) + tuple(i + 1 for i in keep + rest), 2 ** len(keep)
 
 
+def _moved(amps: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
+    """Each row of `amps` as a (d, rest) matrix whose row index runs over the
+    qubits at `keep` (in that order), stacked: shape (k, d, rest)."""
+    split, order, dim = _keep_first(keep, n)
+    return amps.reshape(split).transpose(order).reshape(len(amps), dim, -1)
+
+
 def _reduced(amps: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
     """The density matrix of each row of `amps` on the qubits at `keep` (in
     that order), stacked: shape (k, d, d)."""
-    split, order, dim = _keep_first(keep, n)
-    psi = amps.reshape(split).transpose(order).reshape(len(amps), dim, -1)
+    psi = _moved(amps, keep, n)
     return psi @ psi.conj().transpose(0, 2, 1)
 
 
@@ -229,11 +241,6 @@ def reduced_density(state: PureState, keep: list[QubitRef]) -> np.ndarray:
 def purity(rho: np.ndarray):
     """tr(rho^2) of a density matrix, or of each in a stack (k, d, d)."""
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
-
-
-def fidelity_with(rho: np.ndarray, target: np.ndarray) -> float:
-    """|<target|rho|target>| for a pure target vector (phase-insensitive)."""
-    return float((target.conj() @ rho @ target).real)
 
 
 # --- logical-CZ verification ------------------------------------------------
@@ -333,17 +340,26 @@ def verify_sequence(
         axis = _axis_map((qa, qb, *mess), amps.shape[1])
         outcomes, probs, amps = _branches(steps, amps, axis)
         n = len(axis)
-        purities = [purity(_reduced(amps, (axis[m],), n)) for m in mess]
-        min_pur = np.min(purities, axis=0) if purities else np.ones(len(amps))
+        rows = len(amps)
+        if mess:
+            # every messenger's reduced state of every row, in one stack
+            psi = np.concatenate([_moved(amps, (axis[m],), n) for m in mess])
+            purities = purity(psi @ psi.conj().transpose(0, 2, 1))
+            min_pur = purities.reshape(len(mess), rows).min(axis=0)
+        else:
+            min_pur = np.ones(rows)
         rho_ab = _reduced(amps, (axis[qa], axis[qb]), n)
         outcome_items = [tuple(sorted(o.items())) for o in outcomes]
+        probs, min_pur = probs.tolist(), min_pur.tolist()
         for j, (label, ab_vec) in enumerate(chunk):
+            # <t|rho|t> of each branch of input j, as two stacked products
+            # that keep the bits of (t.conj() @ rho @ t) on each row
             target = CZ_2Q @ ab_vec
-            for row in range(j, len(amps), k):
-                p = float(probs[row])
+            fids = ((target.conj() @ rho_ab[j::k])[:, None, :] @ target[:, None]).real.reshape(-1)
+            for row, fid in zip(range(j, rows, k), fids.tolist()):
+                p = probs[row]
                 if p > 1e-12:
-                    fid = fidelity_with(rho_ab[row], target)
-                    pur = float(min_pur[row])
+                    pur = min_pur[row]
                     ok = fid >= FIDELITY_THRESHOLD and pur >= PURITY_THRESHOLD
                     report.records.append(VerificationRecord(
                         variant, (a, b), label, outcome_items[row // k], p, fid, pur, ok))

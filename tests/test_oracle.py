@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomshuttle.architectures import ArchitectureSpec, Variant
+from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import GateKind, GateStep, QubitRef
-from atomshuttle.oracle import (CZ_2Q, KET_0, KET_PLUS, STANDARD_INPUTS,
+from atomshuttle.oracle import (CZ_2Q, FIDELITY_THRESHOLD, KET_0, KET_1, KET_PLUS, NORM_ABORT,
+                                PURITY_THRESHOLD, STACK_INPUTS, STANDARD_INPUTS,
                                 NothingToDropError, NumericalInstabilityError,
-                                PureState, _1Q_MATRICES, _apply_1q, _unitary,
-                                branch_execute, fidelity_with,
-                                haar_random_two_qubit_inputs, purity, records_to_jsonl,
-                                reduced_density, verify_logical_cz, verify_sequence)
+                                PureState, VerificationRecord, _1Q_MATRICES, _apply_1q,
+                                _apply_2q, _branches, _norms_squared, _reduced,
+                                branch_execute, haar_random_two_qubit_inputs, purity,
+                                records_to_jsonl, reduced_density, verify_logical_cz,
+                                verify_sequence)
 
 A = QubitRef.comp(0, 0)
 B = QubitRef.comp(0, 1)
@@ -114,10 +116,20 @@ def test_reduced_density_and_purity():
     assert purity(reduced_density(prod, [A])) == pytest.approx(1.0)
 
 
-def test_fidelity_with_is_phase_insensitive():
-    v = np.array([0, 1], dtype=complex)
-    rho = np.outer(-1j * v, (-1j * v).conj())
-    assert fidelity_with(rho, v) == pytest.approx(1.0)
+def test_a_global_phase_on_the_input_leaves_the_fidelity_unchanged():
+    d = decompose_cz(ArchitectureSpec(Variant.THROW_AND_MEASURE, 4), (0, 0), (3, 3))
+    v = haar_random_two_qubit_inputs(1, seed=3)["haar0"]
+    inputs = {"11": np.kron(KET_1, KET_1), "-i 11": -1j * np.kron(KET_1, KET_1),
+              "v": v, "phased v": np.exp(0.7j) * v}
+    records = verify_sequence(list(d.gates), (0, 0), (3, 3), list(d.messengers),
+                              two_qubit_inputs=inputs).records
+    by_label = {label: [r for r in records if r.input_label == label] for label in inputs}
+    for plain, phased in (("11", "-i 11"), ("v", "phased v")):
+        assert len(by_label[plain]) == len(by_label[phased]) == 2
+        for r, q in zip(by_label[plain], by_label[phased]):
+            assert r.outcomes == q.outcomes and q.ok
+            assert q.fidelity == pytest.approx(r.fidelity, abs=1e-14)
+            assert q.fidelity == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -174,24 +186,60 @@ def test_1q_kernel_has_the_bits_of_tensordot(nq, gate, seed, k):
         assert row.tobytes() == reference.tobytes()
 
 
+AB_AXIS = {A: 0, B: 1}
+
+
 def test_norm_drift_in_one_row_of_a_stack_raises():
     rows = np.tile(np.array([1, 0, 0, 0], dtype=complex), (3, 1))
     rows[1] *= 1 + 1e-6
-    with pytest.raises(NumericalInstabilityError):
-        _unitary(rows, GateKind.H, (0,), 2, np.ones(3, dtype=bool))
-    with pytest.raises(NumericalInstabilityError):
-        _unitary(rows, GateKind.CZ, (0, 1), 2, np.array([False, True, False]))
-    # a row of probability 0 rides along unchecked
-    out = _unitary(rows, GateKind.H, (1,), 2, np.array([True, False, True]))
-    assert out.shape == rows.shape
+    with pytest.raises(NumericalInstabilityError, match="norm drifted"):
+        _branches([GateStep(GateKind.H, (A,))], rows, AB_AXIS)
+    with pytest.raises(NumericalInstabilityError, match="norm drifted"):
+        _branches([GateStep(GateKind.CZ, (A, B))], rows, AB_AXIS)
+
+
+def test_a_drifted_row_raises_before_a_measurement_renormalizes_it():
+    rows = np.tile(np.array([1, 0, 0, 0], dtype=complex), (3, 1))
+    rows[1] *= 1 + 1e-6
+    # after the measurement every row has norm 1 again, so only a check
+    # before it sees the drift
+    steps = [GateStep(GateKind.H, (A,)), GateStep(GateKind.MEASURE_X, (B,), bit=0),
+             GateStep(GateKind.H, (A,))]
+    with pytest.raises(NumericalInstabilityError, match="norm drifted"):
+        _branches(steps, rows, AB_AXIS)
+    # a drift under NORM_ABORT passes that check; its probabilities do not
+    # pass their sum
+    rows[1] = rows[0] * (1 + 2e-10)
+    with pytest.raises(NumericalInstabilityError, match="branch probabilities sum to"):
+        _branches(steps, rows, AB_AXIS)
+
+
+def test_a_nan_row_raises_at_the_end_of_a_unitary_run():
+    # no measurement, so no branch probability can show the NaN
+    rows = np.tile(np.array([1, 0, 0, 0], dtype=complex), (3, 1))
+    rows[2, 0] = np.nan
+    with pytest.raises(NumericalInstabilityError, match="norm drifted to nan"):
+        _branches([GateStep(GateKind.H, (A,)), GateStep(GateKind.CZ, (A, B))], rows, AB_AXIS)
+
+
+def test_a_drifted_row_of_probability_0_is_not_reported():
+    # |+>|0> never gives outcome 1 on A: that branch's row is all zeros,
+    # a norm of 0, and rides through the later gates unchecked
+    rows = np.array([np.kron(KET_PLUS, KET_0), np.kron(KET_0, KET_0)])
+    steps = [GateStep(GateKind.MEASURE_X, (A,), bit=0), GateStep(GateKind.H, (B,)),
+             GateStep(GateKind.COND_Z, (B,), bit=0), GateStep(GateKind.CZ, (A, B))]
+    outcomes, probs, amps = _branches(steps, rows, AB_AXIS)
+    assert outcomes == [{0: 0}, {0: 1}]
+    assert probs[2] == 0.0 and np.linalg.norm(amps[2]) == 0.0
+    assert all(abs(np.linalg.norm(row) - 1.0) <= NORM_ABORT for row in amps[[0, 1, 3]])
 
 
 def test_nan_amplitude_raises():
     nan_state = PureState(np.array([np.nan, 0, 0, 0], dtype=complex), (A, B))
     with pytest.raises(NumericalInstabilityError, match="nan"):
         branch_execute([GateStep(GateKind.H, (A,))], nan_state)
-    # no unitary runs before the branch probabilities are summed
-    with pytest.raises(NumericalInstabilityError, match="nan"):
+    # no unitary runs: the check before the measurement sees the input
+    with pytest.raises(NumericalInstabilityError, match="norm drifted to nan"):
         branch_execute([GateStep(GateKind.MEASURE_X, (A,), bit=0)], nan_state)
 
 
@@ -232,6 +280,103 @@ def test_stacked_inputs_give_the_records_of_one_input_at_a_time(variant, L, data
              for r in verify_logical_cz(arch, a, b, drop_final_correction=drop,
                                         two_qubit_inputs={label: vec}).records]
     assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+
+
+def reference_branches(steps, amps, axis):
+    """`_branches` with a norm check after every unitary step and `np.vdot`
+    on each row for the branch probabilities."""
+    k, n = len(amps), len(axis)
+    outcomes, probs = [{}], np.ones(k)
+
+    def unitary(amps, gate, axes, checked):
+        if gate.is_two_qubit:
+            amps = _apply_2q(amps, gate, axes[0], axes[1], n)
+        else:
+            amps = _apply_1q(amps, _1Q_MATRICES[gate], axes[0], n)
+        norms = np.linalg.norm(amps, axis=1)
+        if (~(np.abs(norms - 1.0) <= NORM_ABORT) & checked).any():
+            raise NumericalInstabilityError(norms)
+        return amps
+
+    for step in steps:
+        axes = tuple(axis[q] for q in step.operands)
+        if step.gate is GateKind.MEASURE_X:
+            x_amps = _apply_1q(amps, _1Q_MATRICES[GateKind.X], axes[0], n)
+            proj = np.concatenate([(0.5 * (amps + sign * x_amps)).reshape(len(outcomes), 1, k, -1)
+                                   for sign in (1.0, -1.0)], axis=1).reshape(2 * len(amps), -1)
+            p = np.array([np.vdot(row, row).real for row in proj])
+            amps = proj / np.sqrt(np.where(p > 0, p, 1.0))[:, None]
+            probs = (probs.reshape(-1, 1, k) * p.reshape(-1, 2, k)).reshape(-1)
+            outcomes = [{**o, step.bit: v} for o in outcomes for v in (0, 1)]
+        elif step.gate.reads_bit:
+            base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
+            fired = np.repeat([o[step.bit] == 1 for o in outcomes], k)
+            amps = np.where(fired[:, None], unitary(amps, base, axes, fired & (probs > 0)), amps)
+        else:
+            amps = unitary(amps, step.gate, axes, probs > 0)
+    return outcomes, probs, amps
+
+
+def reference_verify_logical_cz(arch, a, b, drop, inputs):
+    """`verify_logical_cz` with the purity of each messenger and the fidelity
+    of each record computed on their own."""
+    d = decompose_cz(arch, a, b)
+    steps = list(d.gates)
+    if drop:
+        del steps[[i for i, s in enumerate(steps) if s.gate.reads_bit][-1]]
+    qa, qb = QubitRef.comp(*a), QubitRef.comp(*b)
+    mess = [QubitRef.mess(s) for s in d.messengers]
+    axis = {q: i for i, q in enumerate((qa, qb, *mess))}
+    n, items, records = len(axis), list(inputs.items()), []
+    for start in range(0, len(items), STACK_INPUTS):
+        chunk = items[start:start + STACK_INPUTS]
+        k = len(chunk)
+        amps = np.array([vec for _, vec in chunk])
+        for _ in mess:
+            amps = np.multiply.outer(amps, KET_PLUS).reshape(k, -1)
+        outcomes, probs, amps = reference_branches(steps, amps, axis)
+        min_pur = np.min([purity(_reduced(amps, (axis[m],), n)) for m in mess], axis=0)
+        rho_ab = _reduced(amps, (axis[qa], axis[qb]), n)
+        for j, (label, vec) in enumerate(chunk):
+            t = CZ_2Q @ vec
+            for row in range(j, len(amps), k):
+                p = float(probs[row])
+                if p > 1e-12:
+                    fid = float((t.conj() @ rho_ab[row] @ t).real)
+                    pur = float(min_pur[row])
+                    records.append(VerificationRecord(
+                        arch.variant.value, (a, b), label,
+                        tuple(sorted(outcomes[row // k].items())), p, fid, pur,
+                        fid >= FIDELITY_THRESHOLD and pur >= PURITY_THRESHOLD))
+    return records
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(Variant)), st.integers(4, 6), st.data(),
+       st.integers(0, 40), st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_stacked_oracle_gives_the_records_of_the_per_row_reference(variant, L, data, n_haar,
+                                                                   seed, drop):
+    # the stacked probabilities, purities and fidelities rest on how BLAS
+    # rounds a stack; the reference does each row's arithmetic on its own
+    cells = [(r, c) for r in range(L) for c in range(L)]
+    a, b = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    arch = ArchitectureSpec(variant, L)
+    drop = drop and variant in (Variant.ONE_WAY_BELT, Variant.THROW_AND_MEASURE)
+    inputs = {**STANDARD_INPUTS, **haar_random_two_qubit_inputs(n_haar, seed)}
+    records = verify_logical_cz(arch, a, b, drop_final_correction=drop,
+                                two_qubit_inputs=inputs).records
+    reference = reference_verify_logical_cz(arch, a, b, drop, inputs)
+    assert [repr(r) for r in records] == [repr(r) for r in reference]
+
+
+@settings(deadline=None)
+@given(st.integers(2, 8), st.integers(1, 64), st.integers(0, 2 ** 31 - 1))
+def test_stacked_squared_norms_have_the_bits_of_vdot(n, k, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, 2 ** n)) + 1j * rng.normal(size=(k, 2 ** n))
+    rows[rng.random(k) < 0.25] = 0   # rows of probability 0, as a measurement leaves them
+    reference = np.array([np.vdot(row, row).real for row in rows])
+    assert _norms_squared(rows).tobytes() == reference.tobytes()
 
 
 def test_a_branch_impossible_for_one_input_is_dropped_for_that_input_only():

@@ -622,6 +622,45 @@ def test_check_conflicts_flags_use_after_dispose():
     assert any(v.kind == "lifecycle" for v in check_conflicts(bad, arch))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda events, load, dispose: events.insert(load + 1, events[load]),
+     "messenger 0 loaded twice"),
+    (lambda events, load, dispose: events.pop(dispose), "messenger 0 loaded but never disposed"),
+    (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded")],
+    ids=["loaded-twice", "never-disposed", "never-loaded"])
+def test_check_conflicts_names_each_lifecycle_rule(edit, message):
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))   # messenger 0 only
+    events = list(prog.events)
+    load = next(i for i, e in enumerate(events) if e.action is ActionKind.LOAD)
+    dispose = next(i for i, e in enumerate(events) if e.action is ActionKind.DISPOSE)
+    edit(events, load, dispose)
+    assert check_conflicts(prog, arch) == []
+    assert [(v.kind, v.message) for v in check_conflicts(prog._replace(events=events), arch)] \
+        == [("lifecycle", message)]
+
+
+def test_check_conflicts_lets_too_close_gates_touch_in_time():
+    # two CZs on static atoms one cell apart, closer than EXCLUSION_CELLS:
+    # the second starts exactly when the first ends, then one ulp earlier
+    # (an overlap under the checker's 1e-18 s, which counts as touching),
+    # then eps earlier
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    eps = scheduler._gap(arch)
+
+    def cz(t, row):
+        return PhysicalEvent(t, (0.5, float(row)), ActionKind.GATE,
+                             (QubitRef.comp(row, 0), QubitRef.comp(row, 1)), GateKind.CZ,
+                             duration=arch.t2)
+
+    first = cz(0.0, 0)
+    for start, expected in ((first.t_end, []), (math.nextafter(first.t_end, 0.0), []),
+                            (first.t_end - eps, [("exclusion", (0, 1), 1.0)])):
+        second = cz(start, 1)
+        prog = ScheduledProgram([first, second], {}, second.t_end)
+        assert [(v.kind, v.events, v.distance) for v in check_conflicts(prog, arch)] == expected
+
+
 @st.composite
 def circuits(draw):
     """Up to 12 CZs and single-qubit gates on an L x L array, L in 4..8."""
