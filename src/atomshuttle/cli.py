@@ -54,12 +54,20 @@ def _header(*config_parts: str) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of `path`, with `Path.read_text`'s newlines: CRLF and a
+    lone CR read as LF.  Decoding the bytes whole skips a text wrapper."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise _CliError(EXIT_IO, f"cannot read {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise _CliError(EXIT_PARSE, f"{path}: not UTF-8 text") from e
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write(out_dir: str, header: str, artifacts: dict[str, str]) -> None:

@@ -308,15 +308,17 @@ class PhysicalEvent(_EventFields):
     def t_end(self) -> float:
         return self.t + self.duration
 
-    def messenger_serial(self) -> int:
-        serials = [q.serial for q in self.operands if q.is_messenger]
-        return min(serials) if serials else -1
-
     @property
     def order_tail(self) -> tuple:
-        """`sort_key` without the time, which a shift in time leaves unchanged."""
-        return (self.action.rank, self.messenger_serial(),
-                tuple(q._sort_key for q in self.operands))
+        """`sort_key` without the time, which a shift in time leaves unchanged:
+        action rank, lowest messenger serial (-1 for none), operand keys."""
+        operands = self.operands
+        serial = None
+        for q in operands:
+            if q.is_messenger and (serial is None or q.serial < serial):
+                serial = q.serial
+        return (self.action.rank, -1 if serial is None else serial,
+                tuple([q._sort_key for q in operands]))
 
     def sort_key(self) -> tuple:
         return (self.t,) + self.order_tail

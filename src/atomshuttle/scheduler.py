@@ -58,7 +58,12 @@ class TrajectorySegment(NamedTuple):
         _, _, t_start, t_end, start_pos, (x1, y1) = self   # one unpack, not six field reads
         if t_end <= t_start:
             return start_pos
-        f = min(max((t - t_start) / (t_end - t_start), 0.0), 1.0)
+        f = (t - t_start) / (t_end - t_start)
+        # min(max(f, 0.0), 1.0) by comparison: -0.0 and NaN pass unchanged
+        if f > 1.0:
+            f = 1.0
+        elif f < 0.0:
+            f = 0.0
         x0, y0 = start_pos
         return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
 
@@ -77,6 +82,8 @@ class _Track:
     `offset` delays the whole motion: the track is at time t where its
     segments place the atom at t - offset.
     """
+
+    __slots__ = ("static", "segments", "offset")
 
     def __init__(self, static_pos=None, segments=None, offset=0.0):
         self.static = static_pos
@@ -104,16 +111,48 @@ class _Track:
             x, y = self.static
             return (x, y, x, y)
         t0, t1 = t0 - self.offset, t1 - self.offset
-        pts = []
+        # running extremes, seeded with the first point and updated by the
+        # comparisons `min` and `max` make, so ties and NaNs resolve as theirs
+        # would; x0 <= x1 unless both are NaN, so a point below x0 is not
+        # above x1
+        x0 = None
         for s in self.segments:
             if s.t_end >= t0:
-                pts += (s.position(t0), s.position(t1))
+                ax, ay = s.position(t0)
+                bx, by = s.position(t1)
+                if x0 is None:
+                    x0 = x1 = ax
+                    y0 = y1 = ay
+                if ax < x0:
+                    x0 = ax
+                elif ax > x1:
+                    x1 = ax
+                if ay < y0:
+                    y0 = ay
+                elif ay > y1:
+                    y1 = ay
+                if bx < x0:
+                    x0 = bx
+                elif bx > x1:
+                    x1 = bx
+                if by < y0:
+                    y0 = by
+                elif by > y1:
+                    y1 = by
                 if s.t_end >= t1:
-                    break
-        else:
-            pts.append(self.segments[-1].end_pos)
-        xs, ys = zip(*pts)
-        return (min(xs), min(ys), max(xs), max(ys))
+                    return (x0, y0, x1, y1)
+        ex, ey = self.segments[-1].end_pos
+        if x0 is None:
+            return (ex, ey, ex, ey)
+        if ex < x0:
+            x0 = ex
+        elif ex > x1:
+            x1 = ex
+        if ey < y0:
+            y0 = ey
+        elif ey > y1:
+            y1 = ey
+        return (x0, y0, x1, y1)
 
     def position(self, t: float) -> tuple[float, float]:
         if self.static is not None:
@@ -159,18 +198,28 @@ def min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
         return math.inf
     best = math.inf
     cuts = _cuts(ta, tb, t0, t1)
+    # the minimum is kept by the comparisons `min` makes, in its order
     for lo, hi in zip(cuts, cuts[1:]):
-        pa0, pa1 = ta.position(lo), ta.position(hi)
-        pb0, pb1 = tb.position(lo), tb.position(hi)
-        r0 = (pa0[0] - pb0[0], pa0[1] - pb0[1])
-        r1 = (pa1[0] - pb1[0], pa1[1] - pb1[1])
-        s = (r1[0] - r0[0], r1[1] - r0[1])
-        ss = s[0] * s[0] + s[1] * s[1]
-        best = min(best, math.hypot(*r0), math.hypot(*r1))
+        ax0, ay0 = ta.position(lo)
+        ax1, ay1 = ta.position(hi)
+        bx0, by0 = tb.position(lo)
+        bx1, by1 = tb.position(hi)
+        rx0, ry0 = ax0 - bx0, ay0 - by0
+        rx1, ry1 = ax1 - bx1, ay1 - by1
+        sx, sy = rx1 - rx0, ry1 - ry0
+        ss = sx * sx + sy * sy
+        d = math.hypot(rx0, ry0)
+        if d < best:
+            best = d
+        d = math.hypot(rx1, ry1)
+        if d < best:
+            best = d
         if ss > 0:
-            f = -(r0[0] * s[0] + r0[1] * s[1]) / ss
+            f = -(rx0 * sx + ry0 * sy) / ss
             if 0 < f < 1:
-                best = min(best, math.hypot(r0[0] + f * s[0], r0[1] + f * s[1]))
+                d = math.hypot(rx0 + f * sx, ry0 + f * sy)
+                if d < best:
+                    best = d
     if best is math.inf:  # zero-length interval
         best = _dist(ta.position(t0), tb.position(t0))
     return best
@@ -190,15 +239,35 @@ def too_close(ta: _Track, tb: _Track, t0: float, t1: float) -> bool:
 
 def box_gap(a, b) -> float:
     """Distance between two boxes (x0, y0, x1, y1): a lower bound on `min_distance`."""
-    return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0),
-                      max(a[1] - b[3], b[1] - a[3], 0.0))
+    # each gap is max(p, q, 0.0), taken by the comparisons `max` makes
+    gx, p = a[0] - b[2], b[0] - a[2]
+    if p > gx:
+        gx = p
+    if gx < 0.0:
+        gx = 0.0
+    gy, p = a[1] - b[3], b[1] - a[3]
+    if p > gy:
+        gy = p
+    if gy < 0.0:
+        gy = 0.0
+    return math.hypot(gx, gy)
 
 
 def gate_boxes(tracks, t0: float, t1: float):
     """Union and per-atom bounding boxes of a gate's atoms over [t0, t1]."""
     boxes = [t.box(t0, t1) for t in tracks]
-    x0, y0, x1, y1 = zip(*boxes)
-    return (min(x0), min(y0), max(x1), max(y1)), boxes
+    # running extremes, seeded with the first box, by the comparisons of `min`/`max`
+    x0, y0, x1, y1 = boxes[0]
+    for bx0, by0, bx1, by1 in boxes:
+        if bx0 < x0:
+            x0 = bx0
+        if by0 < y0:
+            y0 = by0
+        if bx1 > x1:
+            x1 = bx1
+        if by1 > y1:
+            y1 = by1
+    return (x0, y0, x1, y1), boxes
 
 
 def max_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
@@ -231,6 +300,17 @@ class _Committed:
     union-box gap then passes a gate in a corner of the square but farther
     than the exclusion distance, and each atom pair left by the atom boxes
     is decided at the start of the overlap first (`too_close`).
+
+    The `eps` in `reach` is slack: the largest rounded `o1 - o0` alone
+    finds every gate that can overlap, that is, every one with o1 > c0
+    (times are never negative).  Where `o1 - o0` is exact, which Sterbenz's
+    lemma gives whenever o0 >= o1 / 2, so for every gate that starts at or
+    after its own duration, `c0 - reach` rounds to at most `o1 - (o1 - o0)`,
+    which is o0.  A gate that starts before its duration (within t2 of
+    time 0) may have `o1 - o0` rounded by up to 2**-53 of itself, less than
+    the gap between o1 and the float below it; c0 lies at least that gap
+    below o1, so `c0 - reach` is still below o0 before it rounds, and at
+    most o0 after.
     """
 
     def __init__(self, arch: ArchitectureSpec):
@@ -286,9 +366,10 @@ class _Committed:
                 continue
             if shifted is None:
                 shifted = [t.shifted(delta) for t in c[2]]
-            if any(box_gap(ob, cb) < far and too_close(ot, ct, t0, t1)
-                   for ot, ob in zip(otracks, oatoms) for ct, cb in zip(shifted, catoms)):
-                return k
+            for ot, ob in zip(otracks, oatoms):
+                for ct, cb in zip(shifted, catoms):
+                    if box_gap(ob, cb) < far and too_close(ot, ct, t0, t1):
+                        return k
         return None
 
 
@@ -663,11 +744,14 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
             raise InfeasibleError(
                 f"{gate.value} on {operands}: required firing time "
                 f"{center:.3e}s exceeds feasible window end {hi:.3e}s")
-        comp = next((q for q in operands if not q.is_messenger), None)
-        pos = (_xy(comp.coord) if comp is not None
-               else moving[operands[0].serial].position(center))
+        for q in operands:
+            if not q.is_messenger:
+                pos = _xy(q.coord)
+                break
+        else:
+            pos = moving[operands[0].serial].position(center)
         events.append(PhysicalEvent(center - dur / 2, pos, ActionKind.GATE, operands,
-                                    gate=gate, bit=bit, duration=dur))
+                                    gate, bit, dur))
         for q in operands:
             last_end[q] = center + dur / 2
         if gate.writes_bit:
@@ -708,11 +792,13 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
 
 def _shifted(events, trajectories, delta: float):
     """New events and trajectory segments, each `delta` seconds later."""
-    # each record unpacked once: a named-tuple field read is slower than an unpack
-    event, segment = PhysicalEvent._make, TrajectorySegment._make
-    events = [event((t + delta, *rest)) for t, *rest in events]
+    # each record unpacked once (a named-tuple field read is slower than an
+    # unpack) and built by one `tuple.__new__`: neither class checks its
+    # fields in a `__new__` of its own, so `_make` would only add calls
+    new = tuple.__new__
+    events = [new(PhysicalEvent, (t + delta, *rest)) for t, *rest in events]
     trajectories = {
-        s: [segment((m, kind, t0 + delta, t1 + delta, p0, p1))
+        s: [new(TrajectorySegment, (m, kind, t0 + delta, t1 + delta, p0, p1))
             for m, kind, t0, t1, p0, p1 in segs]
         for s, segs in trajectories.items()}
     return events, trajectories

@@ -1,5 +1,9 @@
 import json
+import os
+import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +34,21 @@ f_shuttle = 1.0
 """
 
 PROGRAM_TEXT = "lattice 8\ncz (0,0) (7,7)\ncz (0,7) (7,0)\nh (3,3)\n"
+
+
+@pytest.fixture(scope="session")
+def opened():
+    """The path of every file opened, by any reader, while `recording`:
+    taken from the `open` audit event.  An audit hook cannot be removed, so
+    one serves the whole session."""
+    log = SimpleNamespace(recording=False, paths=[])
+
+    def hook(event, args):
+        if event == "open" and log.recording:
+            log.paths.append(args[0])
+
+    sys.addaudithook(hook)
+    return log
 
 
 @pytest.fixture
@@ -444,19 +463,32 @@ def test_pass_window_errors_exit_3(workdir, capsys, R_m, v_mps, message):
     ("compare", "--cost", "c.cost"),
     ("sweep", "--variant", "throw-catch-throw"),
 ])
-def test_each_input_file_is_read_once(workdir, monkeypatch, argv):
+def test_each_input_file_is_read_once(workdir, monkeypatch, opened, argv):
     # the header's config hash must come from the same bytes that were parsed
     monkeypatch.chdir(workdir)
-    reads, read_text = {}, Path.read_text
+    opened.paths.clear()
+    opened.recording = True
+    try:
+        assert run(*argv, "--out", "out") == 0
+    finally:
+        opened.recording = False
+    inputs = {os.path.realpath(a): 1 for a in argv if a.endswith((".arch", ".program", ".cost"))}
+    counts = Counter(os.path.realpath(p) for p in opened.paths if isinstance(p, str))
+    assert {p: n for p, n in counts.items() if p in inputs} == inputs
 
-    def counting_read_text(self, *args, **kwargs):
-        reads[str(self)] = reads.get(str(self), 0) + 1
-        return read_text(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", counting_read_text)
-    assert run(*argv, "--out", "out") == 0
-    inputs = [a for a in argv if a.endswith((".arch", ".program", ".cost"))]
-    assert reads == {name: 1 for name in inputs}
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_config_lines_may_end_in_crlf_or_cr(workdir, monkeypatch, newline):
+    # read as `Path.read_text` reads them: the same config hash, the same parse
+    monkeypatch.chdir(workdir)
+    for name in ("a.arch", "p.program"):
+        text = (workdir / name).read_bytes()
+        assert b"\r" not in text
+        (workdir / f"n{name}").write_bytes(text.replace(b"\n", newline.encode()))
+    assert run("schedule", "--arch", "a.arch", "--program", "p.program", "--out", "lf") == 0
+    assert run("schedule", "--arch", "na.arch", "--program", "np.program", "--out", "n") == 0
+    for name in ("events.jsonl", "trajectories.csv", "makespan.txt"):
+        assert (workdir / "n" / name).read_bytes() == (workdir / "lf" / name).read_bytes()
 
 
 # Numbers are ASCII: `\d`, `int()` and `float()` also read other Unicode

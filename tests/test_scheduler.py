@@ -544,6 +544,161 @@ def test_too_close_decides_as_min_distance(ta, tb, t0, width, on_breakpoint, dat
         (min_distance(ta, tb, t0, t1) < EXCLUSION_CELLS - DIST_TOL)
 
 
+# The geometry kernels and the event tie-break compare instead of calling
+# `min`/`max`/`any`; each must give, bit for bit, what that form gives.
+# `repr` tells -0.0 from 0.0 and shows NaN.  These are those forms.
+
+def minmax_segment_position(seg: TrajectorySegment, t: float):
+    _, _, t_start, t_end, start_pos, (x1, y1) = seg
+    if t_end <= t_start:
+        return start_pos
+    f = min(max((t - t_start) / (t_end - t_start), 0.0), 1.0)
+    x0, y0 = start_pos
+    return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
+
+
+def minmax_box(track: _Track, t0: float, t1: float):
+    if track.static is not None:
+        x, y = track.static
+        return (x, y, x, y)
+    t0, t1 = t0 - track.offset, t1 - track.offset
+    pts = []
+    for s in track.segments:
+        if s.t_end >= t0:
+            pts += (minmax_segment_position(s, t0), minmax_segment_position(s, t1))
+            if s.t_end >= t1:
+                break
+    else:
+        pts.append(track.segments[-1].end_pos)
+    xs, ys = zip(*pts)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def minmax_gate_boxes(tracks, t0: float, t1: float):
+    boxes = [minmax_box(t, t0, t1) for t in tracks]
+    x0, y0, x1, y1 = zip(*boxes)
+    return (min(x0), min(y0), max(x1), max(y1)), boxes
+
+
+def minmax_box_gap(a, b) -> float:
+    return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0),
+                      max(a[1] - b[3], b[1] - a[3], 0.0))
+
+
+def minmax_min_distance(ta: _Track, tb: _Track, t0: float, t1: float) -> float:
+    if t1 < t0:
+        return math.inf
+    best = math.inf
+    cuts = scheduler._cuts(ta, tb, t0, t1)
+    for lo, hi in zip(cuts, cuts[1:]):
+        pa0, pa1 = ta.position(lo), ta.position(hi)
+        pb0, pb1 = tb.position(lo), tb.position(hi)
+        r0 = (pa0[0] - pb0[0], pa0[1] - pb0[1])
+        r1 = (pa1[0] - pb1[0], pa1[1] - pb1[1])
+        s = (r1[0] - r0[0], r1[1] - r0[1])
+        ss = s[0] * s[0] + s[1] * s[1]
+        best = min(best, math.hypot(*r0), math.hypot(*r1))
+        if ss > 0:
+            f = -(r0[0] * s[0] + r0[1] * s[1]) / ss
+            if 0 < f < 1:
+                best = min(best, math.hypot(r0[0] + f * s[0], r0[1] + f * s[1]))
+    if best is math.inf:
+        best = scheduler._dist(ta.position(t0), tb.position(t0))
+    return best
+
+
+def minmax_order_tail(e: PhysicalEvent) -> tuple:
+    serials = [q.serial for q in e.operands if q.is_messenger]
+    return (e.action.rank, min(serials) if serials else -1,
+            tuple(q._sort_key for q in e.operands))
+
+
+# coordinates from a pool with both zeros beside random ones, so that
+# extremes tie between -0.0 and 0.0
+tie_coords = st.one_of(st.sampled_from([0.0, -0.0, 2.0]), coords)
+tie_points = st.tuples(tie_coords, tie_coords)
+tie_gate_tracks = st.lists(tracks(tie_points), min_size=1, max_size=3)
+
+
+@st.composite
+def segment_times(draw):
+    """A segment, zero-length ones included, and a time before, inside or
+    after it, or at one of its ends."""
+    t_start = draw(st.floats(-5.0, 5.0))
+    t_end = t_start + draw(st.sampled_from([0.0, draw(st.floats(0.0, 3.0))]))
+    seg = TrajectorySegment(0, SegmentKind.BELT_RIDE, t_start, t_end,
+                            draw(tie_points), draw(tie_points))
+    t = draw(st.one_of(
+        st.floats(0.0, 3.0).map(lambda d: t_start - d),
+        st.floats(0.0, 1.0).map(lambda f: t_start + f * (t_end - t_start)),
+        st.floats(0.0, 3.0).map(lambda d: t_end + d),
+        st.sampled_from([t_start, t_end])))
+    return seg, t
+
+
+operand_refs = st.one_of(st.integers(0, 5).map(QubitRef.mess),
+                         st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+                             lambda rc: QubitRef.comp(*rc)))
+tail_events = st.builds(lambda action, operands: PhysicalEvent(0.0, (0.0, 0.0), action, operands),
+                        st.sampled_from(list(ActionKind)),
+                        st.lists(operand_refs, max_size=3).map(tuple))
+boxes = st.tuples(tie_coords, tie_coords, tie_coords, tie_coords)
+
+
+@given(segment_times(), tie_gate_tracks, tie_gate_tracks, st.floats(-10.0, 15.0),
+       st.floats(-1.0, 4.0), boxes, boxes, tail_events)
+@example(  # t - t_start is -0.0, so is f: -0.0 + -0.0 * 1.0 is -0.0, -0.0 + 0.0 * 1.0 is 0.0
+    (TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 1.0, (-0.0, -0.0), (1.0, 1.0)), -0.0),
+    [STATIC], [JUMP], 0.0, 0.0, (-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, 0.0, -0.0),
+    PhysicalEvent(0.0, (0.0, 0.0), ActionKind.GATE, (QubitRef.mess(3), QubitRef.mess(1))))
+@example(  # a NaN time passes the clamp unchanged
+    (TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 1.0, (0.0, 0.0), (1.0, 1.0)), math.nan),
+    [STATIC], [JUMP], 0.0, 1.0, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0),
+    PhysicalEvent(0.0, (0.0, 0.0), ActionKind.LOAD, ()))
+def test_kernels_match_their_min_max_forms(seg_t, atracks, btracks, w0, width, a, b, event):
+    seg, t = seg_t
+    assert repr(seg.position(t)) == repr(minmax_segment_position(seg, t))
+    w1 = w0 + width
+    for track in atracks + btracks:
+        assert repr(track.box(w0, w1)) == repr(minmax_box(track, w0, w1))
+        assert repr(track.box()) == repr(minmax_box(track, -math.inf, math.inf))
+    aunion, aboxes = gate_boxes(atracks, w0, w1)
+    bunion, bboxes = gate_boxes(btracks, w0, w1)
+    assert repr((aunion, aboxes)) == repr(minmax_gate_boxes(atracks, w0, w1))
+    for p, q in [(a, b), (b, a), (aunion, bunion)] + list(itertools.product(aboxes, bboxes)):
+        assert repr(box_gap(p, q)) == repr(minmax_box_gap(p, q))
+    for ta, tb in itertools.product(atracks, btracks):
+        assert repr(min_distance(ta, tb, w0, w1)) == repr(minmax_min_distance(ta, tb, w0, w1))
+    assert repr(event.order_tail) == repr(minmax_order_tail(event))
+
+
+def test_shifted_builds_what_make_builds():
+    # throw-catch-throw along one column: the relaunch velocity is (-0.0, -v)
+    arch = arch_for(Variant.THROW_CATCH_THROW)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 2), (5, 2)))
+    relaunch = [e for e in prog.events if e.action is ActionKind.THROW][-1]
+    assert repr(relaunch.velocity[0]) == "-0.0"
+    delta = 2.5e-6
+    events, trajectories = scheduler._shifted(prog.events, prog.trajectories, delta)
+    made = [PhysicalEvent._make((e.t + delta, *e[1:])) for e in prog.events]
+    made_trajectories = {s: [TrajectorySegment._make((m, kind, t0 + delta, t1 + delta, p0, p1))
+                             for m, kind, t0, t1, p0, p1 in segs]
+                         for s, segs in prog.trajectories.items()}
+    assert list(trajectories) == list(made_trajectories)
+    pairs = list(zip(events, made, strict=True))
+    for s in trajectories:
+        pairs += zip(trajectories[s], made_trajectories[s], strict=True)
+    for x, y in pairs:
+        assert type(x) is type(y)
+        assert [(type(f), repr(f)) for f in x] == [(type(f), repr(f)) for f in y]
+    # `_shifted` builds records by `tuple.__new__`: the only constructor
+    # above tuple's is the named tuple's own, which checks nothing
+    assert "__new__" not in vars(PhysicalEvent)
+    for cls in (PhysicalEvent, TrajectorySegment):
+        owners = [k for k in cls.__mro__ if "__new__" in vars(k)]
+        assert "_fields" in vars(owners[0]) and owners[1:] == [tuple, object]
+
+
 def merge_programs(a: ScheduledProgram, b: ScheduledProgram) -> ScheduledProgram:
     return ScheduledProgram(sorted(a.events + b.events, key=lambda e: e.sort_key()),
                             {**a.trajectories, **b.trajectories},
