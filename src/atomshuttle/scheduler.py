@@ -385,21 +385,19 @@ LANE_OFFSET = 0.5           # cells between a belt lane or flight line and a qub
 
 class _Anchor(NamedTuple):
     step: GateStep
-    lo: float                 # earliest feasible firing *center*
-    hi: float                 # latest feasible firing center (inf if flexible)
+    lo: float                 # earliest feasible start
+    hi: float                 # latest feasible start (inf if flexible)
 
 
 class _Draft:
-    __slots__ = ("rides", "anchors", "aux_events", "held")
+    __slots__ = ("rides", "anchors", "aux_events")
 
-    def __init__(self, rides=None, anchors=None, aux_events=None, held=None):
+    def __init__(self, rides=None, anchors=None, aux_events=None):
         # serial -> [TrajectorySegment]
         self.rides = {} if rides is None else rides
         self.anchors = [] if anchors is None else anchors
         # PhysicalEvent (loads etc.)
         self.aux_events = [] if aux_events is None else aux_events
-        # serials of messengers that wait at their ride's end for their last gate
-        self.held = set() if held is None else held
 
 
 class _Itinerary:
@@ -462,8 +460,7 @@ def _cross_window(arch: ArchitectureSpec, step: GateStep, t_sync: float,
 
 def _within(arch: ArchitectureSpec, step: GateStep, t0: float, t1: float) -> _Anchor:
     """A gate fired anywhere in [t0, t1]."""
-    half = _gate_duration(arch, step.gate) / 2
-    return _Anchor(step, t0 + half, t1 - half)
+    return _Anchor(step, t0, t1 - _gate_duration(arch, step.gate))
 
 
 def _gate_duration(arch: ArchitectureSpec, gate: GateKind) -> float:
@@ -557,7 +554,7 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE)
 
     draft = _Draft(rides={s1: m1.segs, s2: m2.segs},
-                   aux_events=[_load_event(m1, 0), _load_event(m2, 1)], held={s2})
+                   aux_events=[_load_event(m1, 0), _load_event(m2, 1)])
     if d.case == 1:
         draft.anchors = [
             _pass_window(arch, g[0], t_cz1, "CZ(S,m1)"),
@@ -568,7 +565,6 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
             _Anchor(g[5], 0.0, math.inf),
         ]
     else:
-        draft.held.add(s1)
         draft.anchors = [
             _pass_window(arch, g[0], t_cz1, "CZ(P,m1)"),
             _within(arch, g[1], m1.t_load, m1.t),
@@ -641,7 +637,6 @@ def _plan_throw_catch_throw(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
 
 def _plan_throw_and_measure(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     m, draft, _, _ = _throw_out(arch, d)
-    draft.held.add(m.serial)
     g = d.gates
     draft.anchors += [
         _within(arch, g[3], m.t, math.inf),
@@ -703,8 +698,9 @@ _PLANNERS = {
 
 
 def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
-    """Fire each gate (dependency order plus pairwise exclusion) and append its
-    event to `events`; returns each qubit's last gate end (QubitRef -> time).
+    """Start each gate as early as its window, its qubits' and bit's earlier
+    gates and pairwise exclusion allow, and append its event to `events`;
+    returns each qubit's last gate end (QubitRef -> time).
 
     A plan has a few two-qubit gates, so each is tested against those placed
     before it by a plain scan in placement order, with no index or boxes.
@@ -717,55 +713,55 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
     for step, lo, hi in draft.anchors:
         gate, operands, bit = step
         dur = _gate_duration(arch, gate)
-        center = lo
+        t = lo
         for q in operands:
             if q in last_end:
-                center = max(center, last_end[q] + dur / 2 + eps)
+                t = max(t, last_end[q] + eps)
         if gate.reads_bit and bit in bit_end:
-            center = max(center, bit_end[bit] + dur / 2 + eps)
+            t = max(t, bit_end[bit] + eps)
         if gate.is_two_qubit:
             tracks = _atom_tracks(operands, moving, _static_track)
             moved = True
             while moved:
-                # the atoms keep their rides while the firing time moves; a
-                # gate too close while both fire moves this one to just after
-                # it, the later gates are tested at the new time, and a move
-                # starts another pass
+                # the atoms keep their rides while the start moves; a gate too
+                # close while both fire moves this one to just after it, the
+                # later gates are tested at the new start, and a move starts
+                # another pass
                 moved = False
                 for o0, o1, otracks in placed:
-                    c0, c1 = center - dur / 2, center + dur / 2
-                    t0 = o0 if o0 > c0 else c0    # max(c0, o0) and min(c1, o1), ties included
-                    t1 = o1 if o1 < c1 else c1
+                    end = t + dur
+                    t0 = o0 if o0 > t else t      # max(t, o0) and min(end, o1), ties included
+                    t1 = o1 if o1 < end else end
                     if t0 < t1 and any(too_close(ot, ct, t0, t1)
                                        for ot in otracks for ct in tracks):
-                        center = o1 + dur / 2 + eps
+                        t = o1 + eps
                         moved = True
-        if center > hi + 1e-15:
+        if t > hi + 1e-15:
             raise InfeasibleError(
-                f"{gate.value} on {operands}: required firing time "
-                f"{center:.3e}s exceeds feasible window end {hi:.3e}s")
+                f"{gate.value} on {operands}: required start {t:.3e}s exceeds "
+                f"the latest start {hi:.3e}s in its window")
         for q in operands:
             if not q.is_messenger:
                 pos = _xy(q.coord)
                 break
         else:
-            pos = moving[operands[0].serial].position(center)
-        events.append(PhysicalEvent(center - dur / 2, pos, ActionKind.GATE, operands,
-                                    gate, bit, dur))
+            pos = moving[operands[0].serial].position(t + dur / 2)
+        events.append(PhysicalEvent(t, pos, ActionKind.GATE, operands, gate, bit, dur))
+        end = t + dur
         for q in operands:
-            last_end[q] = center + dur / 2
+            last_end[q] = end
         if gate.writes_bit:
-            bit_end[bit] = center + dur / 2
+            bit_end[bit] = end
         if gate.is_two_qubit:
-            placed.append((center - dur / 2, center + dur / 2, tracks))
+            placed.append((t, end, tracks))
     return last_end
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
     """Plan the space-time realization of one decomposed logical gate.
 
-    A messenger is disposed of where its ride ends; a held one waits there,
-    stationary, until its last gate ends.
+    Every messenger is disposed of where its ride ends once its last gate has
+    ended; one read out after its ride waits there, stationary, until then.
     """
     if d.variant is None:
         raise ValueError("the neighbor-chain baseline has no transport plan")
@@ -777,7 +773,7 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
     for s, segs in draft.rides.items():
         mref = QubitRef.mess(s)
         arrival, pos = segs[-1].t_end, segs[-1].end_pos
-        t_disp = max(last_end.get(mref, arrival), arrival) if s in draft.held else arrival
+        t_disp = max(last_end.get(mref, arrival), arrival)
         if t_disp > arrival:
             segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
         events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
@@ -853,23 +849,16 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         cand = [[e.t, e.t_end, _atom_tracks(e.operands, moving, static), None]
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
-        # the delta at which each candidate last passed every committed gate:
-        # neither those gates nor its boxes change in this loop, so it passes
-        # again at that delta
-        passed = [None] * len(cand)
+        # passes over every candidate until a pass moves none; a bump raises
+        # delta, and later committed gates are tested at the new value
         for _ in range(MAX_BUMP_PASSES):
             bumped = False
-            for i, c in enumerate(cand):
-                if passed[i] == delta:
-                    continue
-                # a bump raises delta; later committed gates are tested at the new value
-                k, whole = -1, True
+            for c in cand:
+                k = -1
                 while (k := committed.first_conflict(c, delta, k)) is not None:
                     conflict = committed.gates[k]
                     delta = conflict[1] - c[0] + eps
-                    bumped, whole = True, False
-                if whole:
-                    passed[i] = delta
+                    bumped = True
             if not bumped:
                 break
         else:

@@ -24,57 +24,57 @@ ARTIFACTS = {"compile": ("compile.jsonl",),
 
 CONFIG_DIGESTS = {
     ("one-way-belt.arch", "compile"):
-        "a8c55ec468a0c023c6ec58ded99e7fe186f622bd21233642fe53f0920f47adf7",
+        "93aa006def780bea5e0ea9220d6e0333c6c27a1886ddd42eec073f4091653cc3",
     ("one-way-belt.arch", "schedule"):
-        "3ece4ca03efc9183e8345629c0b860c3e21cf3ac56659c0a57a6a481ebc2d229",
+        "ca9c90355187d2c97bb569454c0dded37868234aed6df23f182e7e48aed29078",
     ("shuttle-and-route.arch", "compile"):
-        "08946ddbadee1dc587f9a3f4b82b34aabec7e7310ca53c370f3b485fa5e870ab",
+        "94ffa5026c84b41ff2722306caee67627e164425c1dca85a52df2e123c401e0f",
     ("shuttle-and-route.arch", "schedule"):
-        "27e12f32a39543408b472be89f6e9ec5c8d24053bd90a2f176c1516996d11bd6",
+        "3b06a117c4e38821af6061908076f4f53d690f06f5d2bd79946cec3065d1ff78",
     ("throw-and-measure.arch", "compile"):
-        "7265d0f9b7ec201ff8722562da26ec09f94c97ea3986675b6b982c358d9b4be6",
+        "53342c973d14b4fb9a1209df7ac16c0b0e3d85c2eefce392ec897e70f530954f",
     ("throw-and-measure.arch", "schedule"):
-        "429fbd0743fe1de134209678dde26091f7e9517576e4bf5b65e211bb7e934d05",
+        "ca358fa6d45fcd987bdf58eee7a4bedbd9248214a029427c0dab4a5e3ce4cc9e",
     ("throw-catch-throw.arch", "compile"):
-        "ace8c6c51defa18c1c044fefc2d85ef8cccf971eacd579825e623e4440b482ff",
+        "3b19f6c24ce6461da37a9d31c4ab8d57b30eb2e13214953238262c8a4753dc4a",
     ("throw-catch-throw.arch", "schedule"):
-        "591df089cfab82bf57d99caa19870a1859c97929f8e857f609bf7fae3ebd2e10",
+        "e8ce20210b2f654dfa4014a1278f081556e15ac0d3ec36231ac7585b30c18595",
     ("two-way-belt.arch", "compile"):
-        "b891d3da7fd49f68a75ac02467df5d67709a10fb208d2cdff2b17a87017fce74",
+        "4755f365aed9cfb554f77a331b8b29cf76edc392c6c683323457c64f68aa3c5b",
     ("two-way-belt.arch", "schedule"):
-        "fe55a98026cf4a448fb38ce6f90b3294a04d627bca8c2ebac5efe85789a02329",
+        "b4635b22cdb57b356ca3728f0c9ca6f8cfc3e2679c242602a469cb673d2c2709",
 }
 
 CORPUS_DIGESTS = {
     Variant.TWO_WAY_BELT:
-        "a2ba8b1118b4a7d9829ab1b71fd81b566937bf113de0460d77fb2b88b919c637",
+        "eb6eb1dde3df410c25ceb1e550a54588cdebfb88a7bf52abec7a1f84bbb4e4c6",
     Variant.ONE_WAY_BELT:
-        "ea746f1159df97f597d183f7bd80fbb32feb94571e6017cfc90f889dab72e8e4",
+        "f58a9fc380e888c419e9ac06a8aeeabf6085d953b6cffe50310fcb3849a7bc42",
     Variant.THROW_CATCH_THROW:
-        "2cf488fc4e784c38eafebe509aed38b74a1c2ebba4156ca370dd25aec91a08c6",
+        "c77831efff0692a94768962cd2aaeae44241f264179cdcc4cc3169c4039f6d0f",
     Variant.SHUTTLE_AND_ROUTE:
-        "101faf883fee41ff4b39a9207274867b663ec39bce73b2131796cf6626b36f44",
+        "b1457ab1cdcbd56906511d03c7eff2c4bf92dd05d167bda38882d9f9484f7244",
     Variant.THROW_AND_MEASURE:
-        "a3edea267cbb905e5449713f2ebcadd3128cfc07033f4ce0c6badb913448d923",
+        "20acd5b0c6900cfa028ab2d279ec4d673a56aca4e6d4a4aa1b20d8f5cb457cfb",
 }
 
 # 3 programs x 96 uniform random CZs on 16x16 per variant: large enough
 # that the scheduler's time index and bounding-box prefilter both prune
 DEEP_DIGESTS = {
     Variant.TWO_WAY_BELT:
-        "9c0d58fd8ee3a89718448c32a76c8fb0a735a24a8c9104886b6b53192ee19244",
+        "8d2b48a66ab189923d9e9466622120ff36a197a092907397bae8aed9d9e3b13d",
     Variant.ONE_WAY_BELT:
-        "0a5e777af175ba39d8dead92c90c35bde53252b738041770452fa20df22cd58d",
+        "1586284cf5a4f33dbbf655c8010189395f9c5bdc6c773e309b5ef0b805e3822d",
     Variant.THROW_CATCH_THROW:
-        "227e83c9aee2fcfc8165751952beb6e2d6f64158b94515fb21304a9a2ea31b31",
+        "11ae5d54097d93f64849f7b75cef29a40479268d1693ec6630f9351ca2253c72",
     Variant.SHUTTLE_AND_ROUTE:
-        "47b1bcc09db62b7a549b369745807160034408f6beb64f07766a2acddfeb1902",
+        "ae79ec6ea83d522d1943c8d7693ed8cfb5e61e2740e8ade8e8c2c293800f596c",
     Variant.THROW_AND_MEASURE:
-        "de0368bca40f9c2fb0638fc5f39847d5b06d4c381f0e589ad24273fe7e34c126",
+        "781fe8c33566a3a60f517b083c1219ac938e1f3615cf94d1de304d6553b052ad",
 }
 
 # plan_trajectories on every ordered pair of L = 4 and 5, all variants
-PLAN_DIGEST = "701859ac71bd97d0225ad935fa4f3f7897b7c6c88f9dd1e8412ef2cea412b6b0"
+PLAN_DIGEST = "e2c794dbb9ccbd8ce9be0cae2ea400c2d4cfe44488566a2247f94dfcca41299f"
 
 # `verify --pair` on every pair of L = 4 for each variant, then the three
 # `--drop-final-correction` mutants, then `--haar 3 --seed 1` on

@@ -193,8 +193,10 @@ def planned_pairs(draw):
 def test_measured_messengers_hold_at_readout(planned):
     # Every messenger is disposed of where its ride ends.  A measured one
     # (one-way belt, throw-and-measure) waits there, stationary, until its
-    # last gate ends, up to one ulp: the planner ends a gate at
-    # `center + dur / 2`, its event at `(center - dur / 2) + dur`.
+    # last gate ends, up to one ulp: the plan's normalization to start at 0,
+    # like `schedule()`'s shift, adds to a gate's start and to the disposal
+    # time separately, and the gate's end is its moved start plus its
+    # duration.
     arch, a, b = planned
     prog = plan_trajectories(arch, decompose_cz(arch, a, b))
     last_gate_end = {}
@@ -453,33 +455,32 @@ def indexed_place_anchors(arch, draft, events: list):
     last_end, bit_end, bumped = {}, {}, False
     for (gate, operands, bit), lo, hi in draft.anchors:
         dur = scheduler._gate_duration(arch, gate)
-        center = lo
+        t = lo
         for q in operands:
             if q in last_end:
-                center = max(center, last_end[q] + dur / 2 + eps)
+                t = max(t, last_end[q] + eps)
         if gate.reads_bit and bit in bit_end:
-            center = max(center, bit_end[bit] + dur / 2 + eps)
+            t = max(t, bit_end[bit] + eps)
         tracks = [qubit_track(q, draft.rides) for q in operands]
         if gate.is_two_qubit:
             moved = True
             while moved:
                 moved, k = False, -1
-                while (k := placed.first_conflict(
-                        c := [center - dur / 2, center + dur / 2, tracks, None],
-                        0.0, k)) is not None:
-                    center = placed.gates[k][1] + dur / 2 + eps
+                while (k := placed.first_conflict(c := [t, t + dur, tracks, None],
+                                                  0.0, k)) is not None:
+                    t = placed.gates[k][1] + eps
                     moved = bumped = True
             placed.add(*c)
-        assert center <= hi + 1e-15
+        assert t <= hi + 1e-15
         comp = [q for q in operands if not q.is_messenger]
         pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
-            else tracks[0].position(center)
-        events.append(PhysicalEvent(center - dur / 2, pos, ActionKind.GATE, operands,
+            else tracks[0].position(t + dur / 2)
+        events.append(PhysicalEvent(t, pos, ActionKind.GATE, operands,
                                     gate=gate, bit=bit, duration=dur))
         for q in operands:
-            last_end[q] = center + dur / 2
+            last_end[q] = t + dur
         if gate.writes_bit:
-            bit_end[bit] = center + dur / 2
+            bit_end[bit] = t + dur
     return last_end, bumped
 
 
@@ -508,15 +509,15 @@ def test_plan_scan_places_as_the_indexed_search(variant):
 @st.composite
 def static_drafts(draw):
     """Up to 8 CZs between computational qubits of a 4 x 4 array, each to
-    fire from a center on a half-gate grid: placed gates touch, overlap and
-    push each other, also back onto gates placed before them."""
+    start no earlier than a time on a half-gate grid: placed gates touch,
+    overlap and push each other, also back onto gates placed before them."""
     cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
     anchors = []
     for _ in range(draw(st.integers(1, 8))):
         a = draw(cells)
         b = draw(cells.filter(a.__ne__))
         step = GateStep(GateKind.CZ, (QubitRef.comp(*a), QubitRef.comp(*b)))
-        anchors.append(scheduler._Anchor(step, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+        anchors.append(scheduler._Anchor(step, draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])),
                                          math.inf))
     return scheduler._Draft(anchors=anchors)
 
@@ -654,6 +655,14 @@ boxes = st.tuples(tie_coords, tie_coords, tie_coords, tie_coords)
 @example(  # a NaN time passes the clamp unchanged
     (TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 1.0, (0.0, 0.0), (1.0, 1.0)), math.nan),
     [STATIC], [JUMP], 0.0, 1.0, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0),
+    PhysicalEvent(0.0, (0.0, 0.0), ActionKind.LOAD, ()))
+@example(  # a zero-length last segment at y = -0.0 ties the minimum y 0.0 and must
+    # not replace it; it is the last, as a later 0.0 would replace it back
+    (TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 1.0, (0.0, 0.0), (1.0, 0.0)), 0.5),
+    [_Track(segments=[
+        TrajectorySegment(0, SegmentKind.BELT_RIDE, 0.0, 1.0, (0.0, 0.0), (1.0, 0.0)),
+        TrajectorySegment(0, SegmentKind.BELT_RIDE, 1.0, 1.0, (1.0, -0.0), (1.0, -0.0))])],
+    [STATIC], 0.0, 2.0, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0),
     PhysicalEvent(0.0, (0.0, 0.0), ActionKind.LOAD, ()))
 def test_kernels_match_their_min_max_forms(seg_t, atracks, btracks, w0, width, a, b, event):
     seg, t = seg_t
@@ -832,11 +841,15 @@ def circuits(draw):
          circuit=LogicalCircuit(8, (LogicalCZ((0, 0), (3, 3)), LogicalCZ((0, 0), (5, 1)))))
 def test_schedule_serializes_gates_sharing_a_qubit(variant, circuit):
     # No qubit, computational or messenger, is an operand of two gates that
-    # fire at once; `check_conflicts` sees a shared atom only between two
-    # two-qubit gates (as an exclusion at distance 0).
+    # fire at once: each gate on a qubit starts the gap after the qubit's
+    # previous gate ends, up to rounding (plan normalization and a shift
+    # round each start and end on their own).  `check_conflicts` sees a
+    # shared atom only between two two-qubit gates (as an exclusion at
+    # distance 0), and no gap at all.
     arch = arch_for(variant, circuit.lattice_size)
     prog = schedule(circuit, arch)
     assert check_conflicts(prog, arch) == []
+    gap = 0.999 * scheduler._gap(arch)
     windows = {}
     for e in prog.events:
         if e.action is ActionKind.GATE:
@@ -845,7 +858,7 @@ def test_schedule_serializes_gates_sharing_a_qubit(variant, circuit):
     for spans in windows.values():
         spans.sort()
         for (_, end), (start, _) in zip(spans, spans[1:]):
-            assert start >= end
+            assert start - end >= gap
 
 
 def test_schedule_keeps_disjoint_gates_parallel():
