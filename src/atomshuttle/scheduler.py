@@ -19,8 +19,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
-from .ir import (ActionKind, GateKind, GateStep, Logical1Q, LogicalCircuit,
-                 PhysicalEvent, QubitRef, check_circuit, sort_events)
+from .ir import (ActionKind, GateKind, Logical1Q, LogicalCircuit, PhysicalEvent, QubitRef,
+                 check_circuit, sort_events)
 
 EXCLUSION_CELLS = 2.0       # min separation of concurrently firing 2q gates
 DIST_TOL = 1e-9
@@ -31,11 +31,7 @@ MAX_BUMP_PASSES = 10000     # exclusion passes per logical gate before giving up
 
 
 class InfeasibleError(RuntimeError):
-    """Raised when no feasible firing times exist; names the constraint."""
-
-    def __init__(self, constraint: str):
-        super().__init__(constraint)
-        self.constraint = constraint
+    """Raised when no feasible firing times exist; its message names the constraint."""
 
 
 class SegmentKind(Enum):
@@ -376,28 +372,14 @@ class _Committed:
 # --- single-gate planning ---------------------------------------------------
 #
 # A planner gives the geometry (messenger itineraries, loads, throws,
-# routes) and each gate's firing window.  The gate fixes the rest: its
-# duration (`_gate_duration`) and where it fires (its computational
-# partner's site, else its first messenger's position at the gate center).
+# routes) and one firing interval (t0, t1) per gate of its decomposition, in
+# the decomposition's order.  The gate fixes the rest: its duration
+# (`_gate_duration`), so its latest start `t1 - dur`, and where it fires (its
+# computational partner's site, else its first messenger's position at the
+# gate center).  A pass or crossing window too short for its two-qubit gate
+# raises an error named by the window's kind.
 
 LANE_OFFSET = 0.5           # cells between a belt lane or flight line and a qubit
-
-
-class _Anchor(NamedTuple):
-    step: GateStep
-    lo: float                 # earliest feasible start
-    hi: float                 # latest feasible start (inf if flexible)
-
-
-class _Draft:
-    __slots__ = ("rides", "anchors", "aux_events")
-
-    def __init__(self, rides=None, anchors=None, aux_events=None):
-        # serial -> [TrajectorySegment]
-        self.rides = {} if rides is None else rides
-        self.anchors = [] if anchors is None else anchors
-        # PhysicalEvent (loads etc.)
-        self.aux_events = [] if aux_events is None else aux_events
 
 
 class _Itinerary:
@@ -430,37 +412,33 @@ class _Itinerary:
         return self.t + _dist(self.p, point) / self.vc
 
 
-def _pass_window(arch: ArchitectureSpec, step: GateStep, t_closest: float,
-                 what: str) -> _Anchor:
-    """A two-qubit gate fired on a messenger passing its static partner
-    `LANE_OFFSET` cells away, closest at `t_closest`."""
+def _pass_window(arch: ArchitectureSpec, t: float) -> tuple[float, float]:
+    """When a two-qubit gate may fire on a messenger passing its static
+    partner `LANE_OFFSET` cells away, closest at `t`."""
     R_c = arch.R / arch.a
     ct = arch.a / arch.v
     chord2 = R_c * R_c - LANE_OFFSET * LANE_OFFSET
     if chord2 <= 0:
-        raise InfeasibleError(f"{what}: lane offset {LANE_OFFSET} outside blockade radius {R_c}")
-    hw = math.sqrt(chord2) * ct
-    if 2 * hw < arch.t2:
         raise InfeasibleError(
-            f"{what}: blockade window {2 * hw:.3e}s shorter than gate duration {arch.t2:.3e}s")
-    return _within(arch, step, t_closest - hw, t_closest + hw)
+            f"pass window: lane offset {LANE_OFFSET!r} outside blockade radius {R_c!r}")
+    return _window(arch, "pass", t, math.sqrt(chord2) * ct)
 
 
-def _cross_window(arch: ArchitectureSpec, step: GateStep, t_sync: float,
-                  what: str) -> _Anchor:
-    """A two-qubit gate between two messengers crossing orthogonally at `t_sync`."""
+def _cross_window(arch: ArchitectureSpec, t: float) -> tuple[float, float]:
+    """When a two-qubit gate may fire between two messengers crossing
+    orthogonally at `t`."""
     R_c = arch.R / arch.a
     ct = arch.a / arch.v
-    hw = R_c * ct / math.sqrt(2)  # relative speed sqrt(2) v at the crossing
+    # relative speed sqrt(2) v at the crossing
+    return _window(arch, "crossing", t, R_c * ct / math.sqrt(2))
+
+
+def _window(arch: ArchitectureSpec, kind: str, t: float, hw: float) -> tuple[float, float]:
+    """[t - hw, t + hw], unless a two-qubit gate does not fit in it."""
     if 2 * hw < arch.t2:
         raise InfeasibleError(
-            f"{what}: crossing window {2 * hw:.3e}s shorter than gate duration {arch.t2:.3e}s")
-    return _within(arch, step, t_sync - hw, t_sync + hw)
-
-
-def _within(arch: ArchitectureSpec, step: GateStep, t0: float, t1: float) -> _Anchor:
-    """A gate fired anywhere in [t0, t1]."""
-    return _Anchor(step, t0, t1 - _gate_duration(arch, step.gate))
+            f"{kind} window: {2 * hw!r}s shorter than gate duration {arch.t2!r}s")
+    return (t - hw, t + hw)
 
 
 def _gate_duration(arch: ArchitectureSpec, gate: GateKind) -> float:
@@ -480,19 +458,23 @@ def _xy(coord):
     return (float(coord[1]), float(coord[0]))  # (row, col) -> (x, y)
 
 
-def _plan_two_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
+def _loop_lanes(d: Decomposition):
+    """The directions (dh, dv) from A to B and the rectangle of lanes around
+    them: A's row lane (flowing +dh), B's column lane (+dv), the return row
+    lane past B (-dh) and A's column lane (-dv)."""
     (ra, ca), (rb, cb) = d.a, d.b
     dh = 1.0 if cb >= ca else -1.0
     dv = 1.0 if rb >= ra else -1.0
-    ct = arch.a / arch.v
+    return dh, dv, (ra - LANE_OFFSET * dv, cb + LANE_OFFSET * dh,
+                    rb + 1.5 * dv, ca - LANE_OFFSET * dh)
 
-    y1 = ra - LANE_OFFSET * dv    # lane of m1, flows +dh
-    x2 = cb + LANE_OFFSET * dh    # lane of m2, flows +dv
-    y3 = rb + 1.5 * dv            # return lane of m3, flows -dh
-    x4 = ca - LANE_OFFSET * dh    # lane of m4, flows -dv
+
+def _plan_two_way(arch: ArchitectureSpec, d: Decomposition):
+    (ra, ca), (rb, _) = d.a, d.b
+    dh, dv, (y1, x2, y3, x4) = _loop_lanes(d)   # the lanes of m1, m2, m3, m4
+    ct = arch.a / arch.v
     s1, s2, s3, s4 = d.messengers
 
-    draft = _Draft()
     m1 = _Itinerary(arch, s1, 0.0, (ca - ENTRY_MARGIN * dh, y1))
     t_cz1 = m1.time_passing((ca, y1))
     t_x1 = m1.time_passing((x2, y1))
@@ -511,25 +493,15 @@ def _plan_two_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     t_cz3 = m4.time_passing((x4, ra))
     m4.move_to((x4, ra - EXIT_MARGIN * dv), SegmentKind.BELT_RIDE)
 
-    for it, belt in ((m1, 0), (m2, 1), (m3, 2), (m4, 3)):
-        draft.rides[it.serial] = it.segs
-        draft.aux_events.append(_load_event(it, belt))
-
-    g = d.gates
-    draft.anchors = [
-        _pass_window(arch, g[0], t_cz1, "CZ(A,m1)"),
-        _within(arch, g[1], m1.t_load, m1.t),
-        _cross_window(arch, g[2], t_x1, "SWAP(m1,m2)"),
-        _pass_window(arch, g[3], t_cz2, "CZ(m2,B)"),
-        _cross_window(arch, g[4], t_x2, "SWAP(m2,m3)"),
-        _cross_window(arch, g[5], t_x3, "SWAP(m3,m4)"),
-        _within(arch, g[6], m4.t_load, m4.t),
-        _pass_window(arch, g[7], t_cz3, "CZ(A,m4)"),
-    ]
-    return draft
+    its = (m1, m2, m3, m4)
+    windows = [_pass_window(arch, t_cz1), (m1.t_load, m1.t), _cross_window(arch, t_x1),
+               _pass_window(arch, t_cz2), _cross_window(arch, t_x2), _cross_window(arch, t_x3),
+               (m4.t_load, m4.t), _pass_window(arch, t_cz3)]
+    return ({it.serial: it.segs for it in its}, windows,
+            [_load_event(it, belt) for belt, it in enumerate(its)])
 
 
-def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
+def _plan_one_way(arch: ArchitectureSpec, d: Decomposition):
     ct = arch.a / arch.v
     L = arch.L
     g = d.gates
@@ -553,39 +525,23 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
     t_cz2 = m2.time_passing((x_v, float(r2)))
     t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE)
 
-    draft = _Draft(rides={s1: m1.segs, s2: m2.segs},
-                   aux_events=[_load_event(m1, 0), _load_event(m2, 1)])
     if d.case == 1:
-        draft.anchors = [
-            _pass_window(arch, g[0], t_cz1, "CZ(S,m1)"),
-            _within(arch, g[1], m1.t_load, m1.t),
-            _cross_window(arch, g[2], t_x, "SWAP(m1,m2)"),
-            _pass_window(arch, g[3], t_cz2, "CZ(m2,D)"),
-            _within(arch, g[4], t_arr2, math.inf),
-            _Anchor(g[5], 0.0, math.inf),
-        ]
+        windows = [_pass_window(arch, t_cz1), (m1.t_load, m1.t), _cross_window(arch, t_x),
+                   _pass_window(arch, t_cz2), (t_arr2, math.inf), (0.0, math.inf)]
     else:
-        draft.anchors = [
-            _pass_window(arch, g[0], t_cz1, "CZ(P,m1)"),
-            _within(arch, g[1], m1.t_load, m1.t),
-            _pass_window(arch, g[2], t_cz2, "CZ(Q,m2)"),
-            _within(arch, g[3], m2.t_load, m2.t),
-            _cross_window(arch, g[4], t_x, "CZ(m1,m2)"),
-            _within(arch, g[5], t_arr1, math.inf),
-            _within(arch, g[6], t_arr2, math.inf),
-            _Anchor(g[7], 0.0, math.inf),
-            _Anchor(g[8], 0.0, math.inf),
-        ]
-    return draft
+        windows = [_pass_window(arch, t_cz1), (m1.t_load, m1.t), _pass_window(arch, t_cz2),
+                   (m2.t_load, m2.t), _cross_window(arch, t_x), (t_arr1, math.inf),
+                   (t_arr2, math.inf), (0.0, math.inf), (0.0, math.inf)]
+    return {s1: m1.segs, s2: m2.segs}, windows, [_load_event(m1, 0), _load_event(m2, 1)]
 
 
 def _throw_out(arch: ArchitectureSpec, d: Decomposition):
     """Throw the messenger past A, then B, on a line `LANE_OFFSET` cells off theirs.
 
-    The flight runs `ENTRY_MARGIN` cells before A to as far past B.  The
-    draft holds it, its LOAD and THROW, and the anchors of CZ(A,m), H and
-    CZ(m,B).  Returns the itinerary, the draft, the point of the line
-    abreast of A and the throw velocity.
+    The flight runs `ENTRY_MARGIN` cells before A to as far past B.  Returns
+    the itinerary, the windows of the decomposition's first three gates
+    (CZ(A,m), H and CZ(m,B)), in its order, the LOAD and THROW events, the
+    point of the line abreast of A and the throw velocity.
     """
     pa, pb = _xy(d.a), _xy(d.b)
     D = _dist(pa, pb)
@@ -602,61 +558,42 @@ def _throw_out(arch: ArchitectureSpec, d: Decomposition):
               SegmentKind.FREE_FLIGHT)
 
     vel = (arch.v * u[0], arch.v * u[1])
-    g = d.gates
-    draft = _Draft(rides={m.serial: m.segs}, aux_events=[
-        _load_event(m),
-        PhysicalEvent(0.0, start, ActionKind.THROW, (QubitRef.mess(m.serial),), velocity=vel),
-    ], anchors=[
-        _pass_window(arch, g[0], t_cz1, "CZ(A,m)"),
-        _within(arch, g[1], m.t_load, m.t),
-        _pass_window(arch, g[2], t_cz2, "CZ(m,B)"),
-    ])
-    return m, draft, a_off, vel
+    windows = [_pass_window(arch, t_cz1), (m.t_load, m.t), _pass_window(arch, t_cz2)]
+    events = [_load_event(m),
+              PhysicalEvent(0.0, start, ActionKind.THROW, (QubitRef.mess(m.serial),),
+                            velocity=vel)]
+    return m, windows, events, a_off, vel
 
 
-def _plan_throw_catch_throw(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
-    m, draft, a_off, vel = _throw_out(arch, d)
+def _plan_throw_catch_throw(arch: ArchitectureSpec, d: Decomposition):
+    m, windows, events, a_off, vel = _throw_out(arch, d)
     mref = QubitRef.mess(m.serial)
     catch, t_catch = m.p, m.t
     t_relaunch = m.dwell(arch.t_turnaround, SegmentKind.TURNAROUND)
     t_cz3 = m.time_passing(a_off)
     m.move_to(m.segs[0].start_pos, SegmentKind.FREE_FLIGHT)   # back to the launch point
 
-    draft.aux_events += [
+    events += [
         PhysicalEvent(t_catch, catch, ActionKind.CATCH, (mref,)),
         PhysicalEvent(t_relaunch, catch, ActionKind.THROW, (mref,),
                       velocity=(-vel[0], -vel[1])),
     ]
-    g = d.gates
-    draft.anchors += [
-        _within(arch, g[3], t_relaunch, m.t),
-        _pass_window(arch, g[4], t_cz3, "CZ(A,m) return"),
-    ]
-    return draft
+    windows += [(t_relaunch, m.t), _pass_window(arch, t_cz3)]
+    return {m.serial: m.segs}, windows, events
 
 
-def _plan_throw_and_measure(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
-    m, draft, _, _ = _throw_out(arch, d)
-    g = d.gates
-    draft.anchors += [
-        _within(arch, g[3], m.t, math.inf),
-        _Anchor(g[4], 0.0, math.inf),
-    ]
-    return draft
+def _plan_throw_and_measure(arch: ArchitectureSpec, d: Decomposition):
+    m, windows, events, _, _ = _throw_out(arch, d)
+    return {m.serial: m.segs}, windows + [(m.t, math.inf), (0.0, math.inf)], events
 
 
-def _plan_shuttle_and_route(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
-    (ra, ca), (rb, cb) = d.a, d.b
-    dh = 1.0 if cb >= ca else -1.0
-    dv = 1.0 if rb >= ra else -1.0
+def _plan_shuttle_and_route(arch: ArchitectureSpec, d: Decomposition):
+    (ra, ca), (rb, _) = d.a, d.b
+    dh, dv, (y_a, x_b, y_ret, x_in) = _loop_lanes(d)
+    y_out = ra - 1.5 * dv
     s = d.messengers[0]
     mref = QubitRef.mess(s)
 
-    x_in = ca - LANE_OFFSET * dh
-    y_a = ra - LANE_OFFSET * dv
-    x_b = cb + LANE_OFFSET * dh
-    y_ret = rb + 1.5 * dv
-    y_out = ra - 1.5 * dv
     # belt k ends at a junction that routes onto belt k + 1; some belts
     # pass a target on the way
     legs = [((x_in, y_a), None),
@@ -676,18 +613,12 @@ def _plan_shuttle_and_route(arch: ArchitectureSpec, d: Decomposition) -> _Draft:
         m.dwell(arch.t_route, SegmentKind.ROUTING)
     m.move_to((x_in - ENTRY_MARGIN * dh, y_out), SegmentKind.BELT_RIDE)
 
-    draft = _Draft(rides={s: m.segs}, aux_events=[_load_event(m, 0)] + routes)
-    g = d.gates
-    draft.anchors = [
-        _pass_window(arch, g[0], t_cz[0], "CZ(A,m)"),
-        _within(arch, g[1], m.t_load, m.t),
-        _pass_window(arch, g[2], t_cz[1], "CZ(m,B)"),
-        _within(arch, g[3], m.t_load, m.t),
-        _pass_window(arch, g[4], t_cz[2], "CZ(A,m) return"),
-    ]
-    return draft
+    windows = [_pass_window(arch, t_cz[0]), (m.t_load, m.t), _pass_window(arch, t_cz[1]),
+               (m.t_load, m.t), _pass_window(arch, t_cz[2])]
+    return {s: m.segs}, windows, [_load_event(m, 0)] + routes
 
 
+# variant -> planner: (arch, d) -> (rides: serial -> segments, windows, events)
 _PLANNERS = {
     Variant.TWO_WAY_BELT: _plan_two_way,
     Variant.ONE_WAY_BELT: _plan_one_way,
@@ -697,10 +628,11 @@ _PLANNERS = {
 }
 
 
-def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
-    """Start each gate as early as its window, its qubits' and bit's earlier
-    gates and pairwise exclusion allow, and append its event to `events`;
-    returns each qubit's last gate end (QubitRef -> time).
+def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: list) -> dict:
+    """Start each gate of `steps` as early as its window (t0, t1), its qubits'
+    and bit's earlier gates and pairwise exclusion allow, and no later than
+    `t1` less its duration, and append its event to `events`; returns each
+    qubit's last gate end (QubitRef -> time).
 
     A plan has a few two-qubit gates, so each is tested against those placed
     before it by a plain scan in placement order, with no index or boxes.
@@ -708,12 +640,11 @@ def _place_anchors(arch: ArchitectureSpec, draft: _Draft, events: list) -> dict:
     eps = _gap(arch)
     last_end: dict = {}
     bit_end: dict = {}
-    moving = _moving_tracks(draft.rides)
+    moving = _moving_tracks(rides)
     placed = []   # (t0, t1, tracks) of each two-qubit gate
-    for step, lo, hi in draft.anchors:
-        gate, operands, bit = step
+    for (gate, operands, bit), (t, t_close) in zip(steps, windows, strict=True):
         dur = _gate_duration(arch, gate)
-        t = lo
+        hi = t_close - dur
         for q in operands:
             if q in last_end:
                 t = max(t, last_end[q] + eps)
@@ -767,10 +698,9 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
         raise ValueError("the neighbor-chain baseline has no transport plan")
     if d.variant is not arch.variant:
         raise ValueError(f"decomposition for {d.variant} given to {arch.variant} planner")
-    draft = _PLANNERS[arch.variant](arch, d)
-    events = list(draft.aux_events)
-    last_end = _place_anchors(arch, draft, events)
-    for s, segs in draft.rides.items():
+    rides, windows, events = _PLANNERS[arch.variant](arch, d)
+    last_end = _place_anchors(arch, d.gates, windows, rides, events)
+    for s, segs in rides.items():
         mref = QubitRef.mess(s)
         arrival, pos = segs[-1].t_end, segs[-1].end_pos
         t_disp = max(last_end.get(mref, arrival), arrival)
@@ -778,12 +708,11 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
             segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
         events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
 
-    trajectories = draft.rides
     t_min = min(e.t for e in events)
     if t_min:
-        events, trajectories = _shifted(events, trajectories, -t_min)
+        events, rides = _shifted(events, rides, -t_min)
     events = sort_events(events)
-    return ScheduledProgram(events, trajectories, max(e.t_end for e in events))
+    return ScheduledProgram(events, rides, max(e.t_end for e in events))
 
 
 def _shifted(events, trajectories, delta: float):

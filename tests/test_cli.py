@@ -440,9 +440,9 @@ def test_parser_is_built_once_and_keeps_no_argument_values(workdir, monkeypatch)
 
 
 @pytest.mark.parametrize("R_m, v_mps, message", [
-    ("1.2e-6", "1.5", "CZ(A,m1): lane offset 0.5 outside blockade radius "),
-    ("1.8e-6", "3.0", "CZ(A,m1): blockade window 6.633e-07s shorter than gate "
-                      "duration 1.000e-06s"),
+    ("1.2e-6", "1.5", "pass window: lane offset 0.5 outside blockade radius "),
+    ("1.8e-6", "3.0", "pass window: 6.633249580710799e-07s shorter than gate "
+                      "duration 1e-06s"),
 ])
 def test_pass_window_errors_exit_3(workdir, capsys, R_m, v_mps, message):
     text = ARCH_TEMPLATE.format(variant="two-way-belt")
@@ -513,6 +513,26 @@ def test_pair_is_four_ascii_integers(workdir, capsys, monkeypatch, spec):
     monkeypatch.chdir(workdir)
     assert run("verify", "--arch", "a.arch", "--pair", spec, "--out", "out") == 2
     assert f"error: --pair expects r1,c1,r2,c2, got {spec!r}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("name, good, bad, argv, message", [
+    ("a.arch", "L = 8", "L = 8", ("verify", "--arch", "a.arch", "--pair", "0,0,9,9"),
+     "coordinate (9, 9) out of range for L=8"),
+    ("a.arch", "L = 8", "L 8", ("schedule", "--arch", "a.arch", "--program", "p.program"),
+     "a.arch:2: expected key=value, got 'L 8'"),
+    ("p.program", PROGRAM_TEXT, "# lattice 8\n# cz (0,0) (7,7)\n",
+     ("compile", "--arch", "a.arch", "--program", "p.program"),
+     "line 1: missing 'lattice <L>' header"),
+], ids=["pair-out-of-range", "arch-line-without-equals", "program-of-comments"])
+def test_malformed_input_exits_2_and_writes_nothing(workdir, capsys, monkeypatch, name, good,
+                                                    bad, argv, message):
+    monkeypatch.chdir(workdir)
+    text = (workdir / name).read_text()
+    assert good in text
+    (workdir / name).write_text(text.replace(good, bad))
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 

@@ -182,6 +182,23 @@ def test_classical_bits_flags_read_before_write():
     assert any("before writer finishes" in v for v in usage.violations)
 
 
+def test_classical_bits_flags_a_second_write():
+    events = _sample_events()
+    events.insert(3, events[2]._replace(t=2.5e-6))
+    usage = classical_bits(events)
+    assert usage.violations == ("bit 3 written twice (events 2, 3)",)
+    assert usage.usage == {3: (3, (4,))}
+
+
+def test_classical_bits_flags_a_read_of_an_unwritten_bit():
+    # the unwritten bit is listed with writer -1
+    events = _sample_events()
+    events[3] = events[3]._replace(bit=5)
+    usage = classical_bits(events)
+    assert usage.violations == ("bit 5 read at event 3 before any write",)
+    assert usage.usage == {3: (2, ()), 5: (-1, (3,))}
+
+
 def test_gate_step_rejects_bad_arity_and_duplicates():
     a, b = QubitRef.comp(0, 0), QubitRef.comp(0, 1)
     with pytest.raises(ValueError):

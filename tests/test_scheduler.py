@@ -129,16 +129,41 @@ def test_gate_duration_and_position_follow_from_the_gate(variant, pair):
             assert e.pos == pytest.approx(track.position(e.t + e.duration / 2), abs=1e-9)
 
 
-@pytest.mark.parametrize("R, v, message", [
-    (1.2e-6, 1.5, "CZ(A,m1): lane offset 0.5 outside blockade radius "),
-    (1.8e-6, 3.0, "CZ(A,m1): blockade window 6.633e-07s shorter than gate "
-                  "duration 1.000e-06s"),
+# a crossing window lasts sqrt(2) R / v and a pass window
+# 2 sqrt(R^2 - (a/2)^2) / v; with R a hair over a / sqrt(2) and v inside
+# ArchitectureSpec's 1e-12 slack over a / t2, every pass window still fits
+# its gate, but a crossing window falls 2.9e-19 s short of it
+CROSSING_SHORT = (2.1213203435611425e-06, 3.0000000000030003,
+                  "crossing window: 9.999999999997069e-07s shorter than gate duration 1e-06s")
+
+
+@pytest.mark.parametrize("variant, R, v, message", [
+    (Variant.TWO_WAY_BELT, 1.2e-6, 1.5, "pass window: lane offset 0.5 outside blockade radius "),
+    (Variant.TWO_WAY_BELT, 1.8e-6, 3.0,
+     "pass window: 6.633249580710799e-07s shorter than gate duration 1e-06s"),
+    (Variant.TWO_WAY_BELT, *CROSSING_SHORT),
+    (Variant.ONE_WAY_BELT, *CROSSING_SHORT),
 ])
-def test_pass_window_errors_name_the_gate(R, v, message):
-    arch = arch_for(Variant.TWO_WAY_BELT, R=R, v=v)
+def test_window_errors_name_the_window_kind(variant, R, v, message):
+    arch = arch_for(variant, R=R, v=v)
     with pytest.raises(InfeasibleError) as exc:
         plan_trajectories(arch, decompose_cz(arch, (0, 0), (3, 3)))
     assert str(exc.value).startswith(message)
+
+
+def test_check_conflicts_reports_a_gate_fired_out_of_blockade_range():
+    # the first CZ moved 10 us later: the thrown messenger has flown on and
+    # is 4.8 cells from its partner, past the 0.9-cell blockade radius
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (7, 7)))
+    i = next(i for i, e in enumerate(prog.events) if e.gate is GateKind.CZ)
+    events = list(prog.events)
+    events[i] = events[i]._replace(t=events[i].t + 1e-5)
+    violations = check_conflicts(prog._replace(events=events), arch)
+    assert [(v.kind, v.events) for v in violations] == [("blockade", (i,))]
+    assert violations[0].distance == pytest.approx(4.7779, abs=1e-4)
+    assert violations[0].message == \
+        f"event {i}: partner at distance 4.7779 cells > R=0.9000 during cz"
 
 
 def test_every_messenger_loaded_once_and_disposed_once():
@@ -445,7 +470,7 @@ def test_first_conflict_matches_a_plain_scan(search, delta):
         plain_first_conflict(placed, cand, delta, after)
 
 
-def indexed_place_anchors(arch, draft, events: list):
+def indexed_place_anchors(arch, steps, windows, rides, events: list):
     """`_place_anchors` with each two-qubit gate placed through
     `_Committed.first_conflict`, whose time index, square and boxes only
     skip gates that cannot conflict.  Returns the last gate end of each
@@ -453,15 +478,14 @@ def indexed_place_anchors(arch, draft, events: list):
     placed = scheduler._Committed(arch)
     eps = placed.eps
     last_end, bit_end, bumped = {}, {}, False
-    for (gate, operands, bit), lo, hi in draft.anchors:
+    for (gate, operands, bit), (t, t_close) in zip(steps, windows, strict=True):
         dur = scheduler._gate_duration(arch, gate)
-        t = lo
         for q in operands:
             if q in last_end:
                 t = max(t, last_end[q] + eps)
         if gate.reads_bit and bit in bit_end:
             t = max(t, bit_end[bit] + eps)
-        tracks = [qubit_track(q, draft.rides) for q in operands]
+        tracks = [qubit_track(q, rides) for q in operands]
         if gate.is_two_qubit:
             moved = True
             while moved:
@@ -471,7 +495,7 @@ def indexed_place_anchors(arch, draft, events: list):
                     t = placed.gates[k][1] + eps
                     moved = bumped = True
             placed.add(*c)
-        assert t <= hi + 1e-15
+        assert t <= t_close - dur + 1e-15
         comp = [q for q in operands if not q.is_messenger]
         pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
             else tracks[0].position(t + dur / 2)
@@ -496,11 +520,10 @@ def test_plan_scan_places_as_the_indexed_search(variant):
         cells = [(r, c) for r in range(L) for c in range(L)]
         for a, b in itertools.permutations(cells, 2):
             d = decompose_cz(arch, a, b)
-            scanned, indexed = [], []
-            last_end = scheduler._place_anchors(
-                arch, scheduler._PLANNERS[variant](arch, d), scanned)
-            ref_last_end, moved = indexed_place_anchors(
-                arch, scheduler._PLANNERS[variant](arch, d), indexed)
+            rides, windows, scanned = scheduler._PLANNERS[variant](arch, d)
+            indexed = list(scanned)
+            last_end = scheduler._place_anchors(arch, d.gates, windows, rides, scanned)
+            ref_last_end, moved = indexed_place_anchors(arch, d.gates, windows, rides, indexed)
             assert scanned == indexed and last_end == ref_last_end
             bumped += moved
     assert bumped == (36 if variant is Variant.ONE_WAY_BELT else 0)
@@ -508,26 +531,26 @@ def test_plan_scan_places_as_the_indexed_search(variant):
 
 @st.composite
 def static_drafts(draw):
-    """Up to 8 CZs between computational qubits of a 4 x 4 array, each to
-    start no earlier than a time on a half-gate grid: placed gates touch,
+    """Up to 8 CZs between computational qubits of a 4 x 4 array, each in a
+    window (t0, inf) with t0 on a half-gate grid: placed gates touch,
     overlap and push each other, also back onto gates placed before them."""
     cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    anchors = []
+    steps, windows = [], []
     for _ in range(draw(st.integers(1, 8))):
         a = draw(cells)
         b = draw(cells.filter(a.__ne__))
-        step = GateStep(GateKind.CZ, (QubitRef.comp(*a), QubitRef.comp(*b)))
-        anchors.append(scheduler._Anchor(step, draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])),
-                                         math.inf))
-    return scheduler._Draft(anchors=anchors)
+        steps.append(GateStep(GateKind.CZ, (QubitRef.comp(*a), QubitRef.comp(*b))))
+        windows.append((draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])), math.inf))
+    return steps, windows
 
 
 @given(static_drafts())
 def test_plan_scan_places_random_drafts_as_the_indexed_search(draft):
+    steps, windows = draft
     scanned, indexed = [], []
-    last_end = scheduler._place_anchors(SEARCH_ARCH, draft, scanned)
-    assert (last_end, scanned) == (indexed_place_anchors(SEARCH_ARCH, draft, indexed)[0],
-                                   indexed)
+    last_end = scheduler._place_anchors(SEARCH_ARCH, steps, windows, {}, scanned)
+    assert (last_end, scanned) == \
+        (indexed_place_anchors(SEARCH_ARCH, steps, windows, {}, indexed)[0], indexed)
 
 
 @given(tracks(), tracks(), st.floats(-10.0, 15.0), st.floats(0.0, 4.0, exclude_min=True),
