@@ -82,43 +82,29 @@ def _write(out_dir: str, header: str, artifacts: dict[str, str]) -> None:
         raise _CliError(EXIT_IO, f"cannot write {name}: {e}") from e
 
 
-# Each loader reads its file once and returns the parsed value with the
-# text it came from, so an artifact header hashes the bytes that were parsed.
-
-def _load_arch(args) -> tuple[ArchitectureSpec, str]:
-    text = _read_text(args.arch)
+def _load(path: str, parse):
+    """`(parse(text), text)` for the text of `path`, read once, so an artifact
+    header hashes the bytes that were parsed; a `ValueError` exits 2."""
+    text = _read_text(path)
     try:
-        arch = load_arch_config(args.arch, text)
+        return parse(text), text
     except ValueError as e:
         raise _CliError(EXIT_PARSE, str(e)) from e
+
+
+def _load_arch(args) -> tuple[ArchitectureSpec, str]:
+    arch, text = _load(args.arch, functools.partial(load_arch_config, args.arch))
     if args.variant is not None:
         arch = arch._replace(variant=Variant(args.variant))
     return arch, text
 
 
-def _load_cost(args):
-    from .cost import load_cost_config
-    text = _read_text(args.cost)
-    try:
-        return load_cost_config(args.cost, text), text
-    except ValueError as e:
-        raise _CliError(EXIT_PARSE, str(e)) from e
-
-
 def _load_circuit(args, arch: ArchitectureSpec):
-    text = _read_text(args.program)
-    try:
+    def parse(text):
         circuit = parse_program(text)
         check_circuit(circuit, arch.L)
-    except ValueError as e:
-        raise _CliError(EXIT_PARSE, str(e)) from e
-    return circuit, text
-
-
-def _lattice_size(args) -> int:
-    if args.L < 2:
-        raise _CliError(EXIT_PARSE, f"-L {args.L}: lattice size must be at least 2")
-    return args.L
+        return circuit
+    return _load(args.program, parse)
 
 
 def _parse_pair(spec: str):
@@ -139,27 +125,25 @@ def _pairs_for(args, arch: ArchitectureSpec):
     return pairs, text
 
 
-def _schedule_or_fail(circuit, arch):
+def _scheduled(args):
+    """The schedule of `--program` on `--arch`, and the header of its artifacts."""
+    arch, arch_text = _load_arch(args)
+    circuit, program_text = _load_circuit(args, arch)
     try:
-        return schedule(circuit, arch)
+        prog = schedule(circuit, arch)
     except InfeasibleError as e:
         raise _CliError(EXIT_INFEASIBLE, f"infeasible schedule: {e}") from e
+    return prog, _header(arch_text, program_text, str(args.variant))
 
 
 def _cmd_compile(args) -> int:
-    arch, arch_text = _load_arch(args)
-    circuit, program_text = _load_circuit(args, arch)
-    prog = _schedule_or_fail(circuit, arch)
-    header = _header(arch_text, program_text, str(args.variant))
+    prog, header = _scheduled(args)
     _write(args.out, header, {"compile.jsonl": events_to_jsonl(prog.events)})
     return EXIT_OK
 
 
 def _cmd_schedule(args) -> int:
-    arch, arch_text = _load_arch(args)
-    circuit, program_text = _load_circuit(args, arch)
-    prog = _schedule_or_fail(circuit, arch)
-    header = _header(arch_text, program_text, str(args.variant))
+    prog, header = _scheduled(args)
     _write(args.out, header, {"events.jsonl": events_to_jsonl(prog.events),
                               "trajectories.csv": trajectories_to_csv(prog.trajectories),
                               "makespan.txt": f"{prog.makespan!r}\n"})
@@ -202,13 +186,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _comparison(args):
+    """Every variant's cost under `--cost` on an `-L` array, ranked, and the
+    header of its artifact."""
+    if args.L < 2:
+        raise _CliError(EXIT_PARSE, f"-L {args.L}: lattice size must be at least 2")
+    from .cost import architecture_comparison, load_cost_config
+    params, cost_text = _load(args.cost, functools.partial(load_cost_config, args.cost))
+    return architecture_comparison(params, args.L), _header(cost_text, str(args.L))
+
+
 def _cmd_cost(args) -> int:
-    from .cost import architecture_comparison
-    L = _lattice_size(args)
-    params, cost_text = _load_cost(args)
-    rows = architecture_comparison(params, L)
+    rows, header = _comparison(args)
     rows.sort(key=lambda r: (r.variant.value, r.case or 0))  # stable listing order
-    header = _header(cost_text, str(L))
     lines = ["variant,case,n1,n2_cz,n2_swap,nr,fidelity,error,makespan"]
     for row in rows:
         c = row.report.counts
@@ -236,11 +226,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .cost import architecture_comparison
-    L = _lattice_size(args)
-    params, cost_text = _load_cost(args)
-    rows = architecture_comparison(params, L)
-    header = _header(cost_text, str(L))
+    rows, header = _comparison(args)
     lines = ["rank,variant,case,error,fidelity,makespan"]
     for rank, row in enumerate(rows, start=1):
         lines.append(f"{rank},{row.variant.value},{row.case or ''},"
@@ -249,13 +235,14 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+# name -> (command, its help line)
 _COMMANDS = {
-    "compile": _cmd_compile,
-    "verify": _cmd_verify,
-    "schedule": _cmd_schedule,
-    "cost": _cmd_cost,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
+    "compile": (_cmd_compile, "decompose and schedule a program; emit physical events"),
+    "verify": (_cmd_verify, "state-vector check that compiled protocols implement CZ"),
+    "schedule": (_cmd_schedule, "emit events, messenger trajectories and makespan"),
+    "cost": (_cmd_cost, "per-variant fidelity/makespan table from a cost config"),
+    "sweep": (_cmd_sweep, "error-budget grid over (p1|pr) x p2 plus 1e-2 contour"),
+    "compare": (_cmd_compare, "rank all variants by logical error, then makespan"),
 }
 
 
@@ -268,14 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "on messenger-qubit atom arrays")
     sub = parser.add_subparsers(dest="command", required=True)
     variants = [v.value for v in Variant]
-    for name, help_text in (
-        ("compile", "decompose and schedule a program; emit physical events"),
-        ("verify", "state-vector check that compiled protocols implement CZ"),
-        ("schedule", "emit events, messenger trajectories and makespan"),
-        ("cost", "per-variant fidelity/makespan table from a cost config"),
-        ("sweep", "error-budget grid over (p1|pr) x p2 plus 1e-2 contour"),
-        ("compare", "rank all variants by logical error, then makespan"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         # each command takes only the flags it reads, and argparse enforces
         # which are required; any other flag, or a missing one, exits 2
@@ -309,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

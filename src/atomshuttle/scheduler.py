@@ -283,19 +283,16 @@ class _Committed:
     `gates` holds [t0, t1, tracks, boxes] in placement order; `starts` holds
     their start times, sorted, and `order` the placement index of each.  No
     gate lasts longer than `reach`, so one that overlaps [c0, c1] in time
-    starts in [c0 - reach, c1).  `boxes` (`gate_boxes` over the gate's
-    window, widened by `eps` on each side) are those its candidate was
-    tested with, inherited at commit: a shift moves the atoms with the
-    window, and the widening covers a shifted time that rounds past a
-    window end, so they still hold for any motion.  A gate never tested is
-    boxed when it is first near a candidate in time.  A search builds the
-    candidate's boxes once, when the time index returns a gate after
-    `after`, and widens its union box by the exclusion distance (plus
-    `BOX_MARGIN`) once: a near gate whose union box lies outside that square
-    is passed by four comparisons, before its time overlap is computed.  The
-    union-box gap then passes a gate in a corner of the square but farther
-    than the exclusion distance, and each atom pair left by the atom boxes
-    is decided at the start of the overlap first (`too_close`).
+    starts in [c0 - reach, c1).  A gate's `boxes` are `gate_boxes` over its
+    window widened by `eps` on each side, built by `boxes` when the gate is
+    first near another in time: a candidate's, over its unshifted window, are
+    inherited at commit, since a shift moves the atoms with the window and
+    the widening covers a shifted time that rounds past a window end, so
+    they hold for any shift.  A search widens the candidate's union box by
+    the exclusion distance (plus `BOX_MARGIN`) once: a near gate whose union
+    box lies outside that square is passed by four comparisons, before its
+    time overlap is computed, and each atom pair left by the atom boxes is
+    decided at the start of the overlap first (`too_close`).
 
     The `eps` in `reach` is slack: the largest rounded `o1 - o0` alone
     finds every gate that can overlap, that is, every one with o1 > c0
@@ -323,6 +320,12 @@ class _Committed:
         self.gates.append([t0, t1, tracks, boxes])
         self.reach = max(self.reach, t1 - t0 + self.eps)
 
+    def boxes(self, g):
+        """The boxes of gate `g` ([t0, t1, tracks, boxes]), built on first use."""
+        if g[3] is None:
+            g[3] = gate_boxes(g[2], g[0] - self.eps, g[1] + self.eps)
+        return g[3]
+
     def first_conflict(self, c, delta: float, after: int):
         """Placement index of the first gate after `after` that candidate `c`
         ([t0, t1, tracks, boxes]), shifted by `delta`, comes too close to
@@ -334,10 +337,7 @@ class _Committed:
         near = near[bisect_right(near, after):]
         if not near:
             return None
-        if c[3] is None:
-            # boxes over the candidate's own (widened) window hold for every delta
-            c[3] = gate_boxes(c[2], c[0] - self.eps, c[1] + self.eps)
-        cunion, catoms = c[3]
+        cunion, catoms = self.boxes(c)
         far = EXCLUSION_CELLS + BOX_MARGIN
         # a box wholly outside this square is at least `far` from the candidate's
         x0, y0, x1, y1 = cunion
@@ -347,19 +347,15 @@ class _Committed:
         for k in near:
             other = gates[k]
             o0, o1, otracks, oboxes = other
-            if oboxes is None:
-                oboxes = other[3] = gate_boxes(otracks, o0, o1)
-            ounion, oatoms = oboxes
+            ounion, oatoms = oboxes or self.boxes(other)
             if ounion[0] >= x1 or ounion[2] <= x0 or ounion[1] >= y1 or ounion[3] <= y0:
                 continue
             t0 = o0 if o0 > c0 else c0    # max(c0, o0) and min(c1, o1), ties included
             t1 = o1 if o1 < c1 else c1
             if t0 >= t1:
                 continue
-            # a box gap is a lower bound on the exact distance, so only gates,
-            # then atom pairs, that may come too close are measured
-            if box_gap(ounion, cunion) >= far:
-                continue
+            # a box gap is a lower bound on the exact distance, so only atom
+            # pairs that may come too close are measured
             if shifted is None:
                 shifted = [t.shifted(delta) for t in c[2]]
             for ot, ob in zip(otracks, oatoms):
@@ -514,14 +510,19 @@ def _plan_one_way(arch: ArchitectureSpec, d: Decomposition):
         (r1, c1), (r2, c2) = g[0].operands[0].coord, g[2].operands[0].coord  # P, Q
     y_h = r1 - LANE_OFFSET
     x_v = c2 + LANE_OFFSET
-    m1 = _Itinerary(arch, s1, 0.0, (c1 - ENTRY_MARGIN, y_h))
-    t_cz1 = m1.time_passing((c1, y_h))
-    t_x = m1.time_passing((x_v, y_h))
-    t_arr1 = m1.move_to((L + 1.0, y_h), SegmentKind.BELT_RIDE)
-
     # case 2: m2 passes Q first, then meets m1 at the lane crossing
     y0 = y_h - ENTRY_MARGIN if d.case == 1 else r2 - ENTRY_MARGIN
-    m2 = _Itinerary(arch, s2, t_x - (y_h - y0) * ct, (x_v, y0))
+    # each messenger's way to the lane crossing, timed from 0; both reach it
+    # at t_x, so the one with the longer way launches at 0 (m2 only in case
+    # 2, where it may start farther back)
+    start1 = (c1 - ENTRY_MARGIN, y_h)
+    way1 = _Itinerary(arch, s1, 0.0, start1).time_passing((x_v, y_h))
+    way2 = (y_h - y0) * ct
+    t_x = way1 if way1 >= way2 else way2
+    m1 = _Itinerary(arch, s1, t_x - way1, start1)
+    t_cz1 = m1.time_passing((c1, y_h))
+    t_arr1 = m1.move_to((L + 1.0, y_h), SegmentKind.BELT_RIDE)
+    m2 = _Itinerary(arch, s2, t_x - way2, (x_v, y0))
     t_cz2 = m2.time_passing((x_v, float(r2)))
     t_arr2 = m2.move_to((x_v, L + 1.0), SegmentKind.BELT_RIDE)
 
@@ -691,8 +692,10 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
     """Plan the space-time realization of one decomposed logical gate.
 
-    Every messenger is disposed of where its ride ends once its last gate has
-    ended; one read out after its ride waits there, stationary, until then.
+    Each planner starts its plan at time 0, so the plan is written as
+    planned.  Every messenger is disposed of where its ride ends, when it
+    arrives or when its last gate ends, whichever is later; one read out
+    after its ride waits there, stationary, until then.
     """
     if d.variant is None:
         raise ValueError("the neighbor-chain baseline has no transport plan")
@@ -707,10 +710,6 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
         if t_disp > arrival:
             segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
         events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
-
-    t_min = min(e.t for e in events)
-    if t_min:
-        events, rides = _shifted(events, rides, -t_min)
     events = sort_events(events)
     return ScheduledProgram(events, rides, max(e.t_end for e in events))
 

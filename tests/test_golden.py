@@ -49,7 +49,7 @@ CORPUS_DIGESTS = {
     Variant.TWO_WAY_BELT:
         "eb6eb1dde3df410c25ceb1e550a54588cdebfb88a7bf52abec7a1f84bbb4e4c6",
     Variant.ONE_WAY_BELT:
-        "f58a9fc380e888c419e9ac06a8aeeabf6085d953b6cffe50310fcb3849a7bc42",
+        "eb97a6114d4ba206412ffd08a11e5d3c557122e12664a24593c62b58b0111534",
     Variant.THROW_CATCH_THROW:
         "c77831efff0692a94768962cd2aaeae44241f264179cdcc4cc3169c4039f6d0f",
     Variant.SHUTTLE_AND_ROUTE:
@@ -64,7 +64,7 @@ DEEP_DIGESTS = {
     Variant.TWO_WAY_BELT:
         "8d2b48a66ab189923d9e9466622120ff36a197a092907397bae8aed9d9e3b13d",
     Variant.ONE_WAY_BELT:
-        "1586284cf5a4f33dbbf655c8010189395f9c5bdc6c773e309b5ef0b805e3822d",
+        "53400e6c62edd23ffbed32b309cb5b28c5c16fedd07c76484620c787b244128e",
     Variant.THROW_CATCH_THROW:
         "11ae5d54097d93f64849f7b75cef29a40479268d1693ec6630f9351ca2253c72",
     Variant.SHUTTLE_AND_ROUTE:
@@ -74,7 +74,7 @@ DEEP_DIGESTS = {
 }
 
 # plan_trajectories on every ordered pair of L = 4 and 5, all variants
-PLAN_DIGEST = "e2c794dbb9ccbd8ce9be0cae2ea400c2d4cfe44488566a2247f94dfcca41299f"
+PLAN_DIGEST = "090c0ef7b305d9fa6d803f38846f2bf5159672e8c8422eb016727ac35c9a656d"
 
 # `verify --pair` on every pair of L = 4 for each variant, then the three
 # `--drop-final-correction` mutants, then `--haar 3 --seed 1` on

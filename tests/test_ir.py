@@ -266,6 +266,7 @@ def test_sort_events_orders_by_time_then_reference_tail(events):
     assert all(a is b for a, b in zip(ordered, expected))
 
 
+@pytest.mark.thorough
 @given(st.lists(physical_events(times=st.sampled_from((0.0, -0.0, 1e-6, 2e-6)),
                                 qubits=st.sampled_from((QubitRef.mess(0), QubitRef.mess(1),
                                                         QubitRef.comp(0, 0)))),

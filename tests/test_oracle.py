@@ -351,6 +351,7 @@ def reference_verify_logical_cz(arch, a, b, drop, inputs):
     return records
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(st.sampled_from(list(Variant)), st.integers(4, 6), st.data(),
        st.integers(0, 40), st.integers(0, 2 ** 31 - 1), st.booleans())
@@ -369,6 +370,7 @@ def test_stacked_oracle_gives_the_records_of_the_per_row_reference(variant, L, d
     assert [repr(r) for r in records] == [repr(r) for r in reference]
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(st.integers(2, 8), st.integers(1, 64), st.integers(0, 2 ** 31 - 1))
 def test_stacked_squared_norms_have_the_bits_of_vdot(n, k, seed):

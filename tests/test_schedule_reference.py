@@ -19,18 +19,10 @@ from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, Logical1Q, LogicalCZ,
                             LogicalCircuit, PhysicalEvent, QubitRef, events_to_jsonl,
                             sort_events)
-from atomshuttle.scheduler import (DIST_TOL, EXCLUSION_CELLS, ScheduledProgram, _Track,
+from atomshuttle.scheduler import (DIST_TOL, EXCLUSION_CELLS, ScheduledProgram,
                                    min_distance, plan_trajectories, schedule,
                                    shift_program, trajectories_to_csv)
-
-
-def qubit_track(q: QubitRef, trajectories) -> _Track:
-    """The track of `q`: a messenger's segments in `trajectories`, or a
-    computational qubit's site."""
-    if q.is_messenger:
-        return _Track(segments=trajectories[q.serial])
-    r, c = q.coord
-    return _Track(static_pos=(float(c), float(r)))
+from test_scheduler import qubit_track
 
 
 def two_qubit_gates(prog: ScheduledProgram):
