@@ -4,7 +4,11 @@ Each variant realizes a logical CZ between two arbitrary computational
 qubits with a fixed, size-independent sequence of physical gates on one
 or more disposable messenger qubits initialized in |+>, plus (for the
 measurement-based variants) X-basis readout and a conditioned correction.
-The nearest-neighbor SWAP-chain baseline is also provided for contrast.
+Each sequence is one row of the table `_PROTOCOLS`, written in roles: the
+targets A and B and messengers 0, 1, ....  `decompose_cz` binds the roles
+to a pair's qubits and to fresh messenger serials and bits; `gate_counts`
+reads a row's counts, worked out once, at import.  The nearest-neighbor
+SWAP-chain baseline is also provided for contrast.
 """
 from __future__ import annotations
 
@@ -180,124 +184,88 @@ class Decomposition(NamedTuple):
 
 
 def _counts_from_gates(gates) -> GateCounts:
-    n1 = n2_cz = n2_swap = nr = 0
-    for g in gates:
-        if g.gate is GateKind.CZ:
-            n2_cz += 1
-        elif g.gate is GateKind.SWAP:
-            n2_swap += 1
-        elif g.gate is GateKind.MEASURE_X:
-            nr += 1
-        else:
-            n1 += 1  # H and conditioned corrections; loading-zone init excluded
-    return GateCounts(n1, n2_cz, n2_swap, nr)
+    """The counts of the gate kinds of `gates`, (gate, operands, bit) triples;
+    loading-zone initialization is not a gate."""
+    kinds = [g[0] for g in gates]
+    n2_cz, n2_swap, nr = map(kinds.count, (GateKind.CZ, GateKind.SWAP, GateKind.MEASURE_X))
+    return GateCounts(len(kinds) - n2_cz - n2_swap - nr, n2_cz, n2_swap, nr)
+
+
+class _Protocol(NamedTuple):
+    steps: tuple     # (gate, operand indices into (messengers..., A, B), bit or None)
+    n_messengers: int
+    counts: GateCounts
+
+
+def _protocol(*steps) -> _Protocol:
+    """A protocol from its steps (gate, operands) or (gate, operands, bit)."""
+    steps = tuple((gate, ops, bit[0] if bit else None) for gate, ops, *bit in steps)
+    return _Protocol(steps, 1 + max(i for _, ops, _ in steps for i in ops),
+                     _counts_from_gates(steps))
+
+
+# An operand is a role: the target A or B, or messenger k (0, 1, ...), as its
+# index into (messengers..., A, B).  A bit counts from `bit_start`.
+_A, _B = -2, -1
+_CZ, _SWAP, _H, _MX, _COND_Z = (GateKind.CZ, GateKind.SWAP, GateKind.H, GateKind.MEASURE_X,
+                                GateKind.COND_Z)
+_THROW_CATCH_THROW = _protocol((_CZ, (_A, 0)), (_H, (0,)), (_CZ, (0, _B)), (_H, (0,)),
+                               (_CZ, (_A, 0)))
+_PROTOCOLS = {   # (variant, one-way case) -> its protocol
+    (Variant.TWO_WAY_BELT, None): _protocol(
+        (_CZ, (_A, 0)), (_H, (0,)), (_SWAP, (0, 1)), (_CZ, (1, _B)), (_SWAP, (1, 2)),
+        (_SWAP, (2, 3)), (_H, (3,)), (_CZ, (_A, 3))),
+    # A's state rides to B and is read out
+    (Variant.ONE_WAY_BELT, 1): _protocol(
+        (_CZ, (_A, 0)), (_H, (0,)), (_SWAP, (0, 1)), (_CZ, (1, _B)), (_MX, (1,), 0),
+        (_COND_Z, (_A,), 0)),
+    # neither target reaches the other in one right-then-up pass: the
+    # messengers meet in the middle and teleport both halves back
+    (Variant.ONE_WAY_BELT, 2): _protocol(
+        (_CZ, (_A, 0)), (_H, (0,)), (_CZ, (_B, 1)), (_H, (1,)), (_CZ, (0, 1)), (_MX, (0,), 0),
+        (_MX, (1,), 1), (_COND_Z, (_A,), 0), (_COND_Z, (_B,), 1)),
+    (Variant.THROW_CATCH_THROW, None): _THROW_CATCH_THROW,
+    (Variant.SHUTTLE_AND_ROUTE, None): _THROW_CATCH_THROW,
+    (Variant.THROW_AND_MEASURE, None): _protocol(
+        (_CZ, (_A, 0)), (_H, (0,)), (_CZ, (0, _B)), (_MX, (0,), 0), (_COND_Z, (_A,), 0)),
+}
 
 
 def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
                  serial_start: int = 0, bit_start: int = 0) -> Decomposition:
-    """Physical protocol realizing a logical CZ between `a` and `b`.
+    """Physical protocol realizing a logical CZ between `a` and `b`: the
+    variant's row of `_PROTOCOLS`, with messenger k as serial
+    `serial_start + k` and bit j as `bit_start + j`.
 
-    Messenger serials are allocated from `serial_start` and classical
-    bits from `bit_start` so that compiling several logical gates never
-    shares a messenger or a bit.
+    Serials and bits are allocated from the two starts so that compiling
+    several logical gates never shares a messenger or a bit.  A and B are
+    `a` and `b`, except on the one-way belt: in case 1, A is the target
+    that the other componentwise dominates, so that the carried state
+    flows right-then-up toward B; in case 2, A has the smaller column.
     """
     check_op(LogicalCZ(a, b), arch.L)
-
-    A, B = QubitRef.comp(*a), QubitRef.comp(*b)
     v = arch.variant
-    case = None
-    cz, swap, h = GateKind.CZ, GateKind.SWAP, GateKind.H
-
-    if v is Variant.TWO_WAY_BELT:
-        m1, m2, m3, m4 = (QubitRef.mess(serial_start + i) for i in range(4))
-        gates = (
-            GateStep(cz, (A, m1)),
-            GateStep(h, (m1,)),
-            GateStep(swap, (m1, m2)),
-            GateStep(cz, (m2, B)),
-            GateStep(swap, (m2, m3)),
-            GateStep(swap, (m3, m4)),
-            GateStep(h, (m4,)),
-            GateStep(cz, (A, m4)),
-        )
-        messengers = tuple(serial_start + i for i in range(4))
-
-    elif v is Variant.ONE_WAY_BELT:
+    case, src, dst = None, a, b
+    if v is Variant.ONE_WAY_BELT:
         case = one_way_case(a, b)
-        if case == 1:
-            # Source = the componentwise-dominated qubit so the carried
-            # state flows right-then-up toward the other target.
-            src, dst = (a, b) if (b[0] >= a[0] and b[1] >= a[1]) else (b, a)
-            S, D = QubitRef.comp(*src), QubitRef.comp(*dst)
-            m1, m2 = QubitRef.mess(serial_start), QubitRef.mess(serial_start + 1)
-            s = bit_start
-            gates = (
-                GateStep(cz, (S, m1)),
-                GateStep(h, (m1,)),
-                GateStep(swap, (m1, m2)),
-                GateStep(cz, (m2, D)),
-                GateStep(GateKind.MEASURE_X, (m2,), bit=s),
-                GateStep(GateKind.COND_Z, (S,), bit=s),
-            )
-        else:
-            # Neither reaches the other in one right-then-up pass: meet
-            # in the middle and teleport both halves back.
-            p, q = (a, b) if a[1] < b[1] else (b, a)
-            P, Q = QubitRef.comp(*p), QubitRef.comp(*q)
-            m1, m2 = QubitRef.mess(serial_start), QubitRef.mess(serial_start + 1)
-            s1, s2 = bit_start, bit_start + 1
-            gates = (
-                GateStep(cz, (P, m1)),
-                GateStep(h, (m1,)),
-                GateStep(cz, (Q, m2)),
-                GateStep(h, (m2,)),
-                GateStep(cz, (m1, m2)),
-                GateStep(GateKind.MEASURE_X, (m1,), bit=s1),
-                GateStep(GateKind.MEASURE_X, (m2,), bit=s2),
-                GateStep(GateKind.COND_Z, (P,), bit=s1),
-                GateStep(GateKind.COND_Z, (Q,), bit=s2),
-            )
-        messengers = (serial_start, serial_start + 1)
-
-    elif v in (Variant.THROW_CATCH_THROW, Variant.SHUTTLE_AND_ROUTE):
-        m = QubitRef.mess(serial_start)
-        gates = (
-            GateStep(cz, (A, m)),
-            GateStep(h, (m,)),
-            GateStep(cz, (m, B)),
-            GateStep(h, (m,)),
-            GateStep(cz, (A, m)),
-        )
-        messengers = (serial_start,)
-
-    elif v is Variant.THROW_AND_MEASURE:
-        m = QubitRef.mess(serial_start)
-        s = bit_start
-        gates = (
-            GateStep(cz, (A, m)),
-            GateStep(h, (m,)),
-            GateStep(cz, (m, B)),
-            GateStep(GateKind.MEASURE_X, (m,), bit=s),
-            GateStep(GateKind.COND_Z, (A,), bit=s),
-        )
-        messengers = (serial_start,)
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {v}")
-
-    return Decomposition(v, case, a, b, gates, _counts_from_gates(gates), messengers)
+        a_first = (b[0] >= a[0] and b[1] >= a[1]) if case == 1 else a[1] < b[1]
+        src, dst = (a, b) if a_first else (b, a)
+    p = _PROTOCOLS[v, case]
+    messengers = tuple(range(serial_start, serial_start + p.n_messengers))
+    refs = (*map(QubitRef.mess, messengers), QubitRef.comp(*src), QubitRef.comp(*dst))
+    gates = tuple([GateStep(gate, tuple([refs[i] for i in ops]),
+                            None if bit is None else bit_start + bit)
+                   for gate, ops, bit in p.steps])
+    return Decomposition(v, case, a, b, gates, p.counts, messengers)
 
 
 def gate_counts(variant: Variant, case: int | None = None) -> GateCounts:
-    """Per-logical-gate physical gate and readout counts for each variant.
-
-    Read from the decomposition of a fixed pair on the 2x2 lattice: the
-    anti-diagonal for one-way case 2, the diagonal otherwise.
-    """
-    if variant is Variant.ONE_WAY_BELT and case not in (1, 2):
+    """Per-logical-gate physical gate and readout counts of `variant`'s row of
+    `_PROTOCOLS`; `case` (1 or 2) is read for the one-way belt only."""
+    key = (variant, case if variant is Variant.ONE_WAY_BELT else None)
+    if key not in _PROTOCOLS:
         raise ValueError("one-way belt needs case 1 or 2")
-    pair = ((0, 1), (1, 0)) if case == 2 else ((0, 0), (1, 1))
-    return decompose_cz(ArchitectureSpec(variant, 2), *pair).counts
+    return _PROTOCOLS[key].counts
 
 
 def manhattan_path(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:

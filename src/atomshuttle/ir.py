@@ -110,14 +110,13 @@ class GateKind(Enum):
     X = "x"
     MEASURE_X = "mx"
     COND_Z = "cond_z"
-    COND_X = "cond_x"
 
     def __init__(self, value: str):
         # set once per member; a property would re-test membership on every read
         self.n_operands = 2 if value in ("cz", "swap") else 1
         self.is_two_qubit = self.n_operands == 2
         self.writes_bit = value == "mx"
-        self.reads_bit = value in ("cond_z", "cond_x")
+        self.reads_bit = value == "cond_z"
 
 
 class _StepFields(NamedTuple):

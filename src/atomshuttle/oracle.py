@@ -170,10 +170,8 @@ def _branches(steps: list[GateStep], amps: np.ndarray, axis: dict):
         elif step.gate.reads_bit:
             if step.bit not in outcomes[0]:
                 raise ValueError(f"conditional reads unwritten bit {step.bit}")
-            base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
             fired = np.repeat([o[step.bit] == 1 for o in outcomes], k)
-            amps = np.where(fired[:, None], _apply_1q(amps, _1Q_MATRICES[base], axes[0], n),
-                            amps)
+            amps = np.where(fired[:, None], _apply_1q(amps, _Z, axes[0], n), amps)
         elif step.gate.is_two_qubit:
             amps = _apply_2q(amps, step.gate, axes[0], axes[1], n)
         else:

@@ -28,6 +28,10 @@ ENTRY_MARGIN = 2.0          # cells of approach before the first interaction
 EXIT_MARGIN = 1.5           # cells past the last interaction before disposal
 BOX_MARGIN = 1e-6           # cells of slack on the bounding-box lower bound
 MAX_BUMP_PASSES = 10000     # exclusion passes per logical gate before giving up
+# seconds a gate may start past its window's latest start: `_window` admits a
+# window exactly one gate long, and its rounded ends can put that latest
+# start an ulp or so before the earliest
+LATEST_START_SLACK = 1e-15
 
 
 class InfeasibleError(RuntimeError):
@@ -668,7 +672,7 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
                                        for ot in otracks for ct in tracks):
                         t = o1 + eps
                         moved = True
-        if t > hi + 1e-15:
+        if t > hi + LATEST_START_SLACK:
             raise InfeasibleError(
                 f"{gate.value} on {operands}: required start {t:.3e}s exceeds "
                 f"the latest start {hi:.3e}s in its window")
@@ -873,6 +877,13 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
                     f"{dmin:.4f} cells apart (< {EXCLUSION_CELLS})"))
         active.append((i, e, etracks, eunion, eboxes))
 
+    # by time, not list order: each messenger's earliest LOAD as (t, index)
+    first_load: dict[int, tuple[float, int]] = {}
+    for i, e in enumerate(program.events):
+        if e.action is ActionKind.LOAD:
+            for q in e.operands:
+                if q.is_messenger:
+                    first_load[q.serial] = min(first_load.get(q.serial, (e.t, i)), (e.t, i))
     seen_load: dict[int, int] = {}
     seen_dispose: dict[int, int] = {}
     for i, e in enumerate(program.events):
@@ -880,6 +891,11 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
             if not q.is_messenger:
                 continue
             s = q.serial
+            if s in first_load and e.t < first_load[s][0]:
+                j = first_load.pop(s)[1]   # one violation per messenger
+                violations.append(Violation(
+                    "lifecycle", (i, j), None, (e.t,),
+                    f"messenger {s} used at event {i} before its load at event {j}"))
             if s in seen_dispose:
                 violations.append(Violation(
                     "lifecycle", (seen_dispose[s], i), None, (e.t,),

@@ -224,7 +224,7 @@ def test_gate_kind_flags(gate):
     assert gate.n_operands == (2 if gate in (GateKind.CZ, GateKind.SWAP) else 1)
     assert gate.is_two_qubit == (gate.n_operands == 2)
     assert gate.writes_bit == (gate is GateKind.MEASURE_X)
-    assert gate.reads_bit == (gate in (GateKind.COND_Z, GateKind.COND_X))
+    assert gate.reads_bit == (gate is GateKind.COND_Z)
 
 
 @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 10**6))

@@ -309,9 +309,9 @@ def reference_branches(steps, amps, axis):
             probs = (probs.reshape(-1, 1, k) * p.reshape(-1, 2, k)).reshape(-1)
             outcomes = [{**o, step.bit: v} for o in outcomes for v in (0, 1)]
         elif step.gate.reads_bit:
-            base = GateKind.Z if step.gate is GateKind.COND_Z else GateKind.X
             fired = np.repeat([o[step.bit] == 1 for o in outcomes], k)
-            amps = np.where(fired[:, None], unitary(amps, base, axes, fired & (probs > 0)), amps)
+            amps = np.where(fired[:, None], unitary(amps, GateKind.Z, axes, fired & (probs > 0)),
+                            amps)
         else:
             amps = unitary(amps, step.gate, axes, probs > 0)
     return outcomes, probs, amps

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, strategies as st
 from atomshuttle import scheduler
 from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
 from atomshuttle.ir import (ActionKind, GateKind, GateStep, LogicalCZ, Logical1Q,
-                            LogicalCircuit, PhysicalEvent, QubitRef, classical_bits)
+                            LogicalCircuit, PhysicalEvent, QubitRef, classical_bits,
+                            sort_events)
 from atomshuttle.oracle import verify_sequence
 from atomshuttle.scheduler import (BOX_MARGIN, DIST_TOL, EXCLUSION_CELLS, InfeasibleError,
                                    ScheduledProgram, SegmentKind, TrajectorySegment, _Track,
@@ -149,6 +150,18 @@ def test_window_errors_name_the_window_kind(variant, R, v, message):
     with pytest.raises(InfeasibleError) as exc:
         plan_trajectories(arch, decompose_cz(arch, (0, 0), (3, 3)))
     assert str(exc.value).startswith(message)
+
+
+def test_a_window_one_gate_long_fits_its_gate():
+    # R = a / sqrt(2) and v just under a / t2 make every pass window exactly
+    # one gate long; the first CZ's rounded window puts its latest start one
+    # ulp before its earliest, which LATEST_START_SLACK absorbs
+    arch = arch_for(Variant.TWO_WAY_BELT, L=4, R=2.1213203435596424e-06, v=2.9999999999999996)
+    d = decompose_cz(arch, (0, 0), (1, 1))
+    rides, windows, _ = scheduler._PLANNERS[arch.variant](arch, d)
+    t0, t1 = windows[0]
+    assert 0.0 < t0 - (t1 - arch.t2) <= scheduler.LATEST_START_SLACK
+    assert check_conflicts(plan_trajectories(arch, d), arch) == []
 
 
 def test_check_conflicts_reports_a_gate_fired_out_of_blockade_range():
@@ -510,7 +523,7 @@ def indexed_place_anchors(arch, steps, windows, rides, events: list):
                     t = placed.gates[k][1] + eps
                     moved = bumped = True
             placed.add(*c)
-        assert t <= t_close - dur + 1e-15
+        assert t <= t_close - dur + scheduler.LATEST_START_SLACK
         comp = [q for q in operands if not q.is_messenger]
         pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
             else tracks[0].position(t + dur / 2)
@@ -827,12 +840,23 @@ def test_check_conflicts_flags_use_after_dispose():
     assert any(v.kind == "lifecycle" for v in check_conflicts(bad, arch))
 
 
+def load_after_last_gate(events, load, dispose):
+    """The LOAD moved to the end of the messenger's last gate, trajectories
+    unchanged, and the events sorted again: every use but the disposal now
+    comes before it, in time and in list order."""
+    end = max(e.t_end for e in events if e.action is ActionKind.GATE
+              and QubitRef.mess(0) in e.operands)
+    events[load] = events[load]._replace(t=end)
+    events[:] = sort_events(events)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda events, load, dispose: events.insert(load + 1, events[load]),
      "messenger 0 loaded twice"),
     (lambda events, load, dispose: events.pop(dispose), "messenger 0 loaded but never disposed"),
-    (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded")],
-    ids=["loaded-twice", "never-disposed", "never-loaded"])
+    (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded"),
+    (load_after_last_gate, "messenger 0 used at event 0 before its load at event 5")],
+    ids=["loaded-twice", "never-disposed", "never-loaded", "used-before-load"])
 def test_check_conflicts_names_each_lifecycle_rule(edit, message):
     arch = arch_for(Variant.THROW_AND_MEASURE)
     prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))   # messenger 0 only
