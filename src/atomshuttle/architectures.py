@@ -176,8 +176,8 @@ def one_way_case(a: tuple[int, int], b: tuple[int, int]) -> int:
 class Decomposition(NamedTuple):
     variant: Variant | None  # None for the neighbor-chain baseline
     case: int | None
-    a: tuple[int, int]
-    b: tuple[int, int]
+    a: tuple[int, int]       # the protocol's target A
+    b: tuple[int, int]       # and B (`decompose_cz` says which is which)
     gates: tuple[GateStep, ...]
     counts: GateCounts
     messengers: tuple[int, ...]
@@ -238,21 +238,21 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
     `serial_start + k` and bit j as `bit_start + j`.
 
     Serials and bits are allocated from the two starts so that compiling
-    several logical gates never shares a messenger or a bit.  A and B are
-    `a` and `b`, except on the one-way belt: in case 1, A is the target
-    that the other componentwise dominates, so that the carried state
-    flows right-then-up toward B; in case 2, A has the smaller column.
+    several logical gates never shares a messenger or a bit.  The result's
+    `a` and `b` are the targets A and B: `a` and `b`, except on the one-way
+    belt, where A is the target that the other componentwise dominates in
+    case 1, and the one with the smaller column in case 2.
     """
     check_op(LogicalCZ(a, b), arch.L)
     v = arch.variant
-    case, src, dst = None, a, b
+    case = None
     if v is Variant.ONE_WAY_BELT:
         case = one_way_case(a, b)
         a_first = (b[0] >= a[0] and b[1] >= a[1]) if case == 1 else a[1] < b[1]
-        src, dst = (a, b) if a_first else (b, a)
+        a, b = (a, b) if a_first else (b, a)
     p = _PROTOCOLS[v, case]
     messengers = tuple(range(serial_start, serial_start + p.n_messengers))
-    refs = (*map(QubitRef.mess, messengers), QubitRef.comp(*src), QubitRef.comp(*dst))
+    refs = (*map(QubitRef.mess, messengers), QubitRef.comp(*a), QubitRef.comp(*b))
     gates = tuple([GateStep(gate, tuple([refs[i] for i in ops]),
                             None if bit is None else bit_start + bit)
                    for gate, ops, bit in p.steps])

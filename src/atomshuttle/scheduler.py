@@ -504,17 +504,13 @@ def _plan_two_way(arch: ArchitectureSpec, d: Decomposition):
 def _plan_one_way(arch: ArchitectureSpec, d: Decomposition):
     ct = arch.a / arch.v
     L = arch.L
-    g = d.gates
     s1, s2 = d.messengers
-    # m1 rides right beside the first target's row; m2 rides up beside the
-    # second's column and crosses m1's lane
-    if d.case == 1:
-        (r1, c1), (r2, c2) = g[0].operands[0].coord, g[3].operands[1].coord  # S, D
-    else:
-        (r1, c1), (r2, c2) = g[0].operands[0].coord, g[2].operands[0].coord  # P, Q
+    # m1 rides right beside A's row; m2 rides up beside B's column and
+    # crosses m1's lane
+    (r1, c1), (r2, c2) = d.a, d.b
     y_h = r1 - LANE_OFFSET
     x_v = c2 + LANE_OFFSET
-    # case 2: m2 passes Q first, then meets m1 at the lane crossing
+    # case 2: m2 passes B first, then meets m1 at the lane crossing
     y0 = y_h - ENTRY_MARGIN if d.case == 1 else r2 - ENTRY_MARGIN
     # each messenger's way to the lane crossing, timed from 0; both reach it
     # at t_x, so the one with the longer way launches at 0 (m2 only in case
@@ -718,24 +714,19 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
     return ScheduledProgram(events, rides, max(e.t_end for e in events))
 
 
-def _shifted(events, trajectories, delta: float):
-    """New events and trajectory segments, each `delta` seconds later."""
+def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
+    """`prog` with every event and segment `delta` seconds later (0: `prog` itself)."""
+    if delta == 0.0:
+        return prog
     # each record unpacked once (a named-tuple field read is slower than an
     # unpack) and built by one `tuple.__new__`: neither class checks its
     # fields in a `__new__` of its own, so `_make` would only add calls
     new = tuple.__new__
-    events = [new(PhysicalEvent, (t + delta, *rest)) for t, *rest in events]
+    events = [new(PhysicalEvent, (t + delta, *rest)) for t, *rest in prog.events]
     trajectories = {
         s: [new(TrajectorySegment, (m, kind, t0 + delta, t1 + delta, p0, p1))
             for m, kind, t0, t1, p0, p1 in segs]
-        for s, segs in trajectories.items()}
-    return events, trajectories
-
-
-def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
-    if delta == 0.0:
-        return prog
-    events, trajectories = _shifted(prog.events, prog.trajectories, delta)
+        for s, segs in prog.trajectories.items()}
     return ScheduledProgram(events, trajectories, prog.makespan + delta)
 
 
@@ -799,14 +790,13 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                 f"on {arch.variant.value} after {MAX_BUMP_PASSES} passes; last conflict "
                 f"with a committed gate over [{conflict[0]:.6e}, {conflict[1]:.6e}] s")
         # one copy of the plan at its final time
-        placed, trajs = ((plan.events, plan.trajectories) if delta == 0.0
-                         else _shifted(plan.events, plan.trajectories, delta))
-        trajectories.update(trajs)
         if delta != 0.0:
-            moving = _moving_tracks(trajs)
-        events += placed
+            plan = shift_program(plan, delta)
+            moving = _moving_tracks(plan.trajectories)
+        trajectories.update(plan.trajectories)
+        events += plan.events
         tested = iter(cand)
-        for e in placed:
+        for e in plan.events:
             # a plan's gates on a computational qubit run in order, so its
             # last event there sets when the qubit is free
             for q in e.operands:
@@ -829,7 +819,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
 # --- conflict checking ------------------------------------------------------
 
 class Violation(NamedTuple):
-    kind: str     # "blockade" | "exclusion" | "lifecycle"
+    kind: str     # "blockade" | "exclusion" | "lifecycle" | "qubit-overlap"
     events: tuple[int, ...]
     distance: float | None
     times: tuple[float, ...]
@@ -837,33 +827,70 @@ class Violation(NamedTuple):
 
 
 def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[Violation]:
-    """Independent re-validation of all ScheduledProgram invariants."""
+    """Independent re-validation of a program's invariants (the README's
+    "Invariants a schedule keeps" table), in one sweep over its events in
+    time order, ties in list order.  It shares no scheduling decision with
+    `schedule()`."""
     violations: list[Violation] = []
     R_c = arch.R / arch.a
     moving, static = _moving_tracks(program.trajectories), functools.cache(_static_track)
-
-    gates_2q = []
-    for i, e in enumerate(program.events):
-        if e.action is ActionKind.GATE and e.gate is not None and e.gate.is_two_qubit:
-            etracks = _atom_tracks(e.operands, moving, static)
-            gates_2q.append((i, e, etracks))
-            if any(q.is_messenger for q in e.operands):
-                dmax = max_distance(etracks[0], etracks[1], e.t, e.t_end)
-                if dmax > R_c + DIST_TOL:
+    events = program.events
+    loaded: dict[int, int] = {}     # messenger -> its last LOAD
+    disposed: dict[int, int] = {}   # messenger -> its last DISPOSE
+    unloaded: dict[int, int] = {}   # messenger -> its first use before any LOAD
+    busy: dict = {}                 # qubit -> (end, event) of its gate that ends last
+    active: list[tuple] = []        # the two-qubit gates still firing
+    touch = 1e-18                   # seconds two gates may overlap and only touch
+    for i in sorted(range(len(events)), key=lambda i: events[i].t):
+        e = events[i]
+        for q in e.operands:
+            if not q.is_messenger:
+                continue
+            s = q.serial
+            if s in disposed:
+                violations.append(Violation(
+                    "lifecycle", (disposed[s], i), None, (e.t,),
+                    f"messenger {s} used at event {i} after disposal"))
+            if e.action is ActionKind.LOAD:
+                if s in loaded:
                     violations.append(Violation(
-                        "blockade", (i,), dmax, (e.t, e.t_end),
-                        f"event {i}: partner at distance {dmax:.4f} cells > R={R_c:.4f} "
-                        f"during {e.gate.value}"))
-
-    gates_2q.sort(key=lambda g: g[1].t)
-    active: list[tuple] = []
-    for i, e, etracks in gates_2q:
+                        "lifecycle", (loaded[s], i), None, (e.t,),
+                        f"messenger {s} loaded twice"))
+                elif events[j := unloaded.get(s, i)].t < e.t:   # a use timed before it
+                    violations.append(Violation(
+                        "lifecycle", (j, i), None, (events[j].t,),
+                        f"messenger {s} used at event {j} before its load at event {i}"))
+                loaded[s] = i
+            elif s not in loaded:
+                unloaded.setdefault(s, i)
+            if e.action is ActionKind.DISPOSE:
+                disposed[s] = i
+        if e.action is not ActionKind.GATE:
+            continue
+        for q in e.operands:
+            end, j = busy.get(q, (-math.inf, None))
+            if e.t < end - touch:
+                violations.append(Violation(
+                    "qubit-overlap", (j, i), None, (e.t, min(end, e.t_end)),
+                    f"events {j} and {i} overlap in time on {q}"))
+            if e.t_end > end:
+                busy[q] = (e.t_end, i)
+        if e.gate is None or not e.gate.is_two_qubit:
+            continue
+        etracks = _atom_tracks(e.operands, moving, static)
+        if any(q.is_messenger for q in e.operands):
+            dmax = max_distance(etracks[0], etracks[1], e.t, e.t_end)
+            if dmax > R_c + DIST_TOL:
+                violations.append(Violation(
+                    "blockade", (i,), dmax, (e.t, e.t_end),
+                    f"event {i}: partner at distance {dmax:.4f} cells > R={R_c:.4f} "
+                    f"during {e.gate.value}"))
         active = [a for a in active if a[1].t_end > e.t]
         # boxes over the event's own window, which holds every [lo, hi] below
         eunion, eboxes = gate_boxes(etracks, e.t, e.t_end)
         for j, o, otracks, ounion, oboxes in active:
             lo, hi = max(e.t, o.t), min(e.t_end, o.t_end)
-            if lo >= hi - 1e-18 or box_gap(eunion, ounion) >= EXCLUSION_CELLS + BOX_MARGIN:
+            if lo >= hi - touch or box_gap(eunion, ounion) >= EXCLUSION_CELLS + BOX_MARGIN:
                 continue
             # a pruned atom pair stays >= EXCLUSION_CELLS apart, so a reported
             # distance is the exact closest approach
@@ -877,43 +904,12 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
                     f"{dmin:.4f} cells apart (< {EXCLUSION_CELLS})"))
         active.append((i, e, etracks, eunion, eboxes))
 
-    # by time, not list order: each messenger's earliest LOAD as (t, index)
-    first_load: dict[int, tuple[float, int]] = {}
-    for i, e in enumerate(program.events):
-        if e.action is ActionKind.LOAD:
-            for q in e.operands:
-                if q.is_messenger:
-                    first_load[q.serial] = min(first_load.get(q.serial, (e.t, i)), (e.t, i))
-    seen_load: dict[int, int] = {}
-    seen_dispose: dict[int, int] = {}
-    for i, e in enumerate(program.events):
-        for q in e.operands:
-            if not q.is_messenger:
-                continue
-            s = q.serial
-            if s in first_load and e.t < first_load[s][0]:
-                j = first_load.pop(s)[1]   # one violation per messenger
-                violations.append(Violation(
-                    "lifecycle", (i, j), None, (e.t,),
-                    f"messenger {s} used at event {i} before its load at event {j}"))
-            if s in seen_dispose:
-                violations.append(Violation(
-                    "lifecycle", (seen_dispose[s], i), None, (e.t,),
-                    f"messenger {s} used at event {i} after disposal"))
-            if e.action is ActionKind.LOAD:
-                if s in seen_load:
-                    violations.append(Violation(
-                        "lifecycle", (seen_load[s], i), None, (e.t,),
-                        f"messenger {s} loaded twice"))
-                seen_load[s] = i
-            elif e.action is ActionKind.DISPOSE:
-                seen_dispose[s] = i
-    for s, i in seen_load.items():
-        if s not in seen_dispose:
+    for s, i in loaded.items():
+        if s not in disposed:
             violations.append(Violation(
                 "lifecycle", (i,), None, (), f"messenger {s} loaded but never disposed"))
-    for s, i in seen_dispose.items():
-        if s not in seen_load:
+    for s, i in disposed.items():
+        if s not in loaded:
             violations.append(Violation(
                 "lifecycle", (i,), None, (), f"messenger {s} disposed but never loaded"))
     return violations

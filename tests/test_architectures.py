@@ -2,14 +2,14 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
                                        gate_counts, load_arch_config,
                                        manhattan_path,
                                        neighbor_chain_decompose, one_way_case,
                                        read_key_values)
-from atomshuttle.ir import ActionKind, GateKind, in_lattice
+from atomshuttle.ir import ActionKind, GateKind, QubitRef, in_lattice
 from atomshuttle.scheduler import plan_trajectories
 
 EXPECTED_COUNTS = {
@@ -56,6 +56,21 @@ def test_one_way_case_examples():
     assert one_way_case((0, 0), (0, 5)) == 1   # same row still dominates
     assert one_way_case((0, 3), (3, 0)) == 2
     assert one_way_case((2, 1), (1, 2)) == 2
+
+
+@given(st.sampled_from(list(Variant)), coords, coords)
+def test_decomposition_names_its_targets_by_role(variant, a, b):
+    # `a` is target A, the first CZ's computational partner in every
+    # protocol; on the one-way belt, B dominates A componentwise in case 1
+    # and has the larger column in case 2
+    assume(a != b)
+    d = decompose_cz(ArchitectureSpec(variant, 8), a, b)
+    assert {d.a, d.b} == {a, b}
+    assert d.gates[0].operands[0] == QubitRef.comp(*d.a)
+    if d.case == 1:
+        assert d.b[0] >= d.a[0] and d.b[1] >= d.a[1]
+    elif d.case == 2:
+        assert d.a[1] < d.b[1]
 
 
 def test_decompose_rejects_bad_pairs():

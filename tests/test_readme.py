@@ -1,5 +1,6 @@
 """The README's CLI examples run as written, with the documented exit codes,
-and its variant table gives the gate counts the code gives."""
+its variant table gives the gate counts the code gives, and its invariant
+table names tests that exist."""
 import re
 import shlex
 from pathlib import Path
@@ -52,3 +53,23 @@ def test_readme_variant_table_matches_gate_counts():
         + [(Variant.ONE_WAY_BELT.value, 1), (Variant.ONE_WAY_BELT.value, 2)])
     for (variant, case), counts in rows.items():
         assert counts == gate_counts(variant, case).as_tuple(), (variant, case)
+
+
+def invariant_table_tests() -> list[str]:
+    """The tests named in the last column of the README's invariant table,
+    one list per row."""
+    text = (ROOT / "README.md").read_text()
+    lines = text.split("\n| invariant ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    return [re.findall(r"`(tests/[\w/]+\.py::\w+(?:\[[\w-]+\])?)`", line.rsplit("|", 2)[1])
+            for line in lines]
+
+
+def test_readme_invariant_table_names_existing_tests():
+    rows = invariant_table_tests()
+    assert len(rows) >= 10 and all(rows)
+    for node in (node for row in rows for node in row):
+        path, name = node.split("::")
+        function, _, param_id = name.partition("[")
+        source = (ROOT / path).read_text()
+        assert f"\ndef {function}(" in source, node
+        assert not param_id or f'"{param_id[:-1]}"' in source, node

@@ -742,7 +742,7 @@ def test_shifted_builds_what_make_builds():
     relaunch = [e for e in prog.events if e.action is ActionKind.THROW][-1]
     assert repr(relaunch.velocity[0]) == "-0.0"
     delta = 2.5e-6
-    events, trajectories = scheduler._shifted(prog.events, prog.trajectories, delta)
+    events, trajectories, _ = shift_program(prog, delta)
     made = [PhysicalEvent._make((e.t + delta, *e[1:])) for e in prog.events]
     made_trajectories = {s: [TrajectorySegment._make((m, kind, t0 + delta, t1 + delta, p0, p1))
                              for m, kind, t0, t1, p0, p1 in segs]
@@ -754,7 +754,7 @@ def test_shifted_builds_what_make_builds():
     for x, y in pairs:
         assert type(x) is type(y)
         assert [(type(f), repr(f)) for f in x] == [(type(f), repr(f)) for f in y]
-    # `_shifted` builds records by `tuple.__new__`: the only constructor
+    # `shift_program` builds records by `tuple.__new__`: the only constructor
     # above tuple's is the named tuple's own, which checks nothing
     assert "__new__" not in vars(PhysicalEvent)
     for cls in (PhysicalEvent, TrajectorySegment):
@@ -829,15 +829,10 @@ def test_check_conflicts_box_pruning_keeps_violations_exact(monkeypatch, build):
     assert pruned[0] > 0 or build is injected_violation_program
 
 
-def test_check_conflicts_flags_use_after_dispose():
-    arch = arch_for(Variant.THROW_AND_MEASURE)
-    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
-    events = list(prog.events)
-    dispose = next(e for e in events if e.action is ActionKind.DISPOSE)
-    events.append(dispose._replace(t=dispose.t + 1.0, action=ActionKind.GATE,
-                                    gate=GateKind.H, duration=arch.t1))
-    bad = prog._replace(events=events)
-    assert any(v.kind == "lifecycle" for v in check_conflicts(bad, arch))
+def h_after_dispose(events, load, dispose):
+    """An H on the messenger 1 s after its DISPOSE, appended (event 8)."""
+    events.append(events[dispose]._replace(t=events[dispose].t + 1.0, action=ActionKind.GATE,
+                                           gate=GateKind.H, duration=1e-7))
 
 
 def load_after_last_gate(events, load, dispose):
@@ -855,8 +850,10 @@ def load_after_last_gate(events, load, dispose):
      "messenger 0 loaded twice"),
     (lambda events, load, dispose: events.pop(dispose), "messenger 0 loaded but never disposed"),
     (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded"),
-    (load_after_last_gate, "messenger 0 used at event 0 before its load at event 5")],
-    ids=["loaded-twice", "never-disposed", "never-loaded", "used-before-load"])
+    (load_after_last_gate, "messenger 0 used at event 0 before its load at event 5"),
+    (h_after_dispose, "messenger 0 used at event 8 after disposal")],
+    ids=["loaded-twice", "never-disposed", "never-loaded", "used-before-load",
+         "used-after-dispose"])
 def test_check_conflicts_names_each_lifecycle_rule(edit, message):
     arch = arch_for(Variant.THROW_AND_MEASURE)
     prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))   # messenger 0 only
@@ -867,6 +864,33 @@ def test_check_conflicts_names_each_lifecycle_rule(edit, message):
     assert check_conflicts(prog, arch) == []
     assert [(v.kind, v.message) for v in check_conflicts(prog._replace(events=events), arch)] \
         == [("lifecycle", message)]
+
+
+def test_check_conflicts_reads_the_lifecycle_in_time_order():
+    # the DISPOSE listed first, so every other event is listed after it but
+    # timed before it: by time, the messenger is loaded, used, then disposed of
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
+    events = list(prog.events)
+    dispose = next(i for i, e in enumerate(events) if e.action is ActionKind.DISPOSE)
+    events.insert(0, events.pop(dispose))
+    assert check_conflicts(prog._replace(events=events), arch) == []
+
+
+@pytest.mark.parametrize("at_end, expected", [
+    (False, [("qubit-overlap", (2, 3), "events 2 and 3 overlap in time on q(0, 0)")]),
+    (True, [])], ids=["at-start", "touching"])
+def test_check_conflicts_flags_a_qubit_in_two_gates_at_once(at_end, expected):
+    # an H on (0,0) added at the start of its first CZ, then exactly at its
+    # end: gates that touch in time do not overlap
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (7, 7)))
+    cz = next(e for e in prog.events if e.gate is GateKind.CZ)
+    h = PhysicalEvent(cz.t_end if at_end else cz.t, (0.0, 0.0), ActionKind.GATE,
+                      (QubitRef.comp(0, 0),), GateKind.H, duration=arch.t1)
+    events = sort_events(prog.events + [h])
+    assert [(v.kind, v.events, v.message)
+            for v in check_conflicts(prog._replace(events=events), arch)] == expected
 
 
 def test_check_conflicts_lets_too_close_gates_touch_in_time():
@@ -909,8 +933,8 @@ def test_schedule_serializes_gates_sharing_a_qubit(variant, circuit):
     # No qubit, computational or messenger, is an operand of two gates that
     # fire at once: each gate on a qubit starts the gap after the qubit's
     # previous gate ends, up to rounding (a shift rounds each start and end
-    # on its own).  `check_conflicts` sees a shared atom only between two
-    # two-qubit gates (as an exclusion at distance 0), and no gap at all.
+    # on its own).  `check_conflicts` flags gates that overlap on a qubit,
+    # but not a missing gap.
     arch = arch_for(variant, circuit.lattice_size)
     prog = schedule(circuit, arch)
     assert check_conflicts(prog, arch) == []
