@@ -27,11 +27,6 @@ DIST_TOL = 1e-9
 ENTRY_MARGIN = 2.0          # cells of approach before the first interaction
 EXIT_MARGIN = 1.5           # cells past the last interaction before disposal
 BOX_MARGIN = 1e-6           # cells of slack on the bounding-box lower bound
-MAX_BUMP_PASSES = 10000     # exclusion passes per logical gate before giving up
-# seconds a gate may start past its window's latest start: `_window` admits a
-# window exactly one gate long, and its rounded ends can put that latest
-# start an ulp or so before the earliest
-LATEST_START_SLACK = 1e-15
 
 
 class InfeasibleError(RuntimeError):
@@ -298,12 +293,12 @@ class _Committed:
     time overlap is computed, and each atom pair left by the atom boxes is
     decided at the start of the overlap first (`too_close`).
 
-    The `eps` in `reach` is slack: the largest rounded `o1 - o0` alone
-    finds every gate that can overlap, that is, every one with o1 > c0
-    (times are never negative).  Where `o1 - o0` is exact, which Sterbenz's
-    lemma gives whenever o0 >= o1 / 2, so for every gate that starts at or
-    after its own duration, `c0 - reach` rounds to at most `o1 - (o1 - o0)`,
-    which is o0.  A gate that starts before its duration (within t2 of
+    `reach` is the largest rounded `o1 - o0`, and it finds every gate that
+    can overlap, that is, every one with o1 > c0 (times are never
+    negative).  Where `o1 - o0` is exact, which Sterbenz's lemma gives
+    whenever o0 >= o1 / 2, so for every gate that starts at or after its
+    own duration, `c0 - reach` rounds to at most `o1 - (o1 - o0)`, which
+    is o0.  A gate that starts before its duration (within t2 of
     time 0) may have `o1 - o0` rounded by up to 2**-53 of itself, less than
     the gap between o1 and the float below it; c0 lies at least that gap
     below o1, so `c0 - reach` is still below o0 before it rounds, and at
@@ -322,7 +317,7 @@ class _Committed:
         self.starts.insert(i, t0)
         self.order.insert(i, len(self.gates))
         self.gates.append([t0, t1, tracks, boxes])
-        self.reach = max(self.reach, t1 - t0 + self.eps)
+        self.reach = max(self.reach, t1 - t0)
 
     def boxes(self, g):
         """The boxes of gate `g` ([t0, t1, tracks, boxes]), built on first use."""
@@ -434,11 +429,17 @@ def _cross_window(arch: ArchitectureSpec, t: float) -> tuple[float, float]:
 
 
 def _window(arch: ArchitectureSpec, kind: str, t: float, hw: float) -> tuple[float, float]:
-    """[t - hw, t + hw], unless a two-qubit gate does not fit in it."""
+    """[t - hw, t + hw], unless a two-qubit gate does not fit in it.
+
+    The window ends at its start plus its width, so a gate that fits fits
+    at its start after rounding too: t2 <= 2 hw gives
+    fl(t0 + t2) <= fl(t0 + 2 hw).
+    """
     if 2 * hw < arch.t2:
         raise InfeasibleError(
             f"{kind} window: {2 * hw!r}s shorter than gate duration {arch.t2!r}s")
-    return (t - hw, t + hw)
+    t0 = t - hw
+    return (t0, t0 + 2 * hw)
 
 
 def _gate_duration(arch: ArchitectureSpec, gate: GateKind) -> float:
@@ -631,12 +632,15 @@ _PLANNERS = {
 
 def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: list) -> dict:
     """Start each gate of `steps` as early as its window (t0, t1), its qubits'
-    and bit's earlier gates and pairwise exclusion allow, and no later than
-    `t1` less its duration, and append its event to `events`; returns each
-    qubit's last gate end (QubitRef -> time).
+    and bit's earlier gates and pairwise exclusion allow, so that it ends by
+    `t1`, and append its event to `events`; returns each qubit's last gate
+    end (QubitRef -> time).  Raises `InfeasibleError`, naming the gate and
+    its latest start, when a gate cannot end by `t1`.
 
     A plan has a few two-qubit gates, so each is tested against those placed
     before it by a plain scan in placement order, with no index or boxes.
+    The invariants a placement keeps are the README's "Invariants a
+    schedule keeps".
     """
     eps = _gap(arch)
     last_end: dict = {}
@@ -645,7 +649,6 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
     placed = []   # (t0, t1, tracks) of each two-qubit gate
     for (gate, operands, bit), (t, t_close) in zip(steps, windows, strict=True):
         dur = _gate_duration(arch, gate)
-        hi = t_close - dur
         for q in operands:
             if q in last_end:
                 t = max(t, last_end[q] + eps)
@@ -668,10 +671,11 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
                                        for ot in otracks for ct in tracks):
                         t = o1 + eps
                         moved = True
-        if t > hi + LATEST_START_SLACK:
+        end = t + dur
+        if end > t_close:
             raise InfeasibleError(
                 f"{gate.value} on {operands}: required start {t:.3e}s exceeds "
-                f"the latest start {hi:.3e}s in its window")
+                f"the latest start {t_close - dur:.3e}s in its window")
         for q in operands:
             if not q.is_messenger:
                 pos = _xy(q.coord)
@@ -679,7 +683,6 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
         else:
             pos = moving[operands[0].serial].position(t + dur / 2)
         events.append(PhysicalEvent(t, pos, ActionKind.GATE, operands, gate, bit, dur))
-        end = t + dur
         for q in operands:
             last_end[q] = end
         if gate.writes_bit:
@@ -694,8 +697,15 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
 
     Each planner starts its plan at time 0, so the plan is written as
     planned.  Every messenger is disposed of where its ride ends, when it
-    arrives or when its last gate ends, whichever is later; one read out
-    after its ride waits there, stationary, until then.
+    arrives or the gap (`1e-6 t2`) after its last gate ends, whichever is
+    later; one read out after its ride waits there, stationary, until then.
+    The gap keeps the DISPOSE after the readout's end when `schedule()`
+    moves each of them on its own.  The plan keeps the invariants of the
+    README's "Invariants a schedule keeps".
+
+    Raises `ValueError` for a neighbor-chain decomposition or one of another
+    variant, and `InfeasibleError` when a pass or crossing window is too
+    short for its gate or a gate cannot fire within its window.
     """
     if d.variant is None:
         raise ValueError("the neighbor-chain baseline has no transport plan")
@@ -703,10 +713,11 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
         raise ValueError(f"decomposition for {d.variant} given to {arch.variant} planner")
     rides, windows, events = _PLANNERS[arch.variant](arch, d)
     last_end = _place_anchors(arch, d.gates, windows, rides, events)
+    eps = _gap(arch)
     for s, segs in rides.items():
         mref = QubitRef.mess(s)
         arrival, pos = segs[-1].t_end, segs[-1].end_pos
-        t_disp = max(last_end.get(mref, arrival), arrival)
+        t_disp = max(last_end[mref] + eps, arrival)
         if t_disp > arrival:
             segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
         events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
@@ -738,9 +749,13 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     Gates run concurrently when their planned events violate no pairwise
     exclusion or qubit-dependency constraint; otherwise later gates are
     delayed by the minimal feasible offset.  Deterministic in circuit order.
-    Raises `ValueError` unless the circuit is written for the `arch.L` array,
-    and `InfeasibleError` when no placement is found or the gap after a gate
-    (`1e-6 t2`) is too fine for the program's times.
+    The program keeps the invariants of the README's "Invariants a schedule
+    keeps".  Raises `ValueError` unless the circuit is written for the
+    `arch.L` array, `InfeasibleError` from `plan_trajectories` when a
+    logical gate has no plan, and `InfeasibleError` naming `t2` when the gap
+    after a gate (`1e-6 t2`) is too fine for the program's times: a bump
+    that leaves a plan overlapping the gate it was moved past, or a gap
+    under 4 ulps of the makespan.
     """
     check_circuit(circuit, arch.L)
     events: list[PhysicalEvent] = []   # in commit order, sorted once at the end
@@ -773,22 +788,22 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
         # passes over every candidate until a pass moves none; a bump raises
-        # delta, and later committed gates are tested at the new value
-        for _ in range(MAX_BUMP_PASSES):
+        # delta, and later committed gates are tested at the new value.  A
+        # bump starts the candidate past the gate it hit, and delta only
+        # grows, so each candidate bumps off each committed gate at most once
+        bumped = True
+        while bumped:
             bumped = False
             for c in cand:
                 k = -1
                 while (k := committed.first_conflict(c, delta, k)) is not None:
-                    conflict = committed.gates[k]
-                    delta = conflict[1] - c[0] + eps
+                    end = committed.gates[k][1]
+                    delta = end - c[0] + eps
+                    if c[0] + delta < end:
+                        raise InfeasibleError(
+                            f"t2 {arch.t2:.3e}s too short: its gap {eps:.3e}s does not "
+                            f"move cz {op.a} {op.b} past a committed gate ending at {end:.6e}s")
                     bumped = True
-            if not bumped:
-                break
-        else:
-            raise InfeasibleError(
-                f"scheduler failed to resolve exclusion conflicts for cz {op.a} {op.b} "
-                f"on {arch.variant.value} after {MAX_BUMP_PASSES} passes; last conflict "
-                f"with a committed gate over [{conflict[0]:.6e}, {conflict[1]:.6e}] s")
         # one copy of the plan at its final time
         if delta != 0.0:
             plan = shift_program(plan, delta)
@@ -819,11 +834,28 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
 # --- conflict checking ------------------------------------------------------
 
 class Violation(NamedTuple):
-    kind: str     # "blockade" | "exclusion" | "lifecycle" | "qubit-overlap"
+    kind: str     # "blockade" | "exclusion" | "lifecycle" | "qubit-overlap" | "presence"
     events: tuple[int, ...]
     distance: float | None
     times: tuple[float, ...]
     message: str
+
+
+def _off_path(e: PhysicalEvent, i: int, s: int, path) -> str | None:
+    """Why event `i` (`e`) on messenger `s` is off its path, or None.
+
+    Times are compared exactly: an event that ends an ulp after its
+    messenger's path is outside it.
+    """
+    first, last = path[0], path[-1]
+    if e.t < first.t_start or e.t_end > last.t_end:
+        return (f"event {i} on messenger {s} outside its path's span "
+                f"[{first.t_start!r}, {last.t_end!r}] s")
+    if e.action is ActionKind.LOAD and e.pos != first.start_pos:
+        return f"messenger {s} loaded at event {i} away from its path's start"
+    if e.action is ActionKind.DISPOSE and (e.t, e.pos) != (last.t_end, last.end_pos):
+        return f"messenger {s} disposed of at event {i} away from its path's end"
+    return None
 
 
 def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[Violation]:
@@ -833,8 +865,10 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
     `schedule()`."""
     violations: list[Violation] = []
     R_c = arch.R / arch.a
-    moving, static = _moving_tracks(program.trajectories), functools.cache(_static_track)
+    paths = program.trajectories
+    moving, static = _moving_tracks(paths), functools.cache(_static_track)
     events = program.events
+    pathless: set[int] = set()      # messengers used with no path
     loaded: dict[int, int] = {}     # messenger -> its last LOAD
     disposed: dict[int, int] = {}   # messenger -> its last DISPOSE
     unloaded: dict[int, int] = {}   # messenger -> its first use before any LOAD
@@ -843,14 +877,25 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
     touch = 1e-18                   # seconds two gates may overlap and only touch
     for i in sorted(range(len(events)), key=lambda i: events[i].t):
         e = events[i]
+        located = True
         for q in e.operands:
             if not q.is_messenger:
                 continue
             s = q.serial
+            path = paths.get(s)
+            if path is None:
+                located = False
+                if s not in pathless:
+                    pathless.add(s)
+                    violations.append(Violation(
+                        "presence", (i,), None, (e.t,),
+                        f"messenger {s} used at event {i} has no path"))
             if s in disposed:
                 violations.append(Violation(
                     "lifecycle", (disposed[s], i), None, (e.t,),
                     f"messenger {s} used at event {i} after disposal"))
+            elif path is not None and (message := _off_path(e, i, s, path)):
+                violations.append(Violation("presence", (i,), None, (e.t, e.t_end), message))
             if e.action is ActionKind.LOAD:
                 if s in loaded:
                     violations.append(Violation(
@@ -875,7 +920,7 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
                     f"events {j} and {i} overlap in time on {q}"))
             if e.t_end > end:
                 busy[q] = (e.t_end, i)
-        if e.gate is None or not e.gate.is_two_qubit:
+        if e.gate is None or not e.gate.is_two_qubit or not located:
             continue
         etracks = _atom_tracks(e.operands, moving, static)
         if any(q.is_messenger for q in e.operands):

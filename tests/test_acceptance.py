@@ -181,8 +181,8 @@ def _random_circuit(rng, L, max_gates=20):
 
 def test_criterion_7_scheduler_safety():
     with criterion(7, "500 seeded random circuits per variant schedule with "
-                      "no blockade/exclusion/lifecycle/qubit-overlap "
-                      "violations"):
+                      "no blockade/exclusion/lifecycle/qubit-overlap/"
+                      "presence violations"):
         for variant in Variant:
             arch = ArchitectureSpec(variant, 8)
             rng = np.random.default_rng(20240800 + ord(variant.value[0]))

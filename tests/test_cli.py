@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from atomshuttle import oracle, scheduler
+from atomshuttle import oracle
 from atomshuttle.architectures import ArchitectureSpec, Variant
 from atomshuttle.cli import build_parser, main
 from atomshuttle.ir import events_from_jsonl
@@ -263,16 +263,24 @@ def test_gate_times_below_float_resolution_exit_3(workdir, capsys):
     assert not out.exists()
 
 
-def test_exhausted_exclusion_loop_exits_3_naming_the_gate(workdir, capsys, monkeypatch):
-    # neighbouring parallel gates conflict, so the second one needs a bump
-    monkeypatch.setattr(scheduler, "MAX_BUMP_PASSES", 1)
-    (workdir / "pair.program").write_text("lattice 8\ncz (0,0) (4,4)\ncz (0,1) (4,5)\n")
-    code = run("schedule", "--arch", str(workdir / "a.arch"),
-               "--program", str(workdir / "pair.program"), "--out", str(workdir / "out"))
+def test_a_gap_too_fine_to_clear_a_bump_exits_3_naming_t2(workdir, capsys):
+    # with 1e-16 s gates the gap after a gate, 1e-22 s, is under half an ulp
+    # of the times near 25 us: the last CZ, bumped off a committed gate,
+    # would start where it started, so the error names t2 at that bump
+    fine = ARCH_TEMPLATE.format(variant="two-way-belt").replace("L = 8", "L = 4") \
+        .replace("t2_s = 1e-6", "t2_s = 1e-16")
+    (workdir / "fine.arch").write_text(fine)
+    (workdir / "seven.program").write_text(
+        "lattice 4\ncz (1,0) (1,2)\ncz (3,1) (3,0)\ncz (0,2) (1,2)\ncz (0,2) (0,0)\n"
+        "cz (3,0) (3,2)\ncz (1,0) (3,2)\ncz (3,3) (3,1)\n")
+    out = workdir / "out"
+    code = run("schedule", "--arch", str(workdir / "fine.arch"),
+               "--program", str(workdir / "seven.program"), "--out", str(out))
     assert code == 3
     err = capsys.readouterr().err
-    assert "cz (0, 1) (4, 5) on two-way-belt after 1 passes" in err
-    assert "last conflict with a committed gate over [2.503337e-06, 3.503337e-06] s" in err
+    assert "t2 1.000e-16s too short" in err
+    assert "does not move cz (3, 3) (3, 1) past a committed gate ending at 2.500667e-05s" in err
+    assert not out.exists()
 
 
 def test_missing_file_exits_5(workdir):

@@ -73,6 +73,13 @@ def test_neighbor_chain_forms_and_agreement():
         assert abs(asym - exact) / exact < 0.05
 
 
+@pytest.mark.parametrize("p2", [-1e-3, 1.0, 1.5])
+@pytest.mark.parametrize("exact", [False, True])
+def test_neighbor_chain_fidelity_rejects_p2_outside_the_unit_interval(p2, exact):
+    with pytest.raises(ValueError, match=rf"^p2={p2} outside \[0, 1\)$"):
+        neighbor_chain_fidelity(10, p2, exact=exact)
+
+
 def test_neighbor_chain_exact_uses_compiled_count():
     # corner-to-corner on L=4: d=6, n2=11
     assert neighbor_chain_exact(4, (0, 0), (3, 3), 1e-3) == \

@@ -24,17 +24,17 @@ ARTIFACTS = {"compile": ("compile.jsonl",),
 
 CONFIG_DIGESTS = {
     ("one-way-belt.arch", "compile"):
-        "93aa006def780bea5e0ea9220d6e0333c6c27a1886ddd42eec073f4091653cc3",
+        "ca74bd6be3b6e16e112491c24233b73a94ae7fa04314874d5fb93c784bb09057",
     ("one-way-belt.arch", "schedule"):
-        "ca9c90355187d2c97bb569454c0dded37868234aed6df23f182e7e48aed29078",
+        "dc9c4d6b378aeefe51160bd47142e3a0380fa08f323326cbd0255dc42716d4bc",
     ("shuttle-and-route.arch", "compile"):
         "94ffa5026c84b41ff2722306caee67627e164425c1dca85a52df2e123c401e0f",
     ("shuttle-and-route.arch", "schedule"):
         "3b06a117c4e38821af6061908076f4f53d690f06f5d2bd79946cec3065d1ff78",
     ("throw-and-measure.arch", "compile"):
-        "53342c973d14b4fb9a1209df7ac16c0b0e3d85c2eefce392ec897e70f530954f",
+        "4a5a8043100ed8cd4708eb046bf2259daf391888671b64f2545b400143fe9ce4",
     ("throw-and-measure.arch", "schedule"):
-        "ca358fa6d45fcd987bdf58eee7a4bedbd9248214a029427c0dab4a5e3ce4cc9e",
+        "14a6a62d3ac701bf3ceb912c6e5f2769bdda217059202932954a4f56e8780cfe",
     ("throw-catch-throw.arch", "compile"):
         "3b19f6c24ce6461da37a9d31c4ab8d57b30eb2e13214953238262c8a4753dc4a",
     ("throw-catch-throw.arch", "schedule"):
@@ -49,13 +49,13 @@ CORPUS_DIGESTS = {
     Variant.TWO_WAY_BELT:
         "eb6eb1dde3df410c25ceb1e550a54588cdebfb88a7bf52abec7a1f84bbb4e4c6",
     Variant.ONE_WAY_BELT:
-        "eb97a6114d4ba206412ffd08a11e5d3c557122e12664a24593c62b58b0111534",
+        "3275cc861fe9f924d9c623bbdeefe4f23ac65490b88fd38e0a5b3036bf75657f",
     Variant.THROW_CATCH_THROW:
         "c77831efff0692a94768962cd2aaeae44241f264179cdcc4cc3169c4039f6d0f",
     Variant.SHUTTLE_AND_ROUTE:
         "b1457ab1cdcbd56906511d03c7eff2c4bf92dd05d167bda38882d9f9484f7244",
     Variant.THROW_AND_MEASURE:
-        "20acd5b0c6900cfa028ab2d279ec4d673a56aca4e6d4a4aa1b20d8f5cb457cfb",
+        "8150d780710be692b0afdaa19ee601a681ea665702012401265654b752e8f856",
 }
 
 # 3 programs x 96 uniform random CZs on 16x16 per variant: large enough
@@ -64,17 +64,17 @@ DEEP_DIGESTS = {
     Variant.TWO_WAY_BELT:
         "8d2b48a66ab189923d9e9466622120ff36a197a092907397bae8aed9d9e3b13d",
     Variant.ONE_WAY_BELT:
-        "53400e6c62edd23ffbed32b309cb5b28c5c16fedd07c76484620c787b244128e",
+        "1e94faf8b13c0a0f733dca77d1febd49388b9e529deb3146a9b219b06ba93d1f",
     Variant.THROW_CATCH_THROW:
         "11ae5d54097d93f64849f7b75cef29a40479268d1693ec6630f9351ca2253c72",
     Variant.SHUTTLE_AND_ROUTE:
         "ae79ec6ea83d522d1943c8d7693ed8cfb5e61e2740e8ade8e8c2c293800f596c",
     Variant.THROW_AND_MEASURE:
-        "781fe8c33566a3a60f517b083c1219ac938e1f3615cf94d1de304d6553b052ad",
+        "addfe703e2e74781d54bdd382e888ca15384060a31ebc2324b161a0a3b8dd3a3",
 }
 
 # plan_trajectories on every ordered pair of L = 4 and 5, all variants
-PLAN_DIGEST = "090c0ef7b305d9fa6d803f38846f2bf5159672e8c8422eb016727ac35c9a656d"
+PLAN_DIGEST = "3351a7cafd12345bb11a96b90b7d2ab4b9c2d0a4fd6a19f960872ed115cb6e2d"
 
 # `verify --pair` on every pair of L = 4 for each variant, then the three
 # `--drop-final-correction` mutants, then `--haar 3 --seed 1` on

@@ -163,6 +163,12 @@ def test_state_rejects_a_repeated_qubit():
         PureState(np.array([1, 0, 0, 0], dtype=complex), (A, A))
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 8])
+def test_state_rejects_an_amplitude_count_that_is_not_two_to_the_qubits(length):
+    with pytest.raises(ValueError, match="^amplitude length does not match qubit count$"):
+        PureState(np.eye(1, length, dtype=complex)[0], (A, B))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
        st.sampled_from([GateKind.H, GateKind.Z, GateKind.X]),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from atomshuttle import scheduler
-from atomshuttle.architectures import ArchitectureSpec, Variant, decompose_cz
+from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
+                                       neighbor_chain_decompose)
 from atomshuttle.ir import (ActionKind, GateKind, GateStep, LogicalCZ, Logical1Q,
                             LogicalCircuit, PhysicalEvent, QubitRef, classical_bits,
                             sort_events)
@@ -154,13 +155,14 @@ def test_window_errors_name_the_window_kind(variant, R, v, message):
 
 def test_a_window_one_gate_long_fits_its_gate():
     # R = a / sqrt(2) and v just under a / t2 make every pass window exactly
-    # one gate long; the first CZ's rounded window puts its latest start one
-    # ulp before its earliest, which LATEST_START_SLACK absorbs
+    # one gate long.  The first CZ's window, as [t - hw, t + hw], would put
+    # its latest start one ulp before its earliest; a window ends at its
+    # start plus its width, so the gate fits at its start after rounding
     arch = arch_for(Variant.TWO_WAY_BELT, L=4, R=2.1213203435596424e-06, v=2.9999999999999996)
     d = decompose_cz(arch, (0, 0), (1, 1))
     rides, windows, _ = scheduler._PLANNERS[arch.variant](arch, d)
     t0, t1 = windows[0]
-    assert 0.0 < t0 - (t1 - arch.t2) <= scheduler.LATEST_START_SLACK
+    assert t0 + arch.t2 <= t1
     assert check_conflicts(plan_trajectories(arch, d), arch) == []
 
 
@@ -235,9 +237,10 @@ def planned_pairs(draw):
 @example(planned=(arch_for(Variant.ONE_WAY_BELT, 5), (0, 1), (4, 0)))
 def test_measured_messengers_hold_at_readout(planned):
     # Every messenger is disposed of where its ride ends.  A measured one
-    # (one-way belt, throw-and-measure) waits there, stationary, until its
-    # last gate ends: its disposal time is that gate's end, as the gate's
-    # event computes it.
+    # (one-way belt, throw-and-measure) waits there, stationary, until the
+    # gap after its last gate ends: its disposal time is that gate's end, as
+    # the gate's event computes it, plus the gap, so that it stays after the
+    # readout when `schedule()` moves each of them on its own.
     arch, a, b = planned
     prog = plan_trajectories(arch, decompose_cz(arch, a, b))
     last_gate_end = {}
@@ -252,7 +255,7 @@ def test_measured_messengers_hold_at_readout(planned):
     for s, e in disposals.items():
         end = prog.trajectories[s][-1]
         assert (e.t, e.pos) == (end.t_end, end.end_pos)
-        assert e.t >= last_gate_end[s]
+        assert e.t >= last_gate_end[s] + scheduler._gap(arch)
     if arch.variant not in (Variant.ONE_WAY_BELT, Variant.THROW_AND_MEASURE):
         assert all(seg.kind is not SegmentKind.STATIONARY
                    for segs in prog.trajectories.values() for seg in segs)
@@ -523,7 +526,7 @@ def indexed_place_anchors(arch, steps, windows, rides, events: list):
                     t = placed.gates[k][1] + eps
                     moved = bumped = True
             placed.add(*c)
-        assert t <= t_close - dur + scheduler.LATEST_START_SLACK
+        assert t + dur <= t_close
         comp = [q for q in operands if not q.is_messenger]
         pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
             else tracks[0].position(t + dur / 2)
@@ -866,6 +869,55 @@ def test_check_conflicts_names_each_lifecycle_rule(edit, message):
         == [("lifecycle", message)]
 
 
+def edit_first(events, action, **change):
+    """The first `action` event with each field named in `change` mapped by its function."""
+    i = next(i for i, e in enumerate(events) if e.action is action)
+    events[i] = events[i]._replace(**{k: f(getattr(events[i], k)) for k, f in change.items()})
+
+
+def readout_past_the_path(events, paths, arch):
+    """Messenger 0's readout stretched to end one ulp after its path ends."""
+    i = next(i for i, e in enumerate(events) if e.gate is GateKind.MEASURE_X)
+    t, end = events[i].t, paths[0][-1].t_end
+    dur = end - t
+    while t + dur <= end:
+        dur = math.nextafter(dur, math.inf)
+    events[i] = events[i]._replace(duration=dur)
+
+
+SPAN = "outside its path's span [0.0, 2.9313709498984763e-05] s"
+
+
+@pytest.mark.parametrize("edit, event, message", [
+    (lambda events, paths, arch: edit_first(events, ActionKind.LOAD, t=lambda t: t - 1e-6),
+     0, f"event 0 on messenger 0 {SPAN}"),
+    (readout_past_the_path, 5, f"event 5 on messenger 0 {SPAN}"),
+    (lambda events, paths, arch: edit_first(events, ActionKind.LOAD,
+                                            pos=lambda p: (p[0] + 0.5, p[1])),
+     0, "messenger 0 loaded at event 0 away from its path's start"),
+    (lambda events, paths, arch: edit_first(events, ActionKind.DISPOSE,
+                                            pos=lambda p: (p[0], p[1] + 0.5)),
+     7, "messenger 0 disposed of at event 7 away from its path's end"),
+    (lambda events, paths, arch: edit_first(events, ActionKind.DISPOSE,
+                                            t=lambda t: t - scheduler._gap(arch) / 2),
+     7, "messenger 0 disposed of at event 7 away from its path's end"),
+    (lambda events, paths, arch: paths.pop(0), 0, "messenger 0 used at event 0 has no path")],
+    ids=["before-path", "after-path", "load-away", "dispose-away", "dispose-early", "no-path"])
+def test_check_conflicts_keeps_each_messenger_event_on_its_path(edit, event, message):
+    # throw-and-measure, messenger 0 only: its path runs from its LOAD at 0
+    # to its DISPOSE the gap after its readout ends.  Each edit breaks one
+    # rule once; a readout one ulp past the path is outside it, as a gate
+    # that ends an ulp after its DISPOSE would be
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
+    events, paths = list(prog.events), dict(prog.trajectories)
+    edit(events, paths, arch)
+    assert check_conflicts(prog, arch) == []
+    broken = ScheduledProgram(events, paths, prog.makespan)
+    assert [(v.kind, v.events, v.message) for v in check_conflicts(broken, arch)] == \
+        [("presence", (event,), message)]
+
+
 def test_check_conflicts_reads_the_lifecycle_in_time_order():
     # the DISPOSE listed first, so every other event is listed after it but
     # timed before it: by time, the messenger is loaded, used, then disposed of
@@ -950,6 +1002,32 @@ def test_schedule_serializes_gates_sharing_a_qubit(variant, circuit):
             assert start - end >= gap
 
 
+@pytest.mark.thorough
+@given(variant=st.sampled_from(list(Variant)), circuit=circuits())
+# disposed of when its readout ends, messenger 1 of throw-and-measure would
+# be disposed of at 2.347213695499958e-05 s, one ulp before its moved
+# readout ends at 2.3472136954999582e-05 s, and messenger 3 of one-way-belt
+# at 3.222387174857379e-05 s, one ulp before 3.22238717485738e-05 s
+@example(variant=Variant.THROW_AND_MEASURE,
+         circuit=LogicalCircuit(4, (LogicalCZ((0, 0), (2, 1)), LogicalCZ((3, 3), (3, 1)))))
+@example(variant=Variant.ONE_WAY_BELT,
+         circuit=LogicalCircuit(4, (LogicalCZ((1, 0), (3, 2)), LogicalCZ((0, 1), (3, 1)))))
+def test_scheduled_messengers_outlast_their_gates(variant, circuit):
+    # `schedule()` moves a plan's DISPOSE and its readout's start each on its
+    # own, and the readout's end follows from its moved start.  A messenger
+    # is disposed of the gap after its last gate ends, so no gate on it ends
+    # after its DISPOSE, compared exactly.
+    arch = arch_for(variant, circuit.lattice_size)
+    prog = schedule(circuit, arch)
+    disposal = {e.operands[0].serial: e.t for e in prog.events
+                if e.action is ActionKind.DISPOSE}
+    for e in prog.events:
+        if e.action is ActionKind.GATE:
+            for q in e.operands:
+                if q.is_messenger:
+                    assert e.t_end <= disposal[q.serial], (e, disposal[q.serial])
+
+
 def test_schedule_keeps_disjoint_gates_parallel():
     arch = arch_for(Variant.THROW_AND_MEASURE)
     circ = LogicalCircuit(8, (LogicalCZ((0, 0), (2, 2)),
@@ -989,6 +1067,18 @@ def test_schedule_handles_single_qubit_ops():
     gates_on_a.sort(key=lambda e: e.t)
     assert gates_on_a[0].gate is GateKind.H
     assert gates_on_a[-1].gate is GateKind.Z
+
+
+def test_plan_trajectories_rejects_a_decomposition_it_cannot_plan():
+    # the neighbor-chain baseline has no messengers to move, and a
+    # decomposition fits only its own variant's planner
+    arch = arch_for(Variant.TWO_WAY_BELT)
+    with pytest.raises(ValueError, match="^the neighbor-chain baseline has no transport plan$"):
+        plan_trajectories(arch, neighbor_chain_decompose(8, (0, 0), (3, 3)))
+    other = decompose_cz(arch_for(Variant.THROW_AND_MEASURE), (0, 0), (3, 3))
+    with pytest.raises(ValueError, match=r"^decomposition for Variant\.THROW_AND_MEASURE given "
+                                         r"to Variant\.TWO_WAY_BELT planner$"):
+        plan_trajectories(arch, other)
 
 
 def test_schedule_rejects_invalid_circuit():
