@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import re
 import sys
-from pathlib import Path
 
 from . import __version__
 from .architectures import ArchitectureSpec, Variant, ascii_int, load_arch_config
@@ -71,13 +71,16 @@ def _read_text(path: str) -> str:
 
 
 def _write(out_dir: str, header: str, artifacts: dict[str, str]) -> None:
-    """Write each {name: body} of one command into `out_dir`, made once."""
+    """Write each {name: body} of one command into `out_dir` as UTF-8 with LF
+    line ends, whatever the locale; `out_dir` and its parents are made only
+    when it is not a directory yet."""
     name = out_dir   # what a failed mkdir names
     try:
-        d = Path(out_dir)
-        d.mkdir(parents=True, exist_ok=True)
+        if not os.path.isdir(out_dir or "."):   # "" is the working directory
+            os.makedirs(out_dir, exist_ok=True)
         for name, body in artifacts.items():
-            (d / name).write_text(header + body)
+            with open(os.path.join(out_dir, name), "wb") as f:
+                f.write((header + body).encode())
     except OSError as e:
         raise _CliError(EXIT_IO, f"cannot write {name}: {e}") from e
 
@@ -248,15 +251,17 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged.  Its `commands` maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="atomshuttle",
         description="compile, verify, schedule and cost long-range CZ gates "
                     "on messenger-qubit atom arrays")
     sub = parser.add_subparsers(dest="command", required=True)
     variants = [v.value for v in Variant]
+    parser.commands = {}
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         # each command takes only the flags it reads, and argparse enforces
         # which are required; any other flag, or a missing one, exits 2
         p.add_argument("--out", default=".", help="output directory")
@@ -287,7 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    # a known command's own parser reads its flags, as the full parser would
+    # hand them on, without the full parser classifying them first; the full
+    # parser runs for any other argv and for leftovers, whose message, usage
+    # line and exit code are its own
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extras:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
     except _CliError as e:

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -7,10 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from atomshuttle import oracle
+from atomshuttle import cli, oracle
 from atomshuttle.architectures import ArchitectureSpec, Variant
 from atomshuttle.cli import build_parser, main
 from atomshuttle.ir import events_from_jsonl
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ARCH_TEMPLATE = """\
 variant = {variant}
@@ -61,6 +64,20 @@ def workdir(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The path of every directory made through `os.mkdir`, the call under
+    both `os.makedirs` and `Path.mkdir`."""
+    made, mkdir = [], os.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(os.fspath(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    return made
 
 
 def test_compile_writes_events(workdir):
@@ -447,6 +464,55 @@ def test_parser_is_built_once_and_keeps_no_argument_values(workdir, monkeypatch)
         (workdir / "first" / "verify.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("compile", "--arch", "a.arch", "--program", "p.program", "--out=o"),
+    ("schedule", "--program", "p.program", "--variant", "one-way-belt", "--arch", "a.arch"),
+    ("verify", "--arch=a.arch", "--pair", "0,0,3,3", "--haar", "2", "--seed", "1",
+     "--drop-final-correction"),
+    ("verify", "--arch", "a.arch", "--program", "p.program", "--out", "o"),
+    ("cost", "--cost", "c.cost", "-L5"),
+    ("sweep", "--variant", "one-way-belt", "--axis", "pr", "--case", "2"),
+    ("compare", "--cost", "c.cost", "-L", "6", "--out=o"),
+    ("-h",),
+    ("verify", "--arch", "a.arch", "-h"),
+    ("cost", "-L", "5", "--out", "o", "--help"),
+    ("verify", "--arc", "a.arch", "--pa", "0,0,3,3"),
+    ("compile", "--arch", "a.arch", "--prog", "p.program"),
+    ("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--he"),
+    ("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--h"),
+    ("cost", "--cost", "-"),
+    ("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "-"),
+    ("schedule", "--arch", "a.arch", "--program", "p.program", "--", "x"),
+    ("--", "schedule", "--arch", "a.arch", "--program", "p.program"),
+    ("sweep", "--variant", "two-way-belt", "extra"),
+    ("cost", "--cost", "c.cost", "--bogus", "1", "2"),
+    ("compile", "--arch", "a.arch"),
+    ("verify", "--arch", "a.arch"),
+    ("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--program", "p.program"),
+    ("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--seed"),
+    ("cost", "--cost", "a.cost", "--cost", "c.cost"),
+    ("compare", "--cost", "c.cost", "-L", "٨"),
+    (),
+    ("bogus", "--out", "o"),
+])
+def test_dispatch_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    # `main` hands a known command's flags to that command's parser; it must
+    # end as the full parser does: the same Namespace, or the same exit code
+    # and output (usage line, message and help text included)
+    def outcome(parse):
+        try:
+            return parse()
+        except SystemExit as e:
+            out = capsys.readouterr()
+            return e.code, out.out, out.err
+
+    parser, seen = build_parser(), []   # built before the commands are swapped
+    monkeypatch.setattr(cli, "_COMMANDS", {name: (seen.append, "") for name in cli._COMMANDS})
+    expected = outcome(lambda: parser.parse_args(list(argv)))
+    assert outcome(lambda: main(list(argv)) or seen.pop()) == expected
+    assert seen == []
+
+
 @pytest.mark.parametrize("R_m, v_mps, message", [
     ("1.2e-6", "1.5", "pass window: lane offset 0.5 outside blockade radius "),
     ("1.8e-6", "3.0", "pass window: 6.633249580710799e-07s shorter than gate "
@@ -606,18 +672,25 @@ def test_integer_flags_are_ascii(workdir, capsys, monkeypatch, argv, flag):
      ("events.jsonl", "trajectories.csv", "makespan.txt")),
     (("sweep", "--variant", "throw-catch-throw"), ("sweep.csv", "sweep_contour.csv")),
 ])
-def test_one_mkdir_per_command(workdir, monkeypatch, argv, names):
+def test_one_mkdir_per_command(workdir, monkeypatch, made, argv, names):
     monkeypatch.chdir(workdir)
-    made, mkdir = [], Path.mkdir
-
-    def counting_mkdir(self, *args, **kwargs):
-        made.append(str(self))
-        return mkdir(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
     assert run(*argv, "--out", "out") == 0
     assert made == ["out"]
     assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("out, made_dirs", [
+    ("out", []),
+    ("", []),
+    (os.path.join("a", "b"), ["a", os.path.join("a", "b")]),
+], ids=["existing", "working-dir", "missing-parent"])
+def test_out_is_made_only_when_missing(workdir, monkeypatch, made, out, made_dirs):
+    monkeypatch.chdir(workdir)
+    (workdir / "out").mkdir()
+    made.clear()
+    assert run("sweep", "--variant", "throw-catch-throw", "--out", out) == 0
+    assert made == made_dirs
+    assert (workdir / out / "sweep.csv").is_file() and (workdir / out / "sweep_contour.csv").is_file()
 
 
 def test_write_error_exits_5_naming_the_artifact(workdir, capsys, monkeypatch):
@@ -631,3 +704,28 @@ def test_write_error_exits_5_naming_the_artifact(workdir, capsys, monkeypatch):
                "--out", "file/out") == 5
     assert "error: cannot write file/out: " in capsys.readouterr().err
     assert (workdir / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--arch", "configs/shuttle-and-route.arch", "--program", "configs/sample.program"),
+    ("compile", "--arch", "configs/two-way-belt.arch", "--program", "configs/sample.program"),
+    ("verify", "--arch", "configs/one-way-belt.arch", "--pair", "0,0,7,7", "--haar", "2"),
+    ("cost", "--cost", "configs/default.cost"),
+    ("sweep", "--variant", "one-way-belt", "--case", "2"),
+    ("compare", "--cost", "configs/default.cost", "-L", "6"),
+], ids=lambda argv: argv[0])
+def test_artifacts_do_not_depend_on_the_locale(tmp_path, monkeypatch, argv):
+    # in the C locale, without UTF-8 mode, any text write that takes the
+    # locale's encoding raises an EncodingWarning, made an error here
+    monkeypatch.chdir(ROOT)
+    assert run(*argv, "--out", str(tmp_path / "plain")) == 0
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "atomshuttle.cli", *argv, "--out", str(tmp_path / "c")],
+        cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in (tmp_path / "c").iterdir())
+    for path in plain:
+        assert (tmp_path / "c" / path.name).read_bytes() == path.read_bytes(), path.name
