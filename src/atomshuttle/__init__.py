@@ -24,8 +24,7 @@ _LAZY = {
     **dict.fromkeys(("CostParams", "FidelityReport", "architecture_comparison",
                      "error_budget_sweep", "load_cost_config",
                      "logical_gate_fidelity", "neighbor_chain_fidelity"), "cost"),
-    **dict.fromkeys(("VerificationReport", "branch_execute", "verify_logical_cz",
-                     "verify_sequence"), "oracle"),
+    **dict.fromkeys(("branch_execute", "verify_logical_cz", "verify_sequence"), "oracle"),
 }
 
 
@@ -44,7 +43,7 @@ __all__ = [
     "ArchitectureSpec", "CostParams", "Decomposition", "FidelityReport",
     "GateCounts", "GateKind", "GateStep", "InfeasibleError", "Logical1Q",
     "LogicalCZ", "LogicalCircuit", "ParseError", "PhysicalEvent", "QubitRef",
-    "ScheduledProgram", "TrajectorySegment", "VerificationReport", "Variant",
+    "ScheduledProgram", "TrajectorySegment", "Variant",
     "architecture_comparison", "branch_execute", "check_conflicts",
     "decompose_cz", "error_budget_sweep", "gate_counts", "load_arch_config",
     "load_cost_config", "logical_gate_fidelity", "neighbor_chain_decompose",

@@ -171,13 +171,12 @@ def _cmd_verify(args) -> int:
     records = []
     for a, b in pairs:
         try:
-            report = verify_logical_cz(arch, a, b, two_qubit_inputs=inputs,
-                                       drop_final_correction=args.drop_final_correction)
+            records += verify_logical_cz(arch, a, b, two_qubit_inputs=inputs,
+                                         drop_final_correction=args.drop_final_correction)
         except NothingToDropError as e:
             raise _CliError(EXIT_PARSE, f"--drop-final-correction on {e}") from e
         except ValueError as e:
             raise _CliError(EXIT_PARSE, str(e)) from e
-        records.extend(report.records)
     header = _header(arch_text, str(args.variant), str(args.pair), program_text,
                      str(seed), str(args.haar), str(args.drop_final_correction))
     _write(args.out, header, {"verify.jsonl": records_to_jsonl(records)})

@@ -3,8 +3,10 @@
 Per-logical-gate fidelity is the literal product of per-operation
 fidelities weighted by the variant's gate counts; the nearest-neighbor
 SWAP-chain baseline decays with qubit separation while every messenger
-variant has a size-independent budget.  Error convention: p = 1 - F
-everywhere, so sweep axes and reports are error probabilities.
+variant has a size-independent budget, because `f_shuttle` is one factor
+per logical gate whatever the distance travelled; the makespan still
+grows linearly in L.  Error convention: p = 1 - F everywhere, so sweep
+axes and reports are error probabilities.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
                             ascii_float, build_from_config, decompose_cz,
-                            gate_counts, neighbor_chain_decompose, read_key_values)
+                            gate_counts, read_key_values)
 from .ir import checked_make
 from .scheduler import plan_trajectories
 
@@ -82,26 +84,18 @@ def logical_gate_fidelity(counts: GateCounts, params: CostParams) -> FidelityRep
     return FidelityReport(counts, F, 1.0 - F)
 
 
-def neighbor_chain_fidelity(L_or_count: int, p2: float,
-                            exact: bool = False) -> float:
-    """Baseline SWAP-chain fidelity.
+def neighbor_chain_fidelity(L: int, p2: float) -> float:
+    """Asymptotic baseline SWAP-chain fidelity exp(-p2 * L) for a chain
+    spanning a size-L array.
 
-    Asymptotic form (default): exp(-p2 * L) for a chain spanning a size-L
-    array.  Exact form: (1 - p2)^n2 where `L_or_count` is the chain's
-    two-qubit gate count n2.  The two agree within 5% for p2 * n2 <= 0.2.
+    A compiled chain's exact fidelity is that of its gate counts:
+    `logical_gate_fidelity(neighbor_chain_decompose(L, a, b).counts,
+    CostParams.from_errors(p2=p2)).F`, which agrees with this form within
+    5% while p2 * n2 <= 0.2.
     """
     if not 0.0 <= p2 < 1.0:
         raise ValueError(f"p2={p2} outside [0, 1)")
-    if exact:
-        return (1.0 - p2) ** L_or_count
-    return math.exp(-p2 * L_or_count)
-
-
-def neighbor_chain_exact(L: int, a: tuple[int, int], b: tuple[int, int],
-                         p2: float) -> float:
-    """Exact baseline fidelity for one pair, using the compiled chain's n2."""
-    d = neighbor_chain_decompose(L, a, b)
-    return neighbor_chain_fidelity(d.counts.n2, p2, exact=True)
+    return math.exp(-p2 * L)
 
 
 # --- parameter sweeps -------------------------------------------------------

@@ -403,20 +403,19 @@ def events_from_jsonl(text: str) -> list[PhysicalEvent]:
 
 
 class BitUsage(NamedTuple):
-    """Writer/reader indices per classical bit, plus ordering violations."""
+    """The ordering violations of a program's classical bits."""
 
-    usage: dict  # bit -> (writer_index, tuple of reader indices)
     violations: tuple[str, ...] = ()
 
 
 def classical_bits(events: list[PhysicalEvent]) -> BitUsage:
-    """Map each classical bit to its writer and readers, checking order.
+    """Check that each classical bit is written once and read only after
+    its write ends.
 
     Works on gate events in list order (programs are kept time-sorted);
     a read before the write is reported as a violation.
     """
     writers: dict[int, int] = {}
-    readers: dict[int, list[int]] = {}
     violations = []
     for i, ev in enumerate(events):
         if ev.action is not ActionKind.GATE or ev.gate is None:
@@ -434,10 +433,4 @@ def classical_bits(events: list[PhysicalEvent]) -> BitUsage:
                     violations.append(
                         f"bit {ev.bit} read at event {i} (t={ev.t}) before writer finishes (t={w.t_end})"
                     )
-            readers.setdefault(ev.bit, []).append(i)
-    usage = {b: (w, tuple(readers.get(b, ()))) for b, w in writers.items()}
-    for b in readers:
-        if b not in writers:
-            usage[b] = (-1, tuple(readers[b]))
-    return BitUsage(usage=usage, violations=tuple(violations))
-
+    return BitUsage(tuple(violations))

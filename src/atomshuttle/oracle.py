@@ -284,28 +284,6 @@ def records_to_jsonl(records: list[VerificationRecord]) -> str:
     return "".join(lines)
 
 
-class VerificationReport:
-    __slots__ = ("records",)
-
-    def __init__(self, records: list[VerificationRecord] | None = None):
-        self.records = [] if records is None else records
-
-    def __eq__(self, other):
-        if other.__class__ is not VerificationReport:
-            return NotImplemented
-        return self.records == other.records
-
-    def __repr__(self):
-        return f"VerificationReport(records={self.records!r})"
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-    def failures(self) -> list[VerificationRecord]:
-        return [r for r in self.records if not r.ok]
-
-
 def verify_sequence(
     steps: list[GateStep],
     a: tuple[int, int],
@@ -313,7 +291,7 @@ def verify_sequence(
     messengers: list[int],
     variant: str = "?",
     two_qubit_inputs: dict | None = None,
-) -> VerificationReport:
+) -> list[VerificationRecord]:
     """Check that a gate sequence on A=`a`, B=`b` and the `messengers`
     implements CZ between A and B.
 
@@ -321,13 +299,14 @@ def verify_sequence(
     to CZ|input> on (A, B) up to a global phase, and each messenger must
     be disentangled (reduced-state purity ~ 1) at the end.  The inputs run
     together, STACK_INPUTS at a time, one row each; records come per input,
-    in input order, then per branch.
+    in input order, then per branch; a record is ok when its branch passes
+    both checks.
     """
     qa, qb = QubitRef.comp(*a), QubitRef.comp(*b)
     mess = [QubitRef.mess(s) for s in messengers]
     inputs = list((two_qubit_inputs if two_qubit_inputs is not None
                    else STANDARD_INPUTS).items())
-    report = VerificationReport()
+    records = []
     for start in range(0, len(inputs), STACK_INPUTS):
         chunk = inputs[start:start + STACK_INPUTS]
         k = len(chunk)
@@ -359,9 +338,9 @@ def verify_sequence(
                 if p > 1e-12:
                     pur = min_pur[row]
                     ok = fid >= FIDELITY_THRESHOLD and pur >= PURITY_THRESHOLD
-                    report.records.append(VerificationRecord(
+                    records.append(VerificationRecord(
                         variant, (a, b), label, outcome_items[row // k], p, fid, pur, ok))
-    return report
+    return records
 
 
 class NothingToDropError(ValueError):
@@ -370,7 +349,7 @@ class NothingToDropError(ValueError):
 
 def verify_logical_cz(arch, a: tuple[int, int], b: tuple[int, int],
                       drop_final_correction: bool = False,
-                      two_qubit_inputs: dict | None = None) -> VerificationReport:
+                      two_qubit_inputs: dict | None = None) -> list[VerificationRecord]:
     """Oracle-verify the compiled protocol of `arch` for the pair (a, b), on
     `two_qubit_inputs` (default STANDARD_INPUTS).
 

@@ -167,15 +167,17 @@ def _moving_tracks(trajectories) -> dict:
     return {s: _Track(segments=segs) for s, segs in trajectories.items()}
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _static_track(coord) -> _Track:
-    """The track of the computational qubit at `coord` (row, col)."""
+    """The track of the computational qubit at `coord` (row, col), one per
+    coordinate for the planner, the list scheduler and `check_conflicts`."""
     return _Track(static_pos=_xy(coord))
 
 
-def _atom_tracks(operands, moving: dict, static) -> list:
+def _atom_tracks(operands, moving: dict) -> list:
     """The tracks of `operands`: a messenger's from `moving` (serial ->
-    track), a computational qubit's from `static` (coord -> track)."""
-    return [moving[q.serial] if q.is_messenger else static(q.coord) for q in operands]
+    track), a computational qubit's from `_static_track`."""
+    return [moving[q.serial] if q.is_messenger else _static_track(q.coord) for q in operands]
 
 
 def _cuts(ta: _Track, tb: _Track, t0: float, t1: float) -> list[float]:
@@ -655,7 +657,7 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
         if gate.reads_bit and bit in bit_end:
             t = max(t, bit_end[bit] + eps)
         if gate.is_two_qubit:
-            tracks = _atom_tracks(operands, moving, _static_track)
+            tracks = _atom_tracks(operands, moving)
             moved = True
             while moved:
                 # the atoms keep their rides while the start moves; a gate too
@@ -766,9 +768,6 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     committed = _Committed(arch)
     eps = committed.eps
     serial = bit = 0
-    # one track per computational qubit; one per messenger of each plan, and
-    # of each moved plan, in `moving` (serial -> track)
-    static = functools.cache(_static_track)
 
     for op in circuit.ops:
         if isinstance(op, Logical1Q):
@@ -784,7 +783,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         plan = plan_trajectories(arch, d)
         delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
         moving = _moving_tracks(plan.trajectories)
-        cand = [[e.t, e.t_end, _atom_tracks(e.operands, moving, static), None]
+        cand = [[e.t, e.t_end, _atom_tracks(e.operands, moving), None]
                 for e in plan.events
                 if e.action is ActionKind.GATE and e.gate.is_two_qubit]
         # passes over every candidate until a pass moves none; a bump raises
@@ -819,7 +818,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                     ready[q.coord] = e.t_end + eps
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
                 # the candidate's boxes: a shift moves the atoms with the window
-                committed.add(e.t, e.t_end, _atom_tracks(e.operands, moving, static),
+                committed.add(e.t, e.t_end, _atom_tracks(e.operands, moving),
                               next(tested)[3])
 
     events = sort_events(events)
@@ -851,7 +850,7 @@ def _off_path(e: PhysicalEvent, i: int, s: int, path) -> str | None:
     if e.t < first.t_start or e.t_end > last.t_end:
         return (f"event {i} on messenger {s} outside its path's span "
                 f"[{first.t_start!r}, {last.t_end!r}] s")
-    if e.action is ActionKind.LOAD and e.pos != first.start_pos:
+    if e.action is ActionKind.LOAD and (e.t, e.pos) != (first.t_start, first.start_pos):
         return f"messenger {s} loaded at event {i} away from its path's start"
     if e.action is ActionKind.DISPOSE and (e.t, e.pos) != (last.t_end, last.end_pos):
         return f"messenger {s} disposed of at event {i} away from its path's end"
@@ -866,7 +865,7 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
     violations: list[Violation] = []
     R_c = arch.R / arch.a
     paths = program.trajectories
-    moving, static = _moving_tracks(paths), functools.cache(_static_track)
+    moving = _moving_tracks(paths)
     events = program.events
     pathless: set[int] = set()      # messengers used with no path
     loaded: dict[int, int] = {}     # messenger -> its last LOAD
@@ -922,7 +921,7 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
                 busy[q] = (e.t_end, i)
         if e.gate is None or not e.gate.is_two_qubit or not located:
             continue
-        etracks = _atom_tracks(e.operands, moving, static)
+        etracks = _atom_tracks(e.operands, moving)
         if any(q.is_messenger for q in e.operands):
             dmax = max_distance(etracks[0], etracks[1], e.t, e.t_end)
             if dmax > R_c + DIST_TOL:

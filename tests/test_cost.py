@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
-                                       gate_counts)
-from atomshuttle.cost import (CostParams, architecture_comparison,
+                                       gate_counts, neighbor_chain_decompose)
+from atomshuttle.cost import (CostParams, _level_contour, architecture_comparison,
                               contour_to_csv, error_budget_sweep,
                               load_cost_config, logical_gate_fidelity,
-                              neighbor_chain_exact, neighbor_chain_fidelity,
-                              sweep_to_csv)
+                              neighbor_chain_fidelity, sweep_to_csv)
 from atomshuttle.scheduler import plan_trajectories
+
+
+def chain_fidelity(L, a, b, p2):
+    """The exact budget of the compiled SWAP chain from `a` to `b`."""
+    counts = neighbor_chain_decompose(L, a, b).counts
+    return logical_gate_fidelity(counts, CostParams.from_errors(p2=p2)).F
 
 
 def test_zero_error_gives_unit_fidelity():
@@ -63,27 +68,31 @@ def test_fidelity_monotone_in_each_error(p1, p2, pr, variant):
 def test_neighbor_chain_forms_and_agreement():
     assert neighbor_chain_fidelity(100, 0.0) == 1.0
     assert neighbor_chain_fidelity(100, 1e-3) == pytest.approx(math.exp(-0.1))
-    assert neighbor_chain_fidelity(11, 1e-3, exact=True) == \
-        pytest.approx((1 - 1e-3) ** 11)
-    # the two forms agree within 5% while p2 * n2 <= 0.2
-    for n2 in (10, 50, 200):
+    # the asymptotic form, at L = n2, and the compiled chain's exact budget
+    # agree within 5% while p2 * n2 <= 0.2
+    for d in (6, 26, 100):
+        n2 = neighbor_chain_decompose(d + 1, (0, 0), (0, d)).counts.n2
         p2 = 0.2 / n2
         asym = neighbor_chain_fidelity(n2, p2)
-        exact = neighbor_chain_fidelity(n2, p2, exact=True)
+        exact = chain_fidelity(d + 1, (0, 0), (0, d), p2)
         assert abs(asym - exact) / exact < 0.05
 
 
 @pytest.mark.parametrize("p2", [-1e-3, 1.0, 1.5])
 @pytest.mark.parametrize("exact", [False, True])
 def test_neighbor_chain_fidelity_rejects_p2_outside_the_unit_interval(p2, exact):
-    with pytest.raises(ValueError, match=rf"^p2={p2} outside \[0, 1\)$"):
-        neighbor_chain_fidelity(10, p2, exact=exact)
+    # the exact budget rejects it through the two-qubit fidelity 1 - p2
+    if exact:
+        with pytest.raises(ValueError, match=rf"^f2_cz={1 - p2} outside \(0, 1\]$"):
+            chain_fidelity(4, (0, 0), (3, 3), p2)
+    else:
+        with pytest.raises(ValueError, match=rf"^p2={p2} outside \[0, 1\)$"):
+            neighbor_chain_fidelity(10, p2)
 
 
-def test_neighbor_chain_exact_uses_compiled_count():
+def test_exact_chain_fidelity_uses_compiled_count():
     # corner-to-corner on L=4: d=6, n2=11
-    assert neighbor_chain_exact(4, (0, 0), (3, 3), 1e-3) == \
-        pytest.approx((1 - 1e-3) ** 11)
+    assert chain_fidelity(4, (0, 0), (3, 3), 1e-3) == pytest.approx((1 - 1e-3) ** 11)
 
 
 def test_sweep_grid_and_fixed_values():
@@ -122,6 +131,15 @@ def test_contour_points_sit_on_the_level():
     for p2, p1 in res.contour:
         err = 1 - (1 - p2) ** 6 * (1 - p1) ** 2 * (1 - 3e-3) ** 0
         assert err == pytest.approx(1e-2, rel=0.05)  # log-interp on the grid
+
+
+def test_a_row_that_starts_on_the_level_crosses_it_at_its_first_column():
+    p2 = np.array([1e-4, 1e-3, 1e-2])
+    errors = np.array([[1e-2, 2e-2, 3e-2],    # on the level at its first column
+                       [2e-2, 3e-2, 4e-2],    # above it throughout
+                       [1e-3, 1e-2, 2e-2]])   # on it at its middle column
+    assert _level_contour([5e-4, 6e-4, 7e-4], p2, errors, 1e-2) == \
+        [(1e-4, 5e-4), (pytest.approx(1e-3, rel=1e-12), 7e-4)]
 
 
 def test_sweep_rejects_bad_axes():
@@ -183,8 +201,7 @@ def test_size_independence_of_messenger_fidelity():
         assert logical_gate_fidelity(counts, params).F == \
             logical_gate_fidelity(gate_counts(variant, case), params).F
     # ... while the baseline decays with distance
-    assert neighbor_chain_exact(8, (0, 0), (7, 7), 1e-3) < \
-        neighbor_chain_exact(8, (0, 0), (0, 1), 1e-3)
+    assert chain_fidelity(8, (0, 0), (7, 7), 1e-3) < chain_fidelity(8, (0, 0), (0, 1), 1e-3)
 
 
 def test_params_validation_and_config(tmp_path):

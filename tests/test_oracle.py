@@ -122,7 +122,7 @@ def test_a_global_phase_on_the_input_leaves_the_fidelity_unchanged():
     inputs = {"11": np.kron(KET_1, KET_1), "-i 11": -1j * np.kron(KET_1, KET_1),
               "v": v, "phased v": np.exp(0.7j) * v}
     records = verify_sequence(list(d.gates), (0, 0), (3, 3), list(d.messengers),
-                              two_qubit_inputs=inputs).records
+                              two_qubit_inputs=inputs)
     by_label = {label: [r for r in records if r.input_label == label] for label in inputs}
     for plain, phased in (("11", "-i 11"), ("v", "phased v")):
         assert len(by_label[plain]) == len(by_label[phased]) == 2
@@ -135,8 +135,8 @@ def test_a_global_phase_on_the_input_leaves_the_fidelity_unchanged():
 @pytest.mark.parametrize("variant", list(Variant))
 def test_compiled_protocols_implement_cz(variant):
     arch = ArchitectureSpec(variant, 4)
-    report = verify_logical_cz(arch, (0, 0), (3, 3))
-    assert report.ok, report.failures()[:3]
+    records = verify_logical_cz(arch, (0, 0), (3, 3))
+    assert all(r.ok for r in records), [r for r in records if not r.ok][:3]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -144,18 +144,27 @@ def test_haar_random_inputs_spot_check(variant):
     from atomshuttle.architectures import decompose_cz
     arch = ArchitectureSpec(variant, 4)
     d = decompose_cz(arch, (1, 0), (2, 3))
-    report = verify_sequence(list(d.gates), (1, 0), (2, 3), list(d.messengers),
-                             two_qubit_inputs=haar_random_two_qubit_inputs(20, seed=1))
-    assert report.ok
-    assert all(r.fidelity >= 1 - 1e-10 for r in report.records)
+    records = verify_sequence(list(d.gates), (1, 0), (2, 3), list(d.messengers),
+                              two_qubit_inputs=haar_random_two_qubit_inputs(20, seed=1))
+    assert all(r.ok for r in records)
+    assert all(r.fidelity >= 1 - 1e-10 for r in records)
+
+
+def test_a_bare_cz_verifies_with_no_messenger():
+    # no messenger to trace out: every record's purity is 1.0 exactly
+    records = verify_sequence([GateStep(GateKind.CZ, (A, B))], (0, 0), (0, 1), [])
+    assert [r.input_label for r in records] == list(STANDARD_INPUTS)
+    assert all(r.ok and r.outcomes == () and r.min_messenger_purity == 1.0 for r in records)
+    assert all(r.fidelity == pytest.approx(1.0) and r.probability == pytest.approx(1.0)
+               for r in records)
 
 
 def test_verification_catches_a_wrong_protocol():
     # SWAP instead of CZ: entangles nothing correctly
     steps = [GateStep(GateKind.SWAP, (A, M)),
              GateStep(GateKind.SWAP, (M, B))]
-    report = verify_sequence(steps, (0, 0), (0, 1), [0])
-    assert not report.ok
+    records = verify_sequence(steps, (0, 0), (0, 1), [0])
+    assert not all(r.ok for r in records)
 
 
 def test_state_rejects_a_repeated_qubit():
@@ -263,8 +272,8 @@ def test_records_to_jsonl_has_the_bytes_of_json_dumps():
                              two_qubit_inputs=haar_random_two_qubit_inputs(4, seed=2))
     mutant = verify_logical_cz(ArchitectureSpec(Variant.THROW_AND_MEASURE, 4), (0, 0), (3, 3),
                                drop_final_correction=True)
-    records = standard.records + haar.records + mutant.records
-    assert mutant.failures() and any(r.outcomes for r in records)
+    records = standard + haar + mutant
+    assert not all(r.ok for r in mutant) and any(r.outcomes for r in records)
     assert records_to_jsonl(records) == "".join(_record_json(r) for r in records)
     assert records_to_jsonl([]) == ""
 
@@ -281,10 +290,10 @@ def test_stacked_inputs_give_the_records_of_one_input_at_a_time(variant, L, data
     drop = drop and variant in (Variant.ONE_WAY_BELT, Variant.THROW_AND_MEASURE)
     inputs = {**STANDARD_INPUTS, **haar_random_two_qubit_inputs(n_haar, seed)}
     stacked = verify_logical_cz(arch, a, b, drop_final_correction=drop,
-                                two_qubit_inputs=inputs).records
+                                two_qubit_inputs=inputs)
     alone = [r for label, vec in inputs.items()
              for r in verify_logical_cz(arch, a, b, drop_final_correction=drop,
-                                        two_qubit_inputs={label: vec}).records]
+                                        two_qubit_inputs={label: vec})]
     assert [repr(r) for r in stacked] == [repr(r) for r in alone]
 
 
@@ -371,7 +380,7 @@ def test_stacked_oracle_gives_the_records_of_the_per_row_reference(variant, L, d
     drop = drop and variant in (Variant.ONE_WAY_BELT, Variant.THROW_AND_MEASURE)
     inputs = {**STANDARD_INPUTS, **haar_random_two_qubit_inputs(n_haar, seed)}
     records = verify_logical_cz(arch, a, b, drop_final_correction=drop,
-                                two_qubit_inputs=inputs).records
+                                two_qubit_inputs=inputs)
     reference = reference_verify_logical_cz(arch, a, b, drop, inputs)
     assert [repr(r) for r in records] == [repr(r) for r in reference]
 
@@ -392,10 +401,10 @@ def test_a_branch_impossible_for_one_input_is_dropped_for_that_input_only():
     # zeros then rides through the later gates without a norm check
     steps = [GateStep(GateKind.MEASURE_X, (A,), bit=0), GateStep(GateKind.H, (M,)),
              GateStep(GateKind.COND_Z, (B,), bit=0), GateStep(GateKind.H, (M,))]
-    stacked = verify_sequence(steps, (0, 0), (0, 1), [0]).records
+    stacked = verify_sequence(steps, (0, 0), (0, 1), [0])
     alone = [r for label, vec in STANDARD_INPUTS.items()
              for r in verify_sequence(steps, (0, 0), (0, 1), [0],
-                                      two_qubit_inputs={label: vec}).records]
+                                      two_qubit_inputs={label: vec})]
     assert [repr(r) for r in stacked] == [repr(r) for r in alone]
     assert [r.outcomes for r in stacked if r.input_label == "++"] == [((0, 0),)]
     assert len(stacked) == 9

@@ -90,9 +90,9 @@ def test_planned_sequence_still_verifies(variant):
     arch = arch_for(variant)
     d = decompose_cz(arch, (0, 2), (5, 6))
     prog = plan_trajectories(arch, d)
-    report = verify_sequence(gate_steps(prog), (0, 2), (5, 6),
-                             list(d.messengers))
-    assert report.ok
+    records = verify_sequence(gate_steps(prog), (0, 2), (5, 6),
+                              list(d.messengers))
+    assert all(r.ok for r in records)
 
 
 def test_gates_fire_inside_blockade_radius():
@@ -841,23 +841,29 @@ def h_after_dispose(events, load, dispose):
 def load_after_last_gate(events, load, dispose):
     """The LOAD moved to the end of the messenger's last gate, trajectories
     unchanged, and the events sorted again: every use but the disposal now
-    comes before it, in time and in list order."""
+    comes before it, in time and in list order, and the LOAD comes after
+    its path starts."""
     end = max(e.t_end for e in events if e.action is ActionKind.GATE
               and QubitRef.mess(0) in e.operands)
     events[load] = events[load]._replace(t=end)
     events[:] = sort_events(events)
 
 
-@pytest.mark.parametrize("edit, message", [
+@pytest.mark.parametrize("edit, message, presence", [
     (lambda events, load, dispose: events.insert(load + 1, events[load]),
-     "messenger 0 loaded twice"),
-    (lambda events, load, dispose: events.pop(dispose), "messenger 0 loaded but never disposed"),
-    (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded"),
-    (load_after_last_gate, "messenger 0 used at event 0 before its load at event 5"),
-    (h_after_dispose, "messenger 0 used at event 8 after disposal")],
+     "messenger 0 loaded twice", []),
+    (lambda events, load, dispose: events.pop(dispose), "messenger 0 loaded but never disposed",
+     []),
+    (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded",
+     []),
+    # a use lies on the path, so a LOAD after it is late for the path's
+    # start: a `presence` violation as well
+    (load_after_last_gate, "messenger 0 used at event 0 before its load at event 5",
+     [("presence", "messenger 0 loaded at event 5 away from its path's start")]),
+    (h_after_dispose, "messenger 0 used at event 8 after disposal", [])],
     ids=["loaded-twice", "never-disposed", "never-loaded", "used-before-load",
          "used-after-dispose"])
-def test_check_conflicts_names_each_lifecycle_rule(edit, message):
+def test_check_conflicts_names_each_lifecycle_rule(edit, message, presence):
     arch = arch_for(Variant.THROW_AND_MEASURE)
     prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))   # messenger 0 only
     events = list(prog.events)
@@ -866,7 +872,7 @@ def test_check_conflicts_names_each_lifecycle_rule(edit, message):
     edit(events, load, dispose)
     assert check_conflicts(prog, arch) == []
     assert [(v.kind, v.message) for v in check_conflicts(prog._replace(events=events), arch)] \
-        == [("lifecycle", message)]
+        == [*presence, ("lifecycle", message)]
 
 
 def edit_first(events, action, **change):
@@ -888,6 +894,15 @@ def readout_past_the_path(events, paths, arch):
 SPAN = "outside its path's span [0.0, 2.9313709498984763e-05] s"
 
 
+def path_starts_early(events, paths, arch):
+    """Messenger 0's path opened by a 1 us wait where it starts, so that
+    its LOAD, at the old start, is 1 us late."""
+    first = paths[0][0]
+    paths[0] = [TrajectorySegment(0, SegmentKind.STATIONARY, first.t_start - 1e-6,
+                                  first.t_start, first.start_pos, first.start_pos),
+                *paths[0]]
+
+
 @pytest.mark.parametrize("edit, event, message", [
     (lambda events, paths, arch: edit_first(events, ActionKind.LOAD, t=lambda t: t - 1e-6),
      0, f"event 0 on messenger 0 {SPAN}"),
@@ -895,6 +910,7 @@ SPAN = "outside its path's span [0.0, 2.9313709498984763e-05] s"
     (lambda events, paths, arch: edit_first(events, ActionKind.LOAD,
                                             pos=lambda p: (p[0] + 0.5, p[1])),
      0, "messenger 0 loaded at event 0 away from its path's start"),
+    (path_starts_early, 0, "messenger 0 loaded at event 0 away from its path's start"),
     (lambda events, paths, arch: edit_first(events, ActionKind.DISPOSE,
                                             pos=lambda p: (p[0], p[1] + 0.5)),
      7, "messenger 0 disposed of at event 7 away from its path's end"),
@@ -902,7 +918,8 @@ SPAN = "outside its path's span [0.0, 2.9313709498984763e-05] s"
                                             t=lambda t: t - scheduler._gap(arch) / 2),
      7, "messenger 0 disposed of at event 7 away from its path's end"),
     (lambda events, paths, arch: paths.pop(0), 0, "messenger 0 used at event 0 has no path")],
-    ids=["before-path", "after-path", "load-away", "dispose-away", "dispose-early", "no-path"])
+    ids=["before-path", "after-path", "load-away", "load-late", "dispose-away", "dispose-early",
+         "no-path"])
 def test_check_conflicts_keeps_each_messenger_event_on_its_path(edit, event, message):
     # throw-and-measure, messenger 0 only: its path runs from its LOAD at 0
     # to its DISPOSE the gap after its readout ends.  Each edit breaks one

@@ -19,7 +19,7 @@ from atomshuttle.cost import ComparisonRow, CostParams, FidelityReport, SweepRes
 from atomshuttle.ir import (ActionKind, BitUsage, GateKind, GateStep, Logical1Q,
                             LogicalCircuit, LogicalCZ, PhysicalEvent, QubitKind,
                             QubitRef)
-from atomshuttle.oracle import Branch, PureState, VerificationRecord, VerificationReport
+from atomshuttle.oracle import Branch, PureState, VerificationRecord
 from atomshuttle.scheduler import ScheduledProgram, SegmentKind, TrajectorySegment, Violation
 
 A, B, M = QubitRef.comp(0, 0), QubitRef.comp(1, 1), QubitRef.mess(3)
@@ -29,8 +29,6 @@ SEGMENT = TrajectorySegment(3, SegmentKind.BELT_RIDE, 0.0, 2e-6, (0.0, 0.5), (3.
 COUNTS = GateCounts(2, 3, 1, 0)
 REPORT = FidelityReport(COUNTS, 0.99, 0.01)
 STATE = PureState(np.array([1.0 + 0j, 0.0]), (A,))
-RECORD = VerificationRecord("two-way-belt", ((0, 0), (1, 1)), "00", ((0, 1),), 0.5,
-                            1.0, 1.0, True)
 AXIS = np.array([1e-3, 1e-2])
 
 # (type, field names, values in order, number of fields with no default,
@@ -49,8 +47,8 @@ TYPES = [
      (2e-6, (1.0, 0.5), ActionKind.ROUTE, (M,), None, None, 2e-6, 1, 2, (1.5, 0.0)), 3,
      {"operands": (), "gate": None, "bit": None, "duration": 0.0, "belt": None,
       "to_belt": None, "velocity": None}, True, ("to_belt", 3)),
-    (BitUsage, ("usage", "violations"), ({0: (1, (2,))}, ("late read",)), 1,
-     {"violations": ()}, True, ("violations", ())),
+    (BitUsage, ("violations",), (("late read",),), 0, {"violations": ()}, True,
+     ("violations", ())),
     (ArchitectureSpec, ("variant", "L", "a", "R", "v", "t2", "t1", "tr", "t_route",
                         "t_turnaround"),
      (Variant.ONE_WAY_BELT, 6, 4e-6, 3e-6, 2.0, 1.5e-6, 2e-7, 2e-5, 3e-6, 4e-6), 2,
@@ -85,8 +83,6 @@ TYPES = [
                           "fidelity", "min_messenger_purity", "ok"),
      ("one-way-belt", ((0, 0), (2, 2)), "++", (), 1.0, 1.0, 1.0, True), 8, {}, True,
      ("ok", False)),
-    (VerificationReport, ("records",), ([RECORD],), 0, {"records": []}, False,
-     ("records", [])),
 ]
 
 
@@ -103,8 +99,6 @@ def test_value_type_contract(cls, names, values, required, defaults, frozen, oth
     least = cls(*values[:required])
     for n, default in defaults.items():
         assert getattr(least, n) == default
-    if defaults.get("records") == []:   # a fresh list for each instance
-        assert cls().records is not cls().records
 
     fields = tuple(values)
     if cls is QubitRef:
@@ -144,6 +138,8 @@ def test_qubit_refs_built_apart_compare_by_fields():
             GateStep(GateKind.CZ, (shared, apart))
     assert A != B and A != M and M != QubitRef(QubitKind.MESSENGER, serial=4)
     assert GateStep(GateKind.CZ, (A, QubitRef(QubitKind.MESSENGER, serial=3))) == STEP
+    # a non-ref, even the coordinate a ref holds, leaves the answer to its own type
+    assert A.__eq__((0, 0)) is NotImplemented and A != (0, 0) and M != 3
 
 
 def _changed_copies(x, changes):
