@@ -2,7 +2,8 @@
 atom-array architectures.
 
 The names from `cost` and `oracle` load on first use (PEP 562), so a
-command that only compiles or schedules never imports numpy.
+command that only compiles or schedules imports neither; only the
+oracle imports numpy.
 """
 
 import importlib

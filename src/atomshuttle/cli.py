@@ -8,9 +8,9 @@ configuration.
 Exit codes: 0 success, 2 parse error, 3 infeasible schedule,
 4 verification failure, 5 I/O error.
 
-Only the commands that run them import the oracle (`verify`) and the
-cost model (`cost`, `sweep`, `compare`), and with them numpy: `compile`
-and `schedule` load neither.
+Only the commands that run them import the oracle (`verify`, which
+brings numpy) and the cost model (`cost`, `sweep`, `compare`, which need
+no numpy): `compile` and `schedule` load neither.
 """
 from __future__ import annotations
 

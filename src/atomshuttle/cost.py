@@ -11,9 +11,8 @@ axes and reports are error probabilities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple
-
-import numpy as np
 
 from .architectures import (ArchitectureSpec, FieldError, GateCounts, Variant,
                             ascii_float, build_from_config, decompose_cz,
@@ -22,7 +21,9 @@ from .ir import checked_make
 from .scheduler import plan_trajectories
 
 CONTOUR_LEVEL = 1e-2
-SWEEP_GRID_DEFAULT = np.logspace(-5, -1, 50)
+# 50 log-spaced errors from 1e-5 to 1e-1, with np.linspace's exponents:
+# one step apart and the last one exact
+SWEEP_GRID_DEFAULT = tuple(10.0 ** (-5 + i * (4 / 49)) for i in range(49)) + (10.0 ** -1,)
 PINNED_READOUT_ERROR = 3e-3       # fixed pr for the p1-p2 sweep
 PINNED_SINGLE_QUBIT_ERROR = 5e-4  # fixed p1 for the pr-p2 sweep
 
@@ -101,38 +102,30 @@ def neighbor_chain_fidelity(L: int, p2: float) -> float:
 # --- parameter sweeps -------------------------------------------------------
 
 class SweepResult(NamedTuple):
-    axis1_name: str          # "p1" or "pr"
-    axis1: np.ndarray        # rows
-    p2: np.ndarray           # columns
-    errors: np.ndarray       # shape (len(axis1), len(p2)), values 1 - F
+    axis1_name: str                     # "p1" or "pr"
+    axis1: tuple[float, ...]            # rows
+    p2: tuple[float, ...]               # columns
+    errors: tuple[tuple[float, ...], ...]  # errors[i][j], 1 - F at axis1[i], p2[j]
     contour: list[tuple[float, float]]  # (p2, axis1) points on the 1e-2 level
 
 
 def error_budget_sweep(variant: Variant, axis1_name: str,
                        case: int | None = None) -> SweepResult:
-    """Grid of logical errors over (p1 or pr) x p2 with F_shuttle = 1.
+    """`logical_gate_fidelity(...).error` over (p1 or pr) x p2 with F_shuttle = 1.
 
     Both axes are `SWEEP_GRID_DEFAULT`.  CZ and SWAP errors are taken
-    equal (both 1 - p2).  The axis not being swept is pinned to its
-    conventional value: readout error 3e-3 when sweeping p1, single-qubit
-    error 5e-4 when sweeping pr.
+    equal (both p2, as in `CostParams.from_errors`).  The axis not being
+    swept is pinned to its conventional value: readout error 3e-3 when
+    sweeping p1, single-qubit error 5e-4 when sweeping pr.
     """
     if axis1_name not in ("p1", "pr"):
         raise ValueError("axis1 must be 'p1' or 'pr'")
     axis1 = p2 = SWEEP_GRID_DEFAULT
-
+    pinned = ({"pr": PINNED_READOUT_ERROR} if axis1_name == "p1"
+              else {"p1": PINNED_SINGLE_QUBIT_ERROR})
     counts = gate_counts(variant, case)
-    f2 = 1.0 - p2                       # shape (n2cols,)
-    f2_pow = f2 ** (counts.n2_cz + counts.n2_swap)
-    if axis1_name == "p1":
-        f1_pow = (1.0 - axis1) ** counts.n1                       # rows
-        fr_pow = (1.0 - PINNED_READOUT_ERROR) ** counts.nr        # scalar
-        F = np.outer(f1_pow, f2_pow) * fr_pow
-    else:
-        fr_pow = (1.0 - axis1) ** counts.nr                       # rows
-        f1_pow = (1.0 - PINNED_SINGLE_QUBIT_ERROR) ** counts.n1   # scalar
-        F = np.outer(fr_pow, f2_pow) * f1_pow
-    errors = 1.0 - F
+    errors = tuple(tuple(logical_gate_fidelity(counts, CostParams.from_errors(
+        p2=x, **{axis1_name: y}, **pinned)).error for x in p2) for y in axis1)
     return SweepResult(axis1_name, axis1, p2, errors,
                        _level_contour(axis1, p2, errors, CONTOUR_LEVEL))
 
@@ -145,25 +138,24 @@ def _level_contour(axis1, p2, errors, level) -> list[tuple[float, float]]:
     entirely above or below the level contribute no point).
     """
     points = []
-    for i, y in enumerate(axis1):
-        row = errors[i]
+    for y, row in zip(axis1, errors):
         if row[0] > level or row[-1] < level:
             continue
-        j = int(np.searchsorted(row, level))
+        j = bisect_left(row, level)
         if j == 0:
-            points.append((float(p2[0]), float(y)))
+            points.append((p2[0], y))
             continue
         e0, e1 = row[j - 1], row[j]
         f = (math.log(level) - math.log(e0)) / (math.log(e1) - math.log(e0))
         x = math.exp(math.log(p2[j - 1]) + f * (math.log(p2[j]) - math.log(p2[j - 1])))
-        points.append((x, float(y)))
+        points.append((x, y))
     return points
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = [result.axis1_name + "," + ",".join(repr(float(x)) for x in result.p2)]
+    lines = [result.axis1_name + "," + ",".join(map(repr, result.p2))]
     for y, row in zip(result.axis1, result.errors):
-        lines.append(repr(float(y)) + "," + ",".join(repr(float(e)) for e in row))
+        lines.append(repr(y) + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -870,7 +870,6 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
     pathless: set[int] = set()      # messengers used with no path
     loaded: dict[int, int] = {}     # messenger -> its last LOAD
     disposed: dict[int, int] = {}   # messenger -> its last DISPOSE
-    unloaded: dict[int, int] = {}   # messenger -> its first use before any LOAD
     busy: dict = {}                 # qubit -> (end, event) of its gate that ends last
     active: list[tuple] = []        # the two-qubit gates still firing
     touch = 1e-18                   # seconds two gates may overlap and only touch
@@ -900,13 +899,7 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
                     violations.append(Violation(
                         "lifecycle", (loaded[s], i), None, (e.t,),
                         f"messenger {s} loaded twice"))
-                elif events[j := unloaded.get(s, i)].t < e.t:   # a use timed before it
-                    violations.append(Violation(
-                        "lifecycle", (j, i), None, (events[j].t,),
-                        f"messenger {s} used at event {j} before its load at event {i}"))
                 loaded[s] = i
-            elif s not in loaded:
-                unloaded.setdefault(s, i)
             if e.action is ActionKind.DISPOSE:
                 disposed[s] = i
         if e.action is not ActionKind.GATE:

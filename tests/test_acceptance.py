@@ -103,7 +103,7 @@ def test_criterion_4_flight_and_route_budgets_coincide():
         for axis in ("p1", "pr"):
             r1 = error_budget_sweep(Variant.THROW_CATCH_THROW, axis)
             r2 = error_budget_sweep(Variant.SHUTTLE_AND_ROUTE, axis)
-            assert np.array_equal(r1.errors, r2.errors)
+            assert r1.errors == r2.errors
 
 
 def test_criterion_5_baseline_decay_vs_size_independence():

@@ -1,15 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
                                        gate_counts, neighbor_chain_decompose)
-from atomshuttle.cost import (CostParams, _level_contour, architecture_comparison,
-                              contour_to_csv, error_budget_sweep,
-                              load_cost_config, logical_gate_fidelity,
-                              neighbor_chain_fidelity, sweep_to_csv)
+from atomshuttle.cost import (SWEEP_GRID_DEFAULT, CostParams, _level_contour,
+                              architecture_comparison, contour_to_csv,
+                              error_budget_sweep, load_cost_config,
+                              logical_gate_fidelity, neighbor_chain_fidelity,
+                              sweep_to_csv)
 from atomshuttle.scheduler import plan_trajectories
 
 
@@ -97,11 +97,16 @@ def test_exact_chain_fidelity_uses_compiled_count():
 
 def test_sweep_grid_and_fixed_values():
     res = error_budget_sweep(Variant.TWO_WAY_BELT, "p1")
-    assert res.errors.shape == (50, 50)
+    assert len(res.errors) == 50 and {len(row) for row in res.errors} == {50}
+    # 50 log-spaced errors from 1e-5 to 1e-1 on both axes
+    grid = res.axis1
+    assert grid[0] == 1e-5 and grid[-1] == 1e-1
+    assert [b / a for a, b in zip(grid, grid[1:])] == pytest.approx([10 ** (4 / 49)] * 49,
+                                                                    rel=1e-12)
     # pointwise against the closed form with pr pinned to 3e-3 (unused here)
     i, j = 17, 31
     p1, p2 = res.axis1[i], res.p2[j]
-    assert res.errors[i, j] == pytest.approx(
+    assert res.errors[i][j] == pytest.approx(
         1 - (1 - p2) ** 6 * (1 - p1) ** 2, rel=1e-12)
 
 
@@ -109,20 +114,37 @@ def test_sweep_readout_axis_pins_single_qubit_error():
     res = error_budget_sweep(Variant.THROW_AND_MEASURE, "pr")
     i, j = 5, 40
     pr, p2 = res.axis1[i], res.p2[j]
-    assert res.errors[i, j] == pytest.approx(
+    assert res.errors[i][j] == pytest.approx(
         1 - (1 - p2) ** 2 * (1 - 5e-4) ** 2 * (1 - pr), rel=1e-12)
 
 
 def test_no_measurement_variant_ignores_readout_axis_only_via_nr():
     res = error_budget_sweep(Variant.THROW_CATCH_THROW, "pr")
     # nr = 0: every row identical
-    assert np.allclose(res.errors, res.errors[0])
+    assert all(row == res.errors[0] for row in res.errors)
 
 
 def test_throw_catch_throw_and_shuttle_route_sweeps_coincide():
     r1 = error_budget_sweep(Variant.THROW_CATCH_THROW, "p1")
     r2 = error_budget_sweep(Variant.SHUTTLE_AND_ROUTE, "p1")
-    assert np.array_equal(r1.errors, r2.errors)
+    assert r1.errors == r2.errors
+
+
+@pytest.mark.parametrize("axis", ["p1", "pr"])
+@pytest.mark.parametrize("variant, case", [
+    pytest.param(v, c, id=f"{v.value}-{c}") for v in Variant
+    for c in ((1, 2) if v is Variant.ONE_WAY_BELT else (None,))])
+def test_every_sweep_cell_is_the_gate_budget_at_its_error_rates(variant, case, axis):
+    # the axis not swept is pinned: pr = 3e-3 when sweeping p1, p1 = 5e-4
+    # when sweeping pr
+    res = error_budget_sweep(variant, axis, case)
+    counts = gate_counts(variant, case)
+    assert res.axis1 == res.p2 == SWEEP_GRID_DEFAULT
+    for y, row in zip(res.axis1, res.errors, strict=True):
+        rates = {"p1": y, "pr": 3e-3} if axis == "p1" else {"p1": 5e-4, "pr": y}
+        assert [repr(e) for e in row] == [
+            repr(logical_gate_fidelity(counts, CostParams.from_errors(p2=p2, **rates)).error)
+            for p2 in res.p2]
 
 
 def test_contour_points_sit_on_the_level():
@@ -134,10 +156,10 @@ def test_contour_points_sit_on_the_level():
 
 
 def test_a_row_that_starts_on_the_level_crosses_it_at_its_first_column():
-    p2 = np.array([1e-4, 1e-3, 1e-2])
-    errors = np.array([[1e-2, 2e-2, 3e-2],    # on the level at its first column
-                       [2e-2, 3e-2, 4e-2],    # above it throughout
-                       [1e-3, 1e-2, 2e-2]])   # on it at its middle column
+    p2 = (1e-4, 1e-3, 1e-2)
+    errors = ((1e-2, 2e-2, 3e-2),    # on the level at its first column
+              (2e-2, 3e-2, 4e-2),    # above it throughout
+              (1e-3, 1e-2, 2e-2))    # on it at its middle column
     assert _level_contour([5e-4, 6e-4, 7e-4], p2, errors, 1e-2) == \
         [(1e-4, 5e-4), (pytest.approx(1e-3, rel=1e-12), 7e-4)]
 

@@ -90,10 +90,10 @@ COST_DIGESTS = {
 }
 
 # `sweep` over every variant (and both one-way cases), sweep.csv then
-# sweep_contour.csv
+# sweep_contour.csv; each cell is `logical_gate_fidelity` at its error rates
 SWEEP_DIGESTS = {
-    "p1": "f1e00cc50245e2923f3cd3860889981a2397b814655bc40b02ffc3ab1deb58af",
-    "pr": "bea784aedb86fb8006f354cb4097a94b29a63d52d865c9a003f376db3008c47c",
+    "p1": "535fb8457695e9b5c5133612c2e4d0214e268b4b5e502cf4064c3825ab554f61",
+    "pr": "0a8b75eee636fba3023ef3d4655a0886bf0ae270651d9cb6480c0c2d706be478",
 }
 
 

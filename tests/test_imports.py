@@ -5,10 +5,12 @@ No linter runs on this repository, so this test is the unused-import
 check.  `__init__.py` is left out: its imports are the package's
 re-exports.
 
-`compile` and `schedule` import neither numpy nor the oracle or the cost
-model, nor `dataclasses` or `inspect`: no module declares a value type
-with `dataclasses`.  Every exported name still resolves, most of them
-lazily.
+Each command loads only what it runs: `compile` and `schedule` import
+neither numpy nor the oracle or the cost model, nor `dataclasses` or
+`inspect`; `cost`, `sweep` and `compare` add only the cost model; `verify`
+adds the oracle and, with it, numpy and `inspect`.  No module declares a
+value type with `dataclasses`.  Every exported name still resolves, most
+of them lazily.
 """
 import ast
 import os
@@ -65,26 +67,42 @@ def test_unread_import_is_reported():
 
 
 # A fresh interpreter: the test process itself has numpy loaded already.
-_COMPILE_PATH = """\
+_RUN_COMMAND = """\
 import sys
 from atomshuttle import cli
-for command in ("schedule", "compile"):
-    code = cli.main([command, "--arch", "configs/two-way-belt.arch",
-                     "--program", "configs/sample.program", "--out", sys.argv[1]])
-    assert code == 0, (command, code)
+code = cli.main(sys.argv[1:])
+assert code == 0, code
 print(" ".join(m for m in ("numpy", "atomshuttle.oracle", "atomshuttle.cost",
                            "dataclasses", "inspect") if m in sys.modules))
 """
 
+# each README command line -> the modules it loads of those above, and
+# the artifacts it writes
+README_COMMANDS = {
+    "compile": (["--arch", "configs/two-way-belt.arch", "--program", "configs/sample.program"],
+                [], ["compile.jsonl"]),
+    "schedule": (["--arch", "configs/shuttle-and-route.arch",
+                  "--program", "configs/sample.program"],
+                 [], ["events.jsonl", "makespan.txt", "trajectories.csv"]),
+    "verify": (["--arch", "configs/throw-and-measure.arch", "--pair", "0,0,7,7"],
+               ["numpy", "atomshuttle.oracle", "inspect"], ["verify.jsonl"]),
+    "cost": (["--cost", "configs/default.cost"], ["atomshuttle.cost"], ["cost.csv"]),
+    "sweep": (["--variant", "throw-catch-throw", "--axis", "p1"], ["atomshuttle.cost"],
+              ["sweep.csv", "sweep_contour.csv"]),
+    "compare": (["--cost", "configs/default.cost"], ["atomshuttle.cost"], ["compare.csv"]),
+}
 
-def test_compile_and_schedule_load_no_numpy_oracle_or_cost(tmp_path):
+
+@pytest.mark.parametrize("command", list(README_COMMANDS))
+def test_each_readme_command_loads_only_what_it_runs(tmp_path, command):
+    args, loaded, artifacts = README_COMMANDS[command]
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run([sys.executable, "-c", _COMPILE_PATH, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", _RUN_COMMAND, command, *args,
+                           "--out", str(tmp_path / "out")],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "compile.jsonl", "events.jsonl", "makespan.txt", "trajectories.csv"]
+    assert proc.stdout.split() == loaded
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == artifacts
 
 
 @pytest.mark.parametrize("name", atomshuttle.__all__)

@@ -849,21 +849,21 @@ def load_after_last_gate(events, load, dispose):
     events[:] = sort_events(events)
 
 
-@pytest.mark.parametrize("edit, message, presence", [
+@pytest.mark.parametrize("edit, expected", [
     (lambda events, load, dispose: events.insert(load + 1, events[load]),
-     "messenger 0 loaded twice", []),
-    (lambda events, load, dispose: events.pop(dispose), "messenger 0 loaded but never disposed",
-     []),
-    (lambda events, load, dispose: events.pop(load), "messenger 0 disposed but never loaded",
-     []),
+     [("lifecycle", "messenger 0 loaded twice")]),
+    (lambda events, load, dispose: events.pop(dispose),
+     [("lifecycle", "messenger 0 loaded but never disposed")]),
+    (lambda events, load, dispose: events.pop(load),
+     [("lifecycle", "messenger 0 disposed but never loaded")]),
     # a use lies on the path, so a LOAD after it is late for the path's
-    # start: a `presence` violation as well
-    (load_after_last_gate, "messenger 0 used at event 0 before its load at event 5",
+    # start: the one fault is a `presence` violation, reported once
+    (load_after_last_gate,
      [("presence", "messenger 0 loaded at event 5 away from its path's start")]),
-    (h_after_dispose, "messenger 0 used at event 8 after disposal", [])],
+    (h_after_dispose, [("lifecycle", "messenger 0 used at event 8 after disposal")])],
     ids=["loaded-twice", "never-disposed", "never-loaded", "used-before-load",
          "used-after-dispose"])
-def test_check_conflicts_names_each_lifecycle_rule(edit, message, presence):
+def test_check_conflicts_names_each_lifecycle_rule(edit, expected):
     arch = arch_for(Variant.THROW_AND_MEASURE)
     prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))   # messenger 0 only
     events = list(prog.events)
@@ -872,7 +872,7 @@ def test_check_conflicts_names_each_lifecycle_rule(edit, message, presence):
     edit(events, load, dispose)
     assert check_conflicts(prog, arch) == []
     assert [(v.kind, v.message) for v in check_conflicts(prog._replace(events=events), arch)] \
-        == [*presence, ("lifecycle", message)]
+        == expected
 
 
 def edit_first(events, action, **change):

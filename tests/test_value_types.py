@@ -29,7 +29,7 @@ SEGMENT = TrajectorySegment(3, SegmentKind.BELT_RIDE, 0.0, 2e-6, (0.0, 0.5), (3.
 COUNTS = GateCounts(2, 3, 1, 0)
 REPORT = FidelityReport(COUNTS, 0.99, 0.01)
 STATE = PureState(np.array([1.0 + 0j, 0.0]), (A,))
-AXIS = np.array([1e-3, 1e-2])
+AXIS = (1e-3, 1e-2)
 
 # (type, field names, values in order, number of fields with no default,
 # {field: default}, frozen, (field, other value) for inequality)
@@ -71,7 +71,7 @@ TYPES = [
     (FidelityReport, ("counts", "F", "error", "makespan"), (COUNTS, 0.99, 0.01, 3e-6), 3,
      {"makespan": None}, True, ("makespan", 4e-6)),
     (SweepResult, ("axis1_name", "axis1", "p2", "errors", "contour"),
-     ("p1", AXIS, AXIS, np.outer(AXIS, AXIS), [(1e-3, 1e-2)]), 5, {}, True,
+     ("p1", AXIS, AXIS, ((1e-6, 1e-5), (1e-5, 1e-4)), [(1e-3, 1e-2)]), 5, {}, True,
      ("axis1_name", "pr")),
     (ComparisonRow, ("variant", "case", "report"), (Variant.ONE_WAY_BELT, 2, REPORT), 3, {},
      True, ("case", 1)),
