@@ -412,12 +412,13 @@ def classical_bits(events: list[PhysicalEvent]) -> BitUsage:
     """Check that each classical bit is written once and read only after
     its write ends.
 
-    Works on gate events in list order (programs are kept time-sorted);
-    a read before the write is reported as a violation.
+    Works on gate events in time order, ties in list order, as
+    `check_conflicts` reads a program; a violation names events by their
+    list positions.
     """
     writers: dict[int, int] = {}
     violations = []
-    for i, ev in enumerate(events):
+    for i, ev in sorted(enumerate(events), key=lambda item: item[1].t):
         if ev.action is not ActionKind.GATE or ev.gate is None:
             continue
         if ev.gate.writes_bit:

@@ -19,7 +19,8 @@ from .ir import GateKind, GateStep, QubitRef, checked_make
 
 MAX_QUBITS = 8
 NORM_ABORT = 1e-9
-# inputs that `verify_sequence` runs in one stacked pass; bounds its memory
+# inputs that `verify_sequence` runs in one stacked pass; bounds the size of
+# its amplitude arrays, not of its inputs or records
 STACK_INPUTS = 32
 
 KET_0 = np.array([1, 0], dtype=complex)

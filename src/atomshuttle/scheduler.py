@@ -281,45 +281,39 @@ class _Committed:
     """The two-qubit gates `schedule()` has committed so far, and the
     exclusion search over them.
 
-    `gates` holds [t0, t1, tracks, boxes] in placement order; `starts` holds
-    their start times, sorted, and `order` the placement index of each.  No
-    gate lasts longer than `reach`, so one that overlaps [c0, c1] in time
-    starts in [c0 - reach, c1).  A gate's `boxes` are `gate_boxes` over its
-    window widened by `eps` on each side, built by `boxes` when the gate is
-    first near another in time: a candidate's, over its unshifted window, are
-    inherited at commit, since a shift moves the atoms with the window and
-    the widening covers a shifted time that rounds past a window end, so
-    they hold for any shift.  A search widens the candidate's union box by
-    the exclusion distance (plus `BOX_MARGIN`) once: a near gate whose union
-    box lies outside that square is passed by four comparisons, before its
-    time overlap is computed, and each atom pair left by the atom boxes is
-    decided at the start of the overlap first (`too_close`).
-
-    `reach` is the largest rounded `o1 - o0`, and it finds every gate that
-    can overlap, that is, every one with o1 > c0 (times are never
-    negative).  Where `o1 - o0` is exact, which Sterbenz's lemma gives
-    whenever o0 >= o1 / 2, so for every gate that starts at or after its
-    own duration, `c0 - reach` rounds to at most `o1 - (o1 - o0)`, which
-    is o0.  A gate that starts before its duration (within t2 of
-    time 0) may have `o1 - o0` rounded by up to 2**-53 of itself, less than
-    the gap between o1 and the float below it; c0 lies at least that gap
-    below o1, so `c0 - reach` is still below o0 before it rounds, and at
-    most o0 after.
+    `gates` holds [t0, t1, tracks, boxes] in placement order; `starts` and
+    `ends` hold their start and end times, sorted, and `order` the placement
+    index of each.  Every two-qubit gate lasts `t2`, so a gate's end is
+    `t0 + t2` rounded; rounding never falls as `t0` grows, so gates sorted by
+    start are sorted by end too, and the gates that fire during [c0, c1) are
+    exactly those that end after c0 and start before c1.  A gate's `boxes`
+    are `gate_boxes` over its window widened by `eps` on each side, built by
+    `boxes` when the gate is first near another in time: a candidate's, over
+    its unshifted window, are inherited at commit, since a shift moves the
+    atoms with the window and the widening covers a shifted time that rounds
+    past a window end, so they hold for any shift.  A search widens the
+    candidate's union box by the exclusion distance (plus `BOX_MARGIN`)
+    once: a near gate whose union box lies outside that square is passed by
+    four comparisons, before its time overlap is computed, and each atom
+    pair left by the atom boxes is decided at the start of the overlap first
+    (`too_close`).
     """
 
     def __init__(self, arch: ArchitectureSpec):
         self.eps = _gap(arch)
+        self.t2 = arch.t2
         self.gates: list[list] = []
         self.starts: list[float] = []
+        self.ends: list[float] = []
         self.order: list[int] = []
-        self.reach = 0.0
 
-    def add(self, t0: float, t1: float, tracks, boxes) -> None:
+    def add(self, t0: float, tracks, boxes) -> None:
+        t1 = t0 + self.t2
         i = bisect_right(self.starts, t0)
         self.starts.insert(i, t0)
+        self.ends.insert(i, t1)
         self.order.insert(i, len(self.gates))
         self.gates.append([t0, t1, tracks, boxes])
-        self.reach = max(self.reach, t1 - t0)
 
     def boxes(self, g):
         """The boxes of gate `g` ([t0, t1, tracks, boxes]), built on first use."""
@@ -332,8 +326,7 @@ class _Committed:
         ([t0, t1, tracks, boxes]), shifted by `delta`, comes too close to
         while both fire; None if there is none."""
         c0, c1 = c[0] + delta, c[1] + delta
-        starts = self.starts
-        lo, hi = bisect_left(starts, c0 - self.reach), bisect_left(starts, c1)
+        lo, hi = bisect_right(self.ends, c0), bisect_left(self.starts, c1)
         near = sorted(self.order[lo:hi])
         near = near[bisect_right(near, after):]
         if not near:
@@ -818,8 +811,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                     ready[q.coord] = e.t_end + eps
             if e.action is ActionKind.GATE and e.gate.is_two_qubit:
                 # the candidate's boxes: a shift moves the atoms with the window
-                committed.add(e.t, e.t_end, _atom_tracks(e.operands, moving),
-                              next(tested)[3])
+                committed.add(e.t, _atom_tracks(e.operands, moving), next(tested)[3])
 
     events = sort_events(events)
     makespan = max((e.t_end for e in events), default=0.0)
@@ -880,7 +872,7 @@ def check_conflicts(program: ScheduledProgram, arch: ArchitectureSpec) -> list[V
             if not q.is_messenger:
                 continue
             s = q.serial
-            path = paths.get(s)
+            path = paths.get(s) or None     # an empty path is no path
             if path is None:
                 located = False
                 if s not in pathless:

@@ -424,7 +424,7 @@ def test_reused_boxes_cover_a_jump_where_a_shifted_window_starts():
     # the atom sits on the placed gate's.  Unwidened boxes would be 3 cells
     # apart and prune the pair.
     committed = scheduler._Committed(ArchitectureSpec(Variant.TWO_WAY_BELT, 8, t2=1.0, v=1e-6))
-    committed.add(1.0, 2.0, [_Track(static_pos=(3.0, 0.0))], None)
+    committed.add(1.0, [_Track(static_pos=(3.0, 0.0))], None)
     assert committed.first_conflict([1e-18, 1.0, [jump(3.0)], None], 1.0, -1) == 0
 
 
@@ -435,19 +435,21 @@ SEARCH_EPS = scheduler._Committed(SEARCH_ARCH).eps
 
 @st.composite
 def search_gates(draw, sites):
-    """(t0, t1, tracks, boxes) of a gate at a point of `sites`, its atoms
-    moving within a cell of it; planned over [b0, b1] and moved `delta`
-    later as `schedule` commits it.  `boxes` are None or those built over
-    the planned window widened by eps, as a candidate tested there keeps
+    """(t0, t1, tracks, boxes) of a two-qubit gate at a point of `sites`,
+    its atoms moving within a cell of it; planned over [b0, b0 + t2] and
+    moved `delta` later as `schedule` commits it, the start shifted first
+    and the end `t2` after it.  `boxes` are None or those built over the
+    planned window widened by eps, as a candidate tested there keeps
     them."""
     x, y = draw(sites)
     near = st.tuples(st.floats(x - 1.0, x + 1.0), st.floats(y - 1.0, y + 1.0))
     atoms = draw(st.lists(tracks(near), min_size=1, max_size=2))
     b0 = draw(st.floats(0.0, 2.0))
-    b1 = b0 + draw(st.floats(0.01, 3.0))
     delta = draw(st.floats(-1.0, 1.0)) if draw(st.booleans()) else 0.0
-    boxes = gate_boxes(atoms, b0 - SEARCH_EPS, b1 + SEARCH_EPS) if draw(st.booleans()) else None
-    return (b0 + delta, b1 + delta, [moved(t, delta) for t in atoms], boxes)
+    boxes = (gate_boxes(atoms, b0 - SEARCH_EPS, b0 + SEARCH_ARCH.t2 + SEARCH_EPS)
+             if draw(st.booleans()) else None)
+    t0 = b0 + delta
+    return (t0, t0 + SEARCH_ARCH.t2, [moved(t, delta) for t in atoms], boxes)
 
 
 @st.composite
@@ -495,8 +497,8 @@ def test_first_conflict_matches_a_plain_scan(search, delta):
     # skip gates and atom pairs that cannot come too close
     placed, cand, after = search
     committed = scheduler._Committed(SEARCH_ARCH)
-    for gate in placed:
-        committed.add(*gate)
+    for t0, _, otracks, boxes in placed:
+        committed.add(t0, otracks, boxes)
     assert committed.first_conflict(list(cand), delta, after) == \
         plain_first_conflict(placed, cand, delta, after)
 
@@ -521,11 +523,11 @@ def indexed_place_anchors(arch, steps, windows, rides, events: list):
             moved = True
             while moved:
                 moved, k = False, -1
-                while (k := placed.first_conflict(c := [t, t + dur, tracks, None],
+                while (k := placed.first_conflict([t, t + dur, tracks, None],
                                                   0.0, k)) is not None:
                     t = placed.gates[k][1] + eps
                     moved = bumped = True
-            placed.add(*c)
+            placed.add(t, tracks, None)
         assert t + dur <= t_close
         comp = [q for q in operands if not q.is_messenger]
         pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
@@ -917,9 +919,11 @@ def path_starts_early(events, paths, arch):
     (lambda events, paths, arch: edit_first(events, ActionKind.DISPOSE,
                                             t=lambda t: t - scheduler._gap(arch) / 2),
      7, "messenger 0 disposed of at event 7 away from its path's end"),
-    (lambda events, paths, arch: paths.pop(0), 0, "messenger 0 used at event 0 has no path")],
+    (lambda events, paths, arch: paths.pop(0), 0, "messenger 0 used at event 0 has no path"),
+    (lambda events, paths, arch: paths.update({0: []}), 0,
+     "messenger 0 used at event 0 has no path")],
     ids=["before-path", "after-path", "load-away", "load-late", "dispose-away", "dispose-early",
-         "no-path"])
+         "no-path", "empty-path"])
 def test_check_conflicts_keeps_each_messenger_event_on_its_path(edit, event, message):
     # throw-and-measure, messenger 0 only: its path runs from its LOAD at 0
     # to its DISPOSE the gap after its readout ends.  Each edit breaks one
@@ -944,6 +948,23 @@ def test_check_conflicts_reads_the_lifecycle_in_time_order():
     dispose = next(i for i, e in enumerate(events) if e.action is ActionKind.DISPOSE)
     events.insert(0, events.pop(dispose))
     assert check_conflicts(prog._replace(events=events), arch) == []
+
+
+def test_classical_bits_reads_the_bits_in_time_order():
+    # the plan listed in reverse, so its readout's COND_Z (event 1) is
+    # listed before the MEASURE_X that writes bit 0 (event 2) but timed
+    # after it: both calls read events by time and find nothing.  A readout
+    # stretched past the COND_Z's start is named by its list positions
+    arch = arch_for(Variant.THROW_AND_MEASURE)
+    prog = plan_trajectories(arch, decompose_cz(arch, (0, 0), (4, 4)))
+    events = prog.events[::-1]
+    assert [(e.gate, e.bit) for e in events[1:3]] == [(GateKind.COND_Z, 0), (GateKind.MEASURE_X, 0)]
+    assert check_conflicts(prog._replace(events=events), arch) == []
+    assert classical_bits(events).violations == ()
+    read, write = events[1], events[2]._replace(duration=events[1].t - events[2].t + 1e-7)
+    events[2] = write
+    assert classical_bits(events).violations == (
+        f"bit 0 read at event 1 (t={read.t}) before writer finishes (t={write.t_end})",)
 
 
 @pytest.mark.parametrize("at_end, expected", [
