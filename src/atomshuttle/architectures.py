@@ -241,9 +241,16 @@ def decompose_cz(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
     several logical gates never shares a messenger or a bit.  The result's
     `a` and `b` are the targets A and B: `a` and `b`, except on the one-way
     belt, where A is the target that the other componentwise dominates in
-    case 1, and the one with the smaller column in case 2.
+    case 1, and the one with the smaller column in case 2.  Raises
+    `ValueError` unless `check_op` accepts the CZ.
     """
     check_op(LogicalCZ(a, b), arch.L)
+    return _decompose(arch, a, b, serial_start, bit_start)
+
+
+def _decompose(arch: ArchitectureSpec, a: tuple[int, int], b: tuple[int, int],
+               serial_start: int, bit_start: int) -> Decomposition:
+    """`decompose_cz` of a CZ that `check_op` has accepted."""
     v = arch.variant
     case = None
     if v is Variant.ONE_WAY_BELT:

@@ -16,9 +16,10 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
+from itertools import cycle
 from typing import NamedTuple
 
-from .architectures import ArchitectureSpec, Decomposition, Variant, decompose_cz
+from .architectures import ArchitectureSpec, Decomposition, Variant, _decompose
 from .ir import (ActionKind, GateKind, Logical1Q, LogicalCircuit, PhysicalEvent, QubitRef,
                  check_circuit, sort_events)
 
@@ -625,12 +626,14 @@ _PLANNERS = {
 }
 
 
-def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: list) -> dict:
+def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: list):
     """Start each gate of `steps` as early as its window (t0, t1), its qubits'
     and bit's earlier gates and pairwise exclusion allow, so that it ends by
-    `t1`, and append its event to `events`; returns each qubit's last gate
-    end (QubitRef -> time).  Raises `InfeasibleError`, naming the gate and
-    its latest start, when a gate cannot end by `t1`.
+    `t1`, and append its event to `events`.  Returns each qubit's last gate
+    end and last gate event (QubitRef -> time, QubitRef -> event), and an
+    `(event, tracks)` record of each two-qubit gate, in placement order.
+    Raises `InfeasibleError`, naming the gate and its latest start, when a
+    gate cannot end by `t1`.
 
     A plan has a few two-qubit gates, so each is tested against those placed
     before it by a plain scan in placement order, with no index or boxes.
@@ -639,16 +642,24 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
     """
     eps = _gap(arch)
     last_end: dict = {}
+    last: dict = {}
     bit_end: dict = {}
     moving = _moving_tracks(rides)
     placed = []   # (t0, t1, tracks) of each two-qubit gate
+    records = []
+    new, GATE = tuple.__new__, ActionKind.GATE
     for (gate, operands, bit), (t, t_close) in zip(steps, windows, strict=True):
         dur = _gate_duration(arch, gate)
+        # each start is max(t, end + eps), by the comparison `max` makes
         for q in operands:
             if q in last_end:
-                t = max(t, last_end[q] + eps)
+                after = last_end[q] + eps
+                if after > t:
+                    t = after
         if gate.reads_bit and bit in bit_end:
-            t = max(t, bit_end[bit] + eps)
+            after = bit_end[bit] + eps
+            if after > t:
+                t = after
         if gate.is_two_qubit:
             tracks = _atom_tracks(operands, moving)
             moved = True
@@ -677,14 +688,35 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
                 break
         else:
             pos = moving[operands[0].serial].position(t + dur / 2)
-        events.append(PhysicalEvent(t, pos, ActionKind.GATE, operands, gate, bit, dur))
+        # built as `PhysicalEvent(...)` would, without its keyword handling
+        e = new(PhysicalEvent, (t, pos, GATE, operands, gate, bit, dur, None, None, None))
+        events.append(e)
         for q in operands:
             last_end[q] = end
+            last[q] = e
         if gate.writes_bit:
             bit_end[bit] = end
         if gate.is_two_qubit:
             placed.append((t, end, tracks))
-    return last_end
+            records.append((e, tracks))
+    return last_end, last, records
+
+
+def _plan(arch: ArchitectureSpec, d: Decomposition):
+    """`plan_trajectories` before its sort: the rides, the events as written,
+    and `_place_anchors`' records and last gate events.  The records' tracks
+    hold the rides' segment lists, stationary waits included."""
+    rides, windows, events = _PLANNERS[arch.variant](arch, d)
+    last_end, last, records = _place_anchors(arch, d.gates, windows, rides, events)
+    eps = _gap(arch)
+    for s, segs in rides.items():
+        mref = QubitRef.mess(s)
+        arrival, pos = segs[-1].t_end, segs[-1].end_pos
+        t_disp = max(last_end[mref] + eps, arrival)
+        if t_disp > arrival:
+            segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
+        events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
+    return rides, events, records, last
 
 
 def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProgram:
@@ -706,16 +738,7 @@ def plan_trajectories(arch: ArchitectureSpec, d: Decomposition) -> ScheduledProg
         raise ValueError("the neighbor-chain baseline has no transport plan")
     if d.variant is not arch.variant:
         raise ValueError(f"decomposition for {d.variant} given to {arch.variant} planner")
-    rides, windows, events = _PLANNERS[arch.variant](arch, d)
-    last_end = _place_anchors(arch, d.gates, windows, rides, events)
-    eps = _gap(arch)
-    for s, segs in rides.items():
-        mref = QubitRef.mess(s)
-        arrival, pos = segs[-1].t_end, segs[-1].end_pos
-        t_disp = max(last_end[mref] + eps, arrival)
-        if t_disp > arrival:
-            segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
-        events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
+    rides, events, _, _ = _plan(arch, d)
     events = sort_events(events)
     return ScheduledProgram(events, rides, max(e.t_end for e in events))
 
@@ -738,6 +761,16 @@ def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
 
 # --- multi-gate scheduling --------------------------------------------------
 
+def _event_order(records: list) -> list:
+    """The `(event, tracks)` records of a plan's two-qubit gates in event
+    order (`sort_events`): placement order, unless two starts tie or run
+    backwards."""
+    for (e, _), (f, _) in zip(records, records[1:]):
+        if e.t >= f.t:
+            return sorted(records, key=lambda r: r[0].sort_key())
+    return records
+
+
 def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgram:
     """Greedy list scheduler over the circuit's logical ops.
 
@@ -746,18 +779,18 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     delayed by the minimal feasible offset.  Deterministic in circuit order.
     The program keeps the invariants of the README's "Invariants a schedule
     keeps".  Raises `ValueError` unless the circuit is written for the
-    `arch.L` array, `InfeasibleError` from `plan_trajectories` when a
-    logical gate has no plan, and `InfeasibleError` naming `t2` when the gap
-    after a gate (`1e-6 t2`) is too fine for the program's times: a bump
-    that leaves a plan overlapping the gate it was moved past, or a gap
-    under 4 ulps of the makespan.
+    `arch.L` array, `InfeasibleError` from the planner when a logical gate
+    has no plan, and `InfeasibleError` naming `t2` when the gap after a gate
+    (`1e-6 t2`) is too fine for the program's times: a bump that leaves a
+    plan overlapping the gate it was moved past, or a gap under 4 ulps of
+    the makespan.
     """
     check_circuit(circuit, arch.L)
     events: list[PhysicalEvent] = []   # in commit order, sorted once at the end
     trajectories: dict[int, list[TrajectorySegment]] = {}
     ready: dict[tuple[int, int], float] = {}
     # the program-scale exclusion index; each plan's own gates were placed
-    # off each other by `plan_trajectories`
+    # off each other by its planner
     committed = _Committed(arch)
     eps = committed.eps
     serial = bit = 0
@@ -770,48 +803,50 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
                                         gate=op.gate, duration=dur))
             ready[op.q] = t + dur + eps
             continue
-        d = decompose_cz(arch, op.a, op.b, serial_start=serial, bit_start=bit)
+        d = _decompose(arch, op.a, op.b, serial, bit)
         serial += len(d.messengers)
         bit += d.counts.nr
-        plan = plan_trajectories(arch, d)
+        rides, plan_events, records, last = _plan(arch, d)
         delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
-        moving = _moving_tracks(plan.trajectories)
-        cand = [[e.t, e.t_end, _atom_tracks(e.operands, moving), None]
-                for e in plan.events
-                if e.action is ActionKind.GATE and e.gate.is_two_qubit]
-        # passes over every candidate until a pass moves none; a bump raises
-        # delta, and later committed gates are tested at the new value.  A
-        # bump starts the candidate past the gate it hit, and delta only
-        # grows, so each candidate bumps off each committed gate at most once
-        bumped = True
-        while bumped:
-            bumped = False
-            for c in cand:
-                k = -1
-                while (k := committed.first_conflict(c, delta, k)) is not None:
-                    end = committed.gates[k][1]
-                    delta = end - c[0] + eps
-                    if c[0] + delta < end:
-                        raise InfeasibleError(
-                            f"t2 {arch.t2:.3e}s too short: its gap {eps:.3e}s does not "
-                            f"move cz {op.a} {op.b} past a committed gate ending at {end:.6e}s")
-                    bumped = True
-        # one copy of the plan at its final time
-        if delta != 0.0:
-            plan = shift_program(plan, delta)
-            moving = _moving_tracks(plan.trajectories)
+        records = _event_order(records)
+        cand = [[e.t, e.t_end, tracks, None] for e, tracks in records]
+        # cycle through the candidates until each has been searched in full
+        # at the current delta, when another search can only find nothing.
+        # A bump raises delta and the search goes on past the gate it hit,
+        # so the candidate is searched again.  A bump starts the candidate
+        # past the gate it hit, and delta only grows, so each candidate
+        # bumps off each committed gate at most once
+        clean = 0
+        for c in cycle(cand):
+            moved, k = False, -1
+            while (k := committed.first_conflict(c, delta, k)) is not None:
+                end = committed.gates[k][1]
+                delta = end - c[0] + eps
+                if c[0] + delta < end:
+                    raise InfeasibleError(
+                        f"t2 {arch.t2:.3e}s too short: its gap {eps:.3e}s does not "
+                        f"move cz {op.a} {op.b} past a committed gate ending at {end:.6e}s")
+                moved = True
+            clean = 0 if moved else clean + 1
+            if clean == len(cand):
+                break
+        # one copy of the plan at its final time (its makespan is not read)
+        plan = shift_program(ScheduledProgram(plan_events, rides, 0.0), delta)
         trajectories.update(plan.trajectories)
         events += plan.events
-        tested = iter(cand)
-        for e in plan.events:
-            # a plan's gates on a computational qubit run in order, so its
-            # last event there sets when the qubit is free
-            for q in e.operands:
-                if not q.is_messenger:
-                    ready[q.coord] = e.t_end + eps
-            if e.action is ActionKind.GATE and e.gate.is_two_qubit:
-                # the candidate's boxes: a shift moves the atoms with the window
-                committed.add(e.t, _atom_tracks(e.operands, moving), next(tested)[3])
+        # a plan's gates on a computational qubit run in order, so its last
+        # gate there sets when the qubit is free; its moved end is the
+        # moved start plus the duration, as the moved event's `t_end`
+        for coord in (op.a, op.b):
+            e = last[QubitRef.comp(*coord)]
+            ready[coord] = (e.t + delta) + e.duration + eps
+        if delta != 0.0:
+            # the gates are committed with the moved plan's tracks
+            moving = _moving_tracks(plan.trajectories)
+            records = [(e, _atom_tracks(e.operands, moving)) for e, _ in records]
+        for (_, tracks), c in zip(records, cand):
+            # the candidate's boxes: a shift moves the atoms with the window
+            committed.add(c[0] + delta, tracks, c[3])
 
     events = sort_events(events)
     makespan = max((e.t_end for e in events), default=0.0)

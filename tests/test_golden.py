@@ -235,11 +235,13 @@ def test_plans_match_golden_digest(monkeypatch):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_corpus_schedules_match_golden_digest(monkeypatch, variant):
     # Count exclusion conflicts seen by schedule() itself (outside the
-    # single-gate planner), so the corpus is known to drive its bump loop.
-    conflicts, in_plan = [0], [False]
-    plan, min_distance = scheduler.plan_trajectories, scheduler.min_distance
+    # single-gate planner `_plan`, which schedule() calls), so the corpus is
+    # known to drive its bump loop.
+    conflicts, in_plan, planned = [0], [False], [0]
+    plan, min_distance = scheduler._plan, scheduler.min_distance
 
     def counting_plan(*args):
+        planned[0] += 1
         in_plan[0] = True
         try:
             return plan(*args)
@@ -252,10 +254,10 @@ def test_corpus_schedules_match_golden_digest(monkeypatch, variant):
             conflicts[0] += 1
         return d
 
-    monkeypatch.setattr(scheduler, "plan_trajectories", counting_plan)
+    monkeypatch.setattr(scheduler, "_plan", counting_plan)
     monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
     assert corpus_digest(variant) == CORPUS_DIGESTS[variant]
-    assert conflicts[0] > 0
+    assert conflicts[0] > 0 and planned[0] > 0
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -125,11 +125,12 @@ def test_dense_schedule_matches_reference_model(monkeypatch, variant):
     # and pairs that start apart and close in later (the exact minimum)
     circuit, arch = dense_circuit(), ArchitectureSpec(variant, 6)
     plain = reference_schedule(circuit, arch)
-    plan, too_close_, min_distance_ = (scheduler.plan_trajectories, scheduler.too_close,
+    plan, too_close_, min_distance_ = (scheduler._plan, scheduler.too_close,
                                        scheduler.min_distance)
-    in_plan, conflicts = [False], {"pair": 0, "exact": 0}
+    in_plan, planned, conflicts = [False], [0], {"pair": 0, "exact": 0}
 
     def counting_plan(*args):
+        planned[0] += 1
         in_plan[0] = True
         try:
             return plan(*args)
@@ -146,11 +147,11 @@ def test_dense_schedule_matches_reference_model(monkeypatch, variant):
         conflicts["exact"] += d < EXCLUSION_CELLS - DIST_TOL and not in_plan[0]
         return d
 
-    monkeypatch.setattr(scheduler, "plan_trajectories", counting_plan)
+    monkeypatch.setattr(scheduler, "_plan", counting_plan)
     monkeypatch.setattr(scheduler, "too_close", counting_too_close)
     monkeypatch.setattr(scheduler, "min_distance", counting_min_distance)
     assert_same_schedule(schedule(circuit, arch), plain)
-    assert conflicts["pair"] > conflicts["exact"] > 0
+    assert conflicts["pair"] > conflicts["exact"] > 0 and planned[0] == len(circuit.ops)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -160,3 +161,25 @@ def test_wide_schedule_matches_reference_model(variant):
     # candidate's box before it compares their times
     circuit, arch = dense_circuit(L=12, n=100), ArchitectureSpec(variant, 12)
     assert_same_schedule(schedule(circuit, arch), reference_schedule(circuit, arch))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bump_loop_searches_each_candidate_in_full_once_per_delta(monkeypatch, variant):
+    # schedule() stops cycling through a plan's candidates once each has been
+    # searched in full (from the first committed gate) at the current delta:
+    # another such search can only find nothing.  The reference model passes
+    # until a pass moves none, so it makes those searches and must still agree.
+    circuit, arch = dense_circuit(), ArchitectureSpec(variant, 6)
+    searches = []   # (candidate, delta, after) of each search, candidates kept alive
+    first_conflict = scheduler._Committed.first_conflict
+
+    def recording_first_conflict(self, c, delta, after):
+        searches.append((c, delta, after))
+        return first_conflict(self, c, delta, after)
+
+    monkeypatch.setattr(scheduler._Committed, "first_conflict", recording_first_conflict)
+    assert_same_schedule(schedule(circuit, arch), reference_schedule(circuit, arch))
+    full = [(id(c), delta) for c, delta, after in searches if after == -1]
+    assert len(full) == len(set(full))
+    # the circuit bumps candidates, so some are searched in full at several deltas
+    assert len({key for key, _ in full}) < len(full)

@@ -555,11 +555,43 @@ def test_plan_scan_places_as_the_indexed_search(variant):
             d = decompose_cz(arch, a, b)
             rides, windows, scanned = scheduler._PLANNERS[variant](arch, d)
             indexed = list(scanned)
-            last_end = scheduler._place_anchors(arch, d.gates, windows, rides, scanned)
+            last_end, last, _ = scheduler._place_anchors(arch, d.gates, windows, rides, scanned)
             ref_last_end, moved = indexed_place_anchors(arch, d.gates, windows, rides, indexed)
             assert scanned == indexed and last_end == ref_last_end
+            assert {q: e.t_end for q, e in last.items()} == last_end
             bumped += moved
     assert bumped == (36 if variant is Variant.ONE_WAY_BELT else 0)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_plan_records_are_the_plans_two_qubit_gates(variant):
+    # on the PLAN_DIGEST pairs: the placer's records of a plan's two-qubit
+    # gates, put in event order as `schedule()` takes them, are the
+    # two-qubit gate events of `plan_trajectories`, and each record's tracks
+    # place their atoms where the plan's trajectories do.  Some one-way-belt
+    # plans place a gate before one that starts earlier, so their records
+    # are reordered.
+    reordered = 0
+    for L in (4, 5):
+        arch = arch_for(variant, L)
+        cells = [(r, c) for r in range(L) for c in range(L)]
+        for a, b in itertools.permutations(cells, 2):
+            d = decompose_cz(arch, a, b)
+            prog = plan_trajectories(arch, d)
+            placed = scheduler._plan(arch, d)[2]
+            records = scheduler._event_order(placed)
+            assert [e for e, _ in records] == [e for e in prog.events if e.action is ActionKind.GATE
+                                               and e.gate.is_two_qubit]
+            for e, tracks in records:
+                times = (e.t, (e.t + e.t_end) / 2, e.t_end, prog.makespan)
+                for q, track in zip(e.operands, tracks, strict=True):
+                    plan_track = qubit_track(q, prog.trajectories)
+                    assert [track.position(t) for t in times] == \
+                        [plan_track.position(t) for t in times]
+                    assert track.breakpoints(0.0, prog.makespan) == \
+                        plan_track.breakpoints(0.0, prog.makespan)
+            reordered += [e for e, _ in records] != [e for e, _ in placed]
+    assert (reordered > 0) == (variant is Variant.ONE_WAY_BELT)
 
 
 @st.composite
@@ -582,9 +614,10 @@ def static_drafts(draw):
 def test_plan_scan_places_random_drafts_as_the_indexed_search(draft):
     steps, windows = draft
     scanned, indexed = [], []
-    last_end = scheduler._place_anchors(SEARCH_ARCH, steps, windows, {}, scanned)
+    last_end, last, _ = scheduler._place_anchors(SEARCH_ARCH, steps, windows, {}, scanned)
     assert (last_end, scanned) == \
         (indexed_place_anchors(SEARCH_ARCH, steps, windows, {}, indexed)[0], indexed)
+    assert {q: e.t_end for q, e in last.items()} == last_end
 
 
 @pytest.mark.thorough
