@@ -36,6 +36,15 @@ class FieldError(ValueError):
         self.field, self.value, self.requirement = field, value, requirement
 
 
+def check_lattice_size(L: int) -> None:
+    """The one rule for a lattice size, else `FieldError` on `L`: 2 <= L <= 2**51,
+    below which every coordinate and half-cell lane is an exact float."""
+    if L < 2:
+        raise FieldError("L", L, "must be at least 2")
+    if L > 2 ** 51:
+        raise FieldError("L", L, "must be at most 2**51")
+
+
 class _SpecFields(NamedTuple):
     variant: Variant
     L: int
@@ -52,21 +61,23 @@ class _SpecFields(NamedTuple):
 class ArchitectureSpec(_SpecFields):
     """Variant plus geometry and timing parameters, checked by every constructor.
 
-    Lengths in meters, times in seconds.  `a` is the lattice spacing,
-    `R` the blockade radius (R <= a), `v` the messenger speed
-    (v <= a/t2 so a passing messenger stays in blockade range for a
-    full two-qubit gate).
+    Lengths in meters, times in seconds.  `L` is the lattice size
+    (`check_lattice_size`), `a` the lattice spacing, `R` the blockade
+    radius (R <= a), `v` the messenger speed (v <= a/t2 so a passing
+    messenger stays in blockade range for a full two-qubit gate, and a / v
+    finite).
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.L < 2:
-            raise FieldError("L", self.L, "must be at least 2")
+        check_lattice_size(self.L)
         for name, value in zip(self._fields[2:], self[2:]):
             if not (math.isfinite(value) and value > 0):
                 raise FieldError(name, value, "must be finite and strictly positive")
+        if not math.isfinite(self.a / self.v):
+            raise FieldError("v", self.v, "is too slow: a / v, the time per cell, overflows")
         if self.R > self.a * (1 + 1e-12):
             raise FieldError("R", self.R, f"exceeds the lattice spacing {self.a}")
         if self.v > self.a / self.t2 * (1 + 1e-12):

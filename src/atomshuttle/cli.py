@@ -22,7 +22,8 @@ import re
 import sys
 
 from . import __version__
-from .architectures import ArchitectureSpec, Variant, ascii_int, load_arch_config
+from .architectures import (ArchitectureSpec, FieldError, Variant, ascii_int, check_lattice_size,
+                            load_arch_config)
 from .ir import INT_RE, LogicalCZ, check_circuit, events_to_jsonl, parse_program
 from .scheduler import InfeasibleError, schedule, trajectories_to_csv
 
@@ -191,8 +192,10 @@ def _cmd_verify(args) -> int:
 def _comparison(args):
     """Every variant's cost under `--cost` on an `-L` array, ranked, and the
     header of its artifact."""
-    if args.L < 2:
-        raise _CliError(EXIT_PARSE, f"-L {args.L}: lattice size must be at least 2")
+    try:
+        check_lattice_size(args.L)
+    except FieldError as e:
+        raise _CliError(EXIT_PARSE, f"-L {args.L}: lattice size {e.requirement}") from e
     from .cost import architecture_comparison, load_cost_config
     params, cost_text = _load(args.cost, functools.partial(load_cost_config, args.cost))
     return architecture_comparison(params, args.L), _header(cost_text, str(args.L))

@@ -107,47 +107,28 @@ class _Track:
             x, y = self.static
             return (x, y, x, y)
         t0, t1 = t0 - self.offset, t1 - self.offset
+        points = []
+        for s in self.segments:
+            if s.t_end >= t0:
+                points += (s.position(t0), s.position(t1))
+                if s.t_end >= t1:
+                    break
+        else:
+            points.append(self.segments[-1].end_pos)
         # running extremes, seeded with the first point and updated by the
         # comparisons `min` and `max` make, so ties and NaNs resolve as theirs
         # would; x0 <= x1 unless both are NaN, so a point below x0 is not
         # above x1
-        x0 = None
-        for s in self.segments:
-            if s.t_end >= t0:
-                ax, ay = s.position(t0)
-                bx, by = s.position(t1)
-                if x0 is None:
-                    x0 = x1 = ax
-                    y0 = y1 = ay
-                if ax < x0:
-                    x0 = ax
-                elif ax > x1:
-                    x1 = ax
-                if ay < y0:
-                    y0 = ay
-                elif ay > y1:
-                    y1 = ay
-                if bx < x0:
-                    x0 = bx
-                elif bx > x1:
-                    x1 = bx
-                if by < y0:
-                    y0 = by
-                elif by > y1:
-                    y1 = by
-                if s.t_end >= t1:
-                    return (x0, y0, x1, y1)
-        ex, ey = self.segments[-1].end_pos
-        if x0 is None:
-            return (ex, ey, ex, ey)
-        if ex < x0:
-            x0 = ex
-        elif ex > x1:
-            x1 = ex
-        if ey < y0:
-            y0 = ey
-        elif ey > y1:
-            y1 = ey
+        (x0, y0), (x1, y1) = points[0], points[0]
+        for x, y in points:
+            if x < x0:
+                x0 = x
+            elif x > x1:
+                x1 = x
+            if y < y0:
+                y0 = y
+            elif y > y1:
+                y1 = y
         return (x0, y0, x1, y1)
 
     def position(self, t: float) -> tuple[float, float]:
@@ -282,22 +263,24 @@ class _Committed:
     """The two-qubit gates `schedule()` has committed so far, and the
     exclusion search over them.
 
-    `gates` holds [t0, t1, tracks, boxes] in placement order; `starts` and
-    `ends` hold their start and end times, sorted, and `order` the placement
-    index of each.  Every two-qubit gate lasts `t2`, so a gate's end is
-    `t0 + t2` rounded; rounding never falls as `t0` grows, so gates sorted by
-    start are sorted by end too, and the gates that fire during [c0, c1) are
-    exactly those that end after c0 and start before c1.  A gate's `boxes`
-    are `gate_boxes` over its window widened by `eps` on each side, built by
-    `boxes` when the gate is first near another in time: a candidate's, over
-    its unshifted window, are inherited at commit, since a shift moves the
-    atoms with the window and the widening covers a shifted time that rounds
-    past a window end, so they hold for any shift.  A search widens the
-    candidate's union box by the exclusion distance (plus `BOX_MARGIN`)
-    once: a near gate whose union box lies outside that square is passed by
-    four comparisons, before its time overlap is computed, and each atom
-    pair left by the atom boxes is decided at the start of the overlap first
-    (`too_close`).
+    A two-qubit gate is one record, the list [t0, tracks, boxes, event]:
+    its start, its atoms' tracks, its boxes (None until built) and its event
+    as planned.  Every two-qubit gate lasts `t2`, so it fires over
+    [t0, t0 + t2], at any shift.  `gates` holds the records in placement
+    order; `starts` and `ends` hold their windows' starts and ends, sorted,
+    and `order` the placement index of each.  Rounding never lowers `t0 + t2` as `t0`
+    grows, so gates sorted by start are sorted by end too, and the gates
+    that fire during [c0, c1) are exactly those that end after c0 and start
+    before c1.  A gate's `boxes` are `gate_boxes` over its window widened by
+    `eps` on each side, built by `boxes` when the gate is first near another
+    in time: a candidate's, over its unshifted window, are kept at commit,
+    since a shift moves the atoms with the window and the widening covers a
+    shifted time that rounds past a window end, so they hold for any shift.
+    A search widens the candidate's union box by the exclusion distance
+    (plus `BOX_MARGIN`) once: a near gate whose union box lies outside that
+    square is passed by four comparisons, before its time overlap is
+    computed, and each atom pair left by the atom boxes is decided at the
+    start of the overlap first (`too_close`).
     """
 
     def __init__(self, arch: ArchitectureSpec):
@@ -308,25 +291,28 @@ class _Committed:
         self.ends: list[float] = []
         self.order: list[int] = []
 
-    def add(self, t0: float, tracks, boxes) -> None:
-        t1 = t0 + self.t2
+    def add(self, g) -> None:
+        """Commit the record `g` at its start `g[0]`."""
+        t0 = g[0]
         i = bisect_right(self.starts, t0)
         self.starts.insert(i, t0)
-        self.ends.insert(i, t1)
+        self.ends.insert(i, t0 + self.t2)
         self.order.insert(i, len(self.gates))
-        self.gates.append([t0, t1, tracks, boxes])
+        self.gates.append(g)
 
     def boxes(self, g):
-        """The boxes of gate `g` ([t0, t1, tracks, boxes]), built on first use."""
-        if g[3] is None:
-            g[3] = gate_boxes(g[2], g[0] - self.eps, g[1] + self.eps)
-        return g[3]
+        """The boxes of the record `g`, built on first use."""
+        if g[2] is None:
+            g[2] = gate_boxes(g[1], g[0] - self.eps, (g[0] + self.t2) + self.eps)
+        return g[2]
 
     def first_conflict(self, c, delta: float, after: int):
-        """Placement index of the first gate after `after` that candidate `c`
-        ([t0, t1, tracks, boxes]), shifted by `delta`, comes too close to
-        while both fire; None if there is none."""
-        c0, c1 = c[0] + delta, c[1] + delta
+        """Placement index of the first gate after `after` that the record `c`,
+        shifted by `delta`, comes too close to while both fire; None if there
+        is none."""
+        t2 = self.t2
+        c0 = c[0] + delta
+        c1 = c0 + t2
         lo, hi = bisect_right(self.ends, c0), bisect_left(self.starts, c1)
         near = sorted(self.order[lo:hi])
         near = near[bisect_right(near, after):]
@@ -341,10 +327,11 @@ class _Committed:
         shifted = None
         for k in near:
             other = gates[k]
-            o0, o1, otracks, oboxes = other
-            ounion, oatoms = oboxes or self.boxes(other)
+            ounion, oatoms = other[2] or self.boxes(other)
             if ounion[0] >= x1 or ounion[2] <= x0 or ounion[1] >= y1 or ounion[3] <= y0:
                 continue
+            o0 = other[0]
+            o1 = o0 + t2
             t0 = o0 if o0 > c0 else c0    # max(c0, o0) and min(c1, o1), ties included
             t1 = o1 if o1 < c1 else c1
             if t0 >= t1:
@@ -352,8 +339,8 @@ class _Committed:
             # a box gap is a lower bound on the exact distance, so only atom
             # pairs that may come too close are measured
             if shifted is None:
-                shifted = [t.shifted(delta) for t in c[2]]
-            for ot, ob in zip(otracks, oatoms):
+                shifted = [t.shifted(delta) for t in c[1]]
+            for ot, ob in zip(other[1], oatoms):
                 for ct, cb in zip(shifted, catoms):
                     if box_gap(ob, cb) < far and too_close(ot, ct, t0, t1):
                         return k
@@ -630,30 +617,28 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
     """Start each gate of `steps` as early as its window (t0, t1), its qubits'
     and bit's earlier gates and pairwise exclusion allow, so that it ends by
     `t1`, and append its event to `events`.  Returns each qubit's last gate
-    end and last gate event (QubitRef -> time, QubitRef -> event), and an
-    `(event, tracks)` record of each two-qubit gate, in placement order.
-    Raises `InfeasibleError`, naming the gate and its latest start, when a
-    gate cannot end by `t1`.
+    event (QubitRef -> event) and the record [t0, tracks, None, event] of
+    each two-qubit gate (`_Committed`), in placement order.  Raises
+    `InfeasibleError`, naming the gate and its latest start, when a gate
+    cannot end by `t1`.
 
     A plan has a few two-qubit gates, so each is tested against those placed
-    before it by a plain scan in placement order, with no index or boxes.
-    The invariants a placement keeps are the README's "Invariants a
-    schedule keeps".
+    before it by a plain scan of their records in placement order, with no
+    index or boxes.  The invariants a placement keeps are the README's
+    "Invariants a schedule keeps".
     """
     eps = _gap(arch)
-    last_end: dict = {}
     last: dict = {}
     bit_end: dict = {}
     moving = _moving_tracks(rides)
-    placed = []   # (t0, t1, tracks) of each two-qubit gate
     records = []
     new, GATE = tuple.__new__, ActionKind.GATE
     for (gate, operands, bit), (t, t_close) in zip(steps, windows, strict=True):
         dur = _gate_duration(arch, gate)
         # each start is max(t, end + eps), by the comparison `max` makes
         for q in operands:
-            if q in last_end:
-                after = last_end[q] + eps
+            if q in last:
+                after = last[q].t_end + eps
                 if after > t:
                     t = after
         if gate.reads_bit and bit in bit_end:
@@ -667,10 +652,10 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
                 # the atoms keep their rides while the start moves; a gate too
                 # close while both fire moves this one to just after it, the
                 # later gates are tested at the new start, and a move starts
-                # another pass
+                # another pass.  Every two-qubit gate lasts `dur`
                 moved = False
-                for o0, o1, otracks in placed:
-                    end = t + dur
+                for o0, otracks, _, _ in records:
+                    end, o1 = t + dur, o0 + dur
                     t0 = o0 if o0 > t else t      # max(t, o0) and min(end, o1), ties included
                     t1 = o1 if o1 < end else end
                     if t0 < t1 and any(too_close(ot, ct, t0, t1)
@@ -692,14 +677,12 @@ def _place_anchors(arch: ArchitectureSpec, steps, windows, rides: dict, events: 
         e = new(PhysicalEvent, (t, pos, GATE, operands, gate, bit, dur, None, None, None))
         events.append(e)
         for q in operands:
-            last_end[q] = end
             last[q] = e
         if gate.writes_bit:
             bit_end[bit] = end
         if gate.is_two_qubit:
-            placed.append((t, end, tracks))
-            records.append((e, tracks))
-    return last_end, last, records
+            records.append([t, tracks, None, e])
+    return last, records
 
 
 def _plan(arch: ArchitectureSpec, d: Decomposition):
@@ -707,12 +690,12 @@ def _plan(arch: ArchitectureSpec, d: Decomposition):
     and `_place_anchors`' records and last gate events.  The records' tracks
     hold the rides' segment lists, stationary waits included."""
     rides, windows, events = _PLANNERS[arch.variant](arch, d)
-    last_end, last, records = _place_anchors(arch, d.gates, windows, rides, events)
+    last, records = _place_anchors(arch, d.gates, windows, rides, events)
     eps = _gap(arch)
     for s, segs in rides.items():
         mref = QubitRef.mess(s)
         arrival, pos = segs[-1].t_end, segs[-1].end_pos
-        t_disp = max(last_end[mref] + eps, arrival)
+        t_disp = max(last[mref].t_end + eps, arrival)
         if t_disp > arrival:
             segs.append(TrajectorySegment(s, SegmentKind.STATIONARY, arrival, t_disp, pos, pos))
         events.append(PhysicalEvent(t_disp, pos, ActionKind.DISPOSE, (mref,)))
@@ -762,12 +745,11 @@ def shift_program(prog: ScheduledProgram, delta: float) -> ScheduledProgram:
 # --- multi-gate scheduling --------------------------------------------------
 
 def _event_order(records: list) -> list:
-    """The `(event, tracks)` records of a plan's two-qubit gates in event
-    order (`sort_events`): placement order, unless two starts tie or run
-    backwards."""
-    for (e, _), (f, _) in zip(records, records[1:]):
-        if e.t >= f.t:
-            return sorted(records, key=lambda r: r[0].sort_key())
+    """The records of a plan's two-qubit gates in event order (`sort_events`):
+    placement order, unless two starts tie or run backwards."""
+    for g, h in zip(records, records[1:]):
+        if g[0] >= h[0]:
+            return sorted(records, key=lambda g: g[3].sort_key())
     return records
 
 
@@ -783,7 +765,8 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
     has no plan, and `InfeasibleError` naming `t2` when the gap after a gate
     (`1e-6 t2`) is too fine for the program's times: a bump that leaves a
     plan overlapping the gate it was moved past, or a gap under 4 ulps of
-    the makespan.
+    the makespan; and `InfeasibleError` saying the times overflow when the
+    makespan is not finite.
     """
     check_circuit(circuit, arch.L)
     events: list[PhysicalEvent] = []   # in commit order, sorted once at the end
@@ -808,8 +791,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         bit += d.counts.nr
         rides, plan_events, records, last = _plan(arch, d)
         delta = max(ready.get(op.a, 0.0), ready.get(op.b, 0.0))
-        records = _event_order(records)
-        cand = [[e.t, e.t_end, tracks, None] for e, tracks in records]
+        cand = _event_order(records)
         # cycle through the candidates until each has been searched in full
         # at the current delta, when another search can only find nothing.
         # A bump raises delta and the search goes on past the gate it hit,
@@ -820,7 +802,7 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         for c in cycle(cand):
             moved, k = False, -1
             while (k := committed.first_conflict(c, delta, k)) is not None:
-                end = committed.gates[k][1]
+                end = committed.gates[k][0] + arch.t2
                 delta = end - c[0] + eps
                 if c[0] + delta < end:
                     raise InfeasibleError(
@@ -840,16 +822,21 @@ def schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> ScheduledProgra
         for coord in (op.a, op.b):
             e = last[QubitRef.comp(*coord)]
             ready[coord] = (e.t + delta) + e.duration + eps
+        # each candidate is committed as itself, at its moved start, with
+        # the moved plan's tracks; its boxes hold at any shift, since a
+        # shift moves the atoms with the window
         if delta != 0.0:
-            # the gates are committed with the moved plan's tracks
             moving = _moving_tracks(plan.trajectories)
-            records = [(e, _atom_tracks(e.operands, moving)) for e, _ in records]
-        for (_, tracks), c in zip(records, cand):
-            # the candidate's boxes: a shift moves the atoms with the window
-            committed.add(c[0] + delta, tracks, c[3])
+            for g in cand:
+                g[1] = _atom_tracks(g[3].operands, moving)
+        for g in cand:
+            g[0] += delta
+            committed.add(g)
 
     events = sort_events(events)
     makespan = max((e.t_end for e in events), default=0.0)
+    if not math.isfinite(makespan):
+        raise InfeasibleError(f"the program's times overflow: its makespan is {makespan!r}")
     if eps < 4 * math.ulp(makespan):
         raise InfeasibleError(
             f"t2 {arch.t2:.3e}s too short: its gap {eps:.3e}s between dependent gates is "

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from atomshuttle.architectures import (ArchitectureSpec, Variant, decompose_cz,
+from atomshuttle.architectures import (ArchitectureSpec, FieldError, Variant, decompose_cz,
                                        gate_counts, load_arch_config,
                                        manhattan_path,
                                        neighbor_chain_decompose, one_way_case,
@@ -138,6 +138,16 @@ def test_spec_validation():
         for bad in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match=f"^{field}="):
                 ArchitectureSpec(Variant.THROW_AND_MEASURE, 4, **{field: bad})
+    # above 2**51 a coordinate or half-cell lane may not be a float
+    assert ArchitectureSpec(Variant.TWO_WAY_BELT, 2 ** 51).L == 2 ** 51
+    for L in (2 ** 51 + 1, 10 ** 400):
+        with pytest.raises(FieldError, match=r"^L=\d+ must be at most 2\*\*51$"):
+            ArchitectureSpec(Variant.TWO_WAY_BELT, L)
+    # the time per cell, a / v, must be finite: the planner divides by its inverse
+    for v in (5e-324, 1.6e-314):
+        with pytest.raises(FieldError, match=f"^v={v!r} is too slow"):
+            ArchitectureSpec(Variant.THROW_AND_MEASURE, 4, v=v)
+    assert ArchitectureSpec(Variant.THROW_AND_MEASURE, 4, v=1.7e-314).v == 1.7e-314
     assert in_lattice((3, 3), 4) and not in_lattice((4, 0), 4)
     assert not in_lattice((0, -1), 4)
 

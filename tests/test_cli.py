@@ -213,6 +213,18 @@ def test_bad_config_exits_2(workdir, capsys):
          "bad.arch: t1_s=nan must be finite and strictly positive"),
         ("two-way-belt", "v_mps = 1.5", "v_mps = nan", "bad.arch: v_mps=nan"),
         ("one-way-belt", "v_mps = 1.5", "v_mps = nan", "bad.arch: v_mps=nan"),
+        # a / v, the time per cell, overflows, and the planner would divide by 0
+        ("throw-and-measure", "v_mps = 1.5", "v_mps = 5e-324",
+         "bad.arch: v_mps=5e-324 is too slow"),
+        ("throw-and-measure", "v_mps = 1.5", "v_mps = 1.6e-314",
+         "bad.arch: v_mps=1.6e-314 is too slow"),
+        # above 2**51 a lattice coordinate or half-cell lane may not be a
+        # float: L = 10**400 overflows one, and at L = 10**20 two columns
+        # share x = 1e20
+        ("one-way-belt", "L = 8", f"L = {10 ** 400}",
+         f"bad.arch: L={10 ** 400} must be at most 2**51"),
+        ("throw-and-measure", "L = 8", "L = 100000000000000000000",
+         "bad.arch: L=100000000000000000000 must be at most 2**51"),
     ]
     for variant, good, bad, message in cases:
         text = ARCH_TEMPLATE.format(variant=variant)
@@ -261,6 +273,20 @@ def test_infeasible_exits_3(workdir):
                "--program", str(workdir / "row.program"),
                "--out", str(workdir / "out"))
     assert code == 3
+
+
+def test_times_that_overflow_exit_3_naming_the_overflow(workdir, capsys):
+    # a 1.7e308 s readout: the second CZ waits for the first one's, and its
+    # own readout ends past the largest float
+    (workdir / "slow.arch").write_text("variant = one-way-belt\nL = 4\ntr_s = 1.7e308\n")
+    (workdir / "twice.program").write_text("lattice 4\ncz (0,0) (3,3)\ncz (0,0) (3,3)\n")
+    out = workdir / "out"
+    code = run("compile", "--arch", str(workdir / "slow.arch"),
+               "--program", str(workdir / "twice.program"), "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "the program's times overflow: its makespan is inf" in err and "t2" not in err
+    assert not out.exists()
 
 
 def test_gate_times_below_float_resolution_exit_3(workdir, capsys):
@@ -381,6 +407,9 @@ def test_verify_header_hashes_every_input(workdir, monkeypatch):
       for variant in ("two-way-belt", "throw-catch-throw", "shuttle-and-route")),
     # without --haar the seed would change only the header
     (("verify", "--arch", "a.arch", "--pair", "0,0,3,3", "--seed", "1"), "--seed"),
+    # above 2**51 a lattice coordinate or half-cell lane may not be a float
+    (("cost", "--cost", "c.cost", "-L", str(10 ** 400)), "-L"),
+    (("compare", "--cost", "c.cost", "-L", str(2 ** 51 + 1)), "-L"),
 ])
 def test_bad_argument_exits_2_naming_the_flag(workdir, capsys, monkeypatch, argv, flag):
     monkeypatch.chdir(workdir)

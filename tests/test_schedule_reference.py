@@ -41,11 +41,13 @@ def reference_schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> Sched
     events, trajectories, ready, committed = [], {}, {}, []
     serial = bit = 0
 
-    def first_conflict(c0, c1, ctracks, delta, after):
+    def first_conflict(b0, ctracks, delta, after):
+        # the candidate fires for t2 from its shifted start
+        c0 = b0 + delta
         shifted = [t.shifted(delta) for t in ctracks]
         for k in range(after + 1, len(committed)):
             o0, o1, otracks = committed[k]
-            lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
+            lo, hi = max(c0, o0), min(c0 + arch.t2, o1)
             if lo < hi and gate_distance(otracks, shifted, lo, hi) < EXCLUSION_CELLS - DIST_TOL:
                 return k
         return None
@@ -67,9 +69,9 @@ def reference_schedule(circuit: LogicalCircuit, arch: ArchitectureSpec) -> Sched
         bumped = True
         while bumped:
             bumped = False
-            for c0, c1, ctracks in candidates:
+            for c0, _, ctracks in candidates:
                 k = -1
-                while (k := first_conflict(c0, c1, ctracks, delta, k)) is not None:
+                while (k := first_conflict(c0, ctracks, delta, k)) is not None:
                     delta = committed[k][1] - c0 + eps
                     bumped = True
         plan = shift_program(plan, delta)

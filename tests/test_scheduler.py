@@ -424,8 +424,8 @@ def test_reused_boxes_cover_a_jump_where_a_shifted_window_starts():
     # the atom sits on the placed gate's.  Unwidened boxes would be 3 cells
     # apart and prune the pair.
     committed = scheduler._Committed(ArchitectureSpec(Variant.TWO_WAY_BELT, 8, t2=1.0, v=1e-6))
-    committed.add(1.0, [_Track(static_pos=(3.0, 0.0))], None)
-    assert committed.first_conflict([1e-18, 1.0, [jump(3.0)], None], 1.0, -1) == 0
+    committed.add([1.0, [_Track(static_pos=(3.0, 0.0))], None, None])
+    assert committed.first_conflict([1e-18, [jump(3.0)], None, None], 1.0, -1) == 0
 
 
 # the exclusion search with a gap and rounding slack `eps` of 1e-6 s
@@ -435,12 +435,11 @@ SEARCH_EPS = scheduler._Committed(SEARCH_ARCH).eps
 
 @st.composite
 def search_gates(draw, sites):
-    """(t0, t1, tracks, boxes) of a two-qubit gate at a point of `sites`,
-    its atoms moving within a cell of it; planned over [b0, b0 + t2] and
-    moved `delta` later as `schedule` commits it, the start shifted first
-    and the end `t2` after it.  `boxes` are None or those built over the
-    planned window widened by eps, as a candidate tested there keeps
-    them."""
+    """(t0, tracks, boxes) of a two-qubit gate at a point of `sites`, its
+    atoms moving within a cell of it; planned over [b0, b0 + t2] and moved
+    `delta` later as `schedule` commits it, to fire over [t0, t0 + t2] with
+    t0 = b0 + delta.  `boxes` are None or those built over the planned
+    window widened by eps, as a candidate tested there keeps them."""
     x, y = draw(sites)
     near = st.tuples(st.floats(x - 1.0, x + 1.0), st.floats(y - 1.0, y + 1.0))
     atoms = draw(st.lists(tracks(near), min_size=1, max_size=2))
@@ -448,8 +447,7 @@ def search_gates(draw, sites):
     delta = draw(st.floats(-1.0, 1.0)) if draw(st.booleans()) else 0.0
     boxes = (gate_boxes(atoms, b0 - SEARCH_EPS, b0 + SEARCH_ARCH.t2 + SEARCH_EPS)
              if draw(st.booleans()) else None)
-    t0 = b0 + delta
-    return (t0, t0 + SEARCH_ARCH.t2, [moved(t, delta) for t in atoms], boxes)
+    return (b0 + delta, [moved(t, delta) for t in atoms], boxes)
 
 
 @st.composite
@@ -467,12 +465,14 @@ def searches(draw):
 def plain_first_conflict(placed, cand, delta: float, after: int):
     """The first placed gate after `after` with an atom pair too close to
     the candidate shifted by `delta` while both fire: every gate in
-    placement order, every atom pair, no boxes."""
-    c0, c1, ctracks, _ = cand
+    placement order, every atom pair, no boxes.  Each gate fires for `t2`
+    from its start, the candidate from its shifted start."""
+    b0, ctracks, _ = cand
+    c0 = b0 + delta
     shifted = [t.shifted(delta) for t in ctracks]
     for k in range(after + 1, len(placed)):
-        o0, o1, otracks, _ = placed[k]
-        lo, hi = max(c0 + delta, o0), min(c1 + delta, o1)
+        o0, otracks, _ = placed[k]
+        lo, hi = max(c0, o0), min(c0 + SEARCH_ARCH.t2, o0 + SEARCH_ARCH.t2)
         if lo < hi and any(too_close(ot, ct, lo, hi) for ot in otracks for ct in shifted):
             return k
     return None
@@ -485,29 +485,45 @@ ORIGIN = [_Track(static_pos=(0.0, 0.0))]
 @given(searches(), st.floats(-1.0, 1.0))
 # union boxes exactly the exclusion distance plus BOX_MARGIN apart along x:
 # on the edge of the square, and passed
-@example(search=([(0.0, 1.0, ORIGIN, None)],
-                 (0.0, 1.0, [_Track(static_pos=(EXCLUSION_CELLS + BOX_MARGIN, 0.0))], None),
+@example(search=([(0.0, ORIGIN, None)],
+                 (0.0, [_Track(static_pos=(EXCLUSION_CELLS + BOX_MARGIN, 0.0))], None),
                  -1), delta=0.0)
 # a diagonal neighbour inside the square but outside the circle: the atom
 # boxes, not the square, pass it
-@example(search=([(0.0, 1.0, ORIGIN, None)], (0.0, 1.0, [_Track(static_pos=(1.5, 1.5))], None),
+@example(search=([(0.0, ORIGIN, None)], (0.0, [_Track(static_pos=(1.5, 1.5))], None),
                  -1), delta=0.0)
 def test_first_conflict_matches_a_plain_scan(search, delta):
     # the boxes, the square around the candidate and the time index only
     # skip gates and atom pairs that cannot come too close
     placed, cand, after = search
     committed = scheduler._Committed(SEARCH_ARCH)
-    for t0, _, otracks, boxes in placed:
-        committed.add(t0, otracks, boxes)
-    assert committed.first_conflict(list(cand), delta, after) == \
+    for gate in placed:
+        committed.add([*gate, None])
+    assert committed.first_conflict([*cand, None], delta, after) == \
         plain_first_conflict(placed, cand, delta, after)
+
+
+def test_a_shifted_candidate_is_searched_over_the_window_it_is_committed_with():
+    # planned at 0.2 and shifted by 0.6, the candidate fires from 0.2 + 0.6 =
+    # 0.8 to 0.8 + t2 = 1.8, the window a commit files; its planned end
+    # shifted, (0.2 + t2) + 0.6, is an ulp earlier.  A gate one cell away that
+    # starts in that last ulp fires with it, too close
+    b0, delta = 0.2, 0.6
+    o0 = (b0 + SEARCH_ARCH.t2) + delta
+    assert o0 < (b0 + delta) + SEARCH_ARCH.t2
+    committed = scheduler._Committed(SEARCH_ARCH)
+    committed.add([o0, ORIGIN, None, None])
+    cand = (b0, [_Track(static_pos=(1.0, 0.0))], None)
+    assert committed.first_conflict([*cand, None], delta, -1) == 0
+    assert plain_first_conflict([(o0, ORIGIN, None)], cand, delta, -1) == 0
 
 
 def indexed_place_anchors(arch, steps, windows, rides, events: list):
     """`_place_anchors` with each two-qubit gate placed through
     `_Committed.first_conflict`, whose time index, square and boxes only
-    skip gates that cannot conflict.  Returns the last gate end of each
-    qubit and whether any gate was moved off another of its plan."""
+    skip gates that cannot conflict; a two-qubit gate fires for `dur` from
+    its start.  Returns the last gate end of each qubit and whether any
+    gate was moved off another of its plan."""
     placed = scheduler._Committed(arch)
     eps = placed.eps
     last_end, bit_end, bumped = {}, {}, False
@@ -523,11 +539,11 @@ def indexed_place_anchors(arch, steps, windows, rides, events: list):
             moved = True
             while moved:
                 moved, k = False, -1
-                while (k := placed.first_conflict([t, t + dur, tracks, None],
+                while (k := placed.first_conflict([t, tracks, None, None],
                                                   0.0, k)) is not None:
-                    t = placed.gates[k][1] + eps
+                    t = placed.gates[k][0] + dur + eps
                     moved = bumped = True
-            placed.add(t, tracks, None)
+            placed.add([t, tracks, None, None])
         assert t + dur <= t_close
         comp = [q for q in operands if not q.is_messenger]
         pos = (float(comp[0].coord[1]), float(comp[0].coord[0])) if comp \
@@ -555,10 +571,10 @@ def test_plan_scan_places_as_the_indexed_search(variant):
             d = decompose_cz(arch, a, b)
             rides, windows, scanned = scheduler._PLANNERS[variant](arch, d)
             indexed = list(scanned)
-            last_end, last, _ = scheduler._place_anchors(arch, d.gates, windows, rides, scanned)
+            last, _ = scheduler._place_anchors(arch, d.gates, windows, rides, scanned)
             ref_last_end, moved = indexed_place_anchors(arch, d.gates, windows, rides, indexed)
-            assert scanned == indexed and last_end == ref_last_end
-            assert {q: e.t_end for q, e in last.items()} == last_end
+            assert scanned == indexed
+            assert {q: e.t_end for q, e in last.items()} == ref_last_end
             bumped += moved
     assert bumped == (36 if variant is Variant.ONE_WAY_BELT else 0)
 
@@ -580,9 +596,11 @@ def test_plan_records_are_the_plans_two_qubit_gates(variant):
             prog = plan_trajectories(arch, d)
             placed = scheduler._plan(arch, d)[2]
             records = scheduler._event_order(placed)
-            assert [e for e, _ in records] == [e for e in prog.events if e.action is ActionKind.GATE
+            assert [g[3] for g in records] == [e for e in prog.events if e.action is ActionKind.GATE
                                                and e.gate.is_two_qubit]
-            for e, tracks in records:
+            # each record starts at its event's start, its boxes not yet built
+            assert all(t0 == e.t and boxes is None for t0, _, boxes, e in records)
+            for _, tracks, _, e in records:
                 times = (e.t, (e.t + e.t_end) / 2, e.t_end, prog.makespan)
                 for q, track in zip(e.operands, tracks, strict=True):
                     plan_track = qubit_track(q, prog.trajectories)
@@ -590,7 +608,7 @@ def test_plan_records_are_the_plans_two_qubit_gates(variant):
                         [plan_track.position(t) for t in times]
                     assert track.breakpoints(0.0, prog.makespan) == \
                         plan_track.breakpoints(0.0, prog.makespan)
-            reordered += [e for e, _ in records] != [e for e, _ in placed]
+            reordered += [g[3] for g in records] != [g[3] for g in placed]
     assert (reordered > 0) == (variant is Variant.ONE_WAY_BELT)
 
 
@@ -614,10 +632,10 @@ def static_drafts(draw):
 def test_plan_scan_places_random_drafts_as_the_indexed_search(draft):
     steps, windows = draft
     scanned, indexed = [], []
-    last_end, last, _ = scheduler._place_anchors(SEARCH_ARCH, steps, windows, {}, scanned)
-    assert (last_end, scanned) == \
-        (indexed_place_anchors(SEARCH_ARCH, steps, windows, {}, indexed)[0], indexed)
-    assert {q: e.t_end for q, e in last.items()} == last_end
+    last, _ = scheduler._place_anchors(SEARCH_ARCH, steps, windows, {}, scanned)
+    ref_last_end = indexed_place_anchors(SEARCH_ARCH, steps, windows, {}, indexed)[0]
+    assert scanned == indexed
+    assert {q: e.t_end for q, e in last.items()} == ref_last_end
 
 
 @pytest.mark.thorough
